@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -37,6 +38,7 @@ from .market_data import (
     load_sector_manifest,
 )
 from .metrics import MetricConfig, tear_sheet
+from .portfolio import FREQUENCIES as REBALANCE_FREQUENCIES
 from .portfolio import CapitalPlan, RebalancePolicy, rebalance_dates, run_backtest
 from .report import emit_plot_data, export_tear_sheets, read_tear_sheets
 from .returns import simple_returns, split_sample
@@ -44,6 +46,9 @@ from .returns import simple_returns, split_sample
 logger = logging.getLogger(__name__)
 
 WINDOW_LABELS = ("in_sample", "out_of_sample", "overall")
+
+
+_FLOAT_FIELDS = ("per_asset_capital", "cost_rate", "risk_free", "omega_threshold", "var_cutoff")
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,27 @@ class RunConfig:
     tear_sheet_format: str = "csv"
 
     def __post_init__(self):
+        if not isinstance(self.manifests, (list, tuple)) or not all(
+            isinstance(p, (str, os.PathLike)) for p in self.manifests
+        ):
+            raise ConfigError(f"manifests must be a list of paths, got {self.manifests!r}")
         object.__setattr__(self, "data_dir", Path(self.data_dir))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "manifests", tuple(Path(p) for p in self.manifests))
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        ppy = self.periods_per_year
+        if isinstance(ppy, bool) or not isinstance(ppy, int) or ppy < 1:
+            raise ConfigError(f"periods_per_year must be a positive integer, got {ppy!r}")
+        if self.frequency not in REBALANCE_FREQUENCIES:
+            raise ConfigError(
+                f"unknown frequency {self.frequency!r}, expected one of "
+                f"{', '.join(REBALANCE_FREQUENCIES)}"
+            )
         if not (self.start < self.split <= self.end):
             raise ConfigError(
                 f"window must satisfy start < split <= end, got "
@@ -118,15 +141,16 @@ def load_run_config(path) -> RunConfig:
                 kwargs[key] = date.fromisoformat(kwargs[key])
             except (TypeError, ValueError):
                 raise ConfigError(f"{path}: bad date for {key!r}: {kwargs[key]!r}")
-    base = path.parent
-    kwargs["data_dir"] = base / kwargs["data_dir"]
-    kwargs["manifests"] = tuple(base / m for m in kwargs["manifests"])
-    if "out_dir" in kwargs:
-        kwargs["out_dir"] = base / kwargs["out_dir"]
     try:
-        return RunConfig(**kwargs)
+        config = RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}")
+    base = path.parent
+    paths = {"data_dir": base / config.data_dir,
+             "manifests": tuple(base / m for m in config.manifests)}
+    if "out_dir" in raw:
+        paths["out_dir"] = base / config.out_dir
+    return replace(config, **paths)
 
 
 def resolve_price_file(data_dir: Path, ticker: str) -> Path:
@@ -144,17 +168,37 @@ def _sector_slug(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name.strip().lower()) or "sector"
 
 
-def _load_panel(config: RunConfig, manifest_path: Path):
-    manifest = load_sector_manifest(manifest_path)
-    series = [
-        load_price_series(resolve_price_file(config.data_dir, t), t)
-        for t in manifest.tickers
-    ]
-    benchmark = load_price_series(
-        resolve_price_file(config.data_dir, manifest.benchmark), manifest.benchmark
-    )
-    panel = align_panel(series, benchmark)
-    return manifest, series, clip_panel(panel, config.start, config.end)
+def _stage_error(sector: str, stage: str, exc: RebalError) -> RebalError:
+    return RebalError(f"sector {sector!r} failed at stage {stage}: {exc}")
+
+
+def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
+    """Manifest -> load -> align -> clip for one sector.
+
+    Returns (manifest, raw series, clipped panel).  ``parsed`` is the run's
+    price-file cache (see ``load_price_series``).  Any RebalError is
+    re-raised annotated with the sector and the stage that failed.
+    """
+    stage = "manifest"
+    sector = manifest_path.stem
+    try:
+        manifest = load_sector_manifest(manifest_path)
+        sector = manifest.sector
+        stage = "load"
+        series = [
+            load_price_series(resolve_price_file(config.data_dir, t), t, parsed=parsed)
+            for t in manifest.tickers
+        ]
+        benchmark = load_price_series(
+            resolve_price_file(config.data_dir, manifest.benchmark), manifest.benchmark,
+            parsed=parsed,
+        )
+        stage = "align"
+        panel = align_panel(series, benchmark)
+        stage = "clip"
+        return manifest, series, clip_panel(panel, config.start, config.end)
+    except RebalError as exc:
+        raise _stage_error(sector, stage, exc) from exc
 
 
 # Which columns of each plot dataset hold numbers: a fixed leading span of
@@ -188,32 +232,21 @@ def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) ->
                     raise ParseError(f"unparseable number {cell!r}", path, lineno)
 
 
-def _run_sector(config: RunConfig, manifest_path: Path) -> tuple[str, Path]:
+def _run_sector(
+    config: RunConfig, manifest_path: Path, parsed: dict, written: dict[str, str]
+) -> tuple[str, Path]:
     """Backtest one sector manifest and write its artifacts.
 
-    Returns (sector name, output directory).  Any RebalError is re-raised
-    annotated with the pipeline stage that failed.
+    ``written`` maps each output slug already written in this run to its
+    sector; a sector whose slug is taken fails before touching the output
+    tree.  Returns (sector name, output directory).  Any RebalError is
+    re-raised annotated with the pipeline stage that failed.
     """
-    stage = "manifest"
-    sector = manifest_path.stem
+    manifest, _, panel = _load_sector(config, manifest_path, parsed)
+    sector = manifest.sector
     out_dir = None
+    stage = "backtest"
     try:
-        manifest = load_sector_manifest(manifest_path)
-        sector = manifest.sector
-        stage = "load"
-        series = [
-            load_price_series(resolve_price_file(config.data_dir, t), t)
-            for t in manifest.tickers
-        ]
-        benchmark = load_price_series(
-            resolve_price_file(config.data_dir, manifest.benchmark), manifest.benchmark
-        )
-        stage = "align"
-        panel = align_panel(series, benchmark)
-        stage = "clip"
-        panel = clip_panel(panel, config.start, config.end)
-
-        stage = "backtest"
         plan = CapitalPlan(config.per_asset_capital, len(manifest.tickers))
         policy = RebalancePolicy(config.frequency, config.cost_rate)
         result = run_backtest(panel, plan, policy)
@@ -231,7 +264,13 @@ def _run_sector(config: RunConfig, manifest_path: Path) -> tuple[str, Path]:
         ]
 
         stage = "report"
-        out_dir = config.out_dir / _sector_slug(sector)
+        slug = _sector_slug(sector)
+        if slug in written:
+            raise ConfigError(
+                f"output directory {slug!r} was already written by sector "
+                f"{written[slug]!r}"
+            )
+        out_dir = config.out_dir / slug
         if out_dir.exists():
             shutil.rmtree(out_dir)
         benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
@@ -247,17 +286,20 @@ def _run_sector(config: RunConfig, manifest_path: Path) -> tuple[str, Path]:
     except RebalError as exc:
         if out_dir is not None and out_dir.exists():
             shutil.rmtree(out_dir)
-        raise RebalError(f"sector {sector!r} failed at stage {stage}: {exc}") from exc
+        raise _stage_error(sector, stage, exc) from exc
 
 
 def cmd_backtest(config: RunConfig) -> int:
     if not config.manifests:
         raise ConfigError("no sector manifests configured")
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    parsed: dict = {}
+    written: dict[str, str] = {}
     failures = 0
     for manifest_path in config.manifests:
         try:
-            sector, out_dir = _run_sector(config, manifest_path)
+            sector, out_dir = _run_sector(config, manifest_path, parsed, written)
+            written[out_dir.name] = sector
             print(f"ok: {sector} -> {out_dir}")
         except RebalError as exc:
             failures += 1
@@ -268,10 +310,11 @@ def cmd_backtest(config: RunConfig) -> int:
 def cmd_validate(config: RunConfig) -> int:
     if not config.manifests:
         raise ConfigError("no sector manifests configured")
+    parsed: dict = {}
     status = 0
     for manifest_path in config.manifests:
         try:
-            manifest, series, panel = _load_panel(config, manifest_path)
+            manifest, series, panel = _load_sector(config, manifest_path, parsed)
         except RebalError as exc:
             print(f"error: {manifest_path}: {exc}", file=sys.stderr)
             status = 1

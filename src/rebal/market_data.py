@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, ParseError, ValidationError, WindowError
+from .errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
 
 logger = logging.getLogger(__name__)
 
@@ -162,54 +165,114 @@ class PricePanel:
         return {t: float(self.columns[t][idx]) for t in self.tickers}
 
 
-def load_price_series(path, ticker: str) -> PriceSeries:
+class _PriceFile(NamedTuple):
+    """One pass over a price CSV.
+
+    ``series`` maps each ticker seen to its validated PriceSeries or to the
+    first error on one of its rows.  ``error`` is the file's first
+    structural error (bad header, ragged row); parsing stops there, so every
+    per-ticker error recorded comes from an earlier line.
+    """
+
+    series: dict[str, PriceSeries | RebalError]
+    error: ParseError | None
+
+
+# One shared date object per distinct ISO string, across every file of a
+# run.  Bounded so a long-lived process does not grow without limit; 2**14
+# days is about 45 years of calendar days.
+_iso_date = functools.lru_cache(maxsize=1 << 14)(date.fromisoformat)
+
+
+def _parse_price_file(path: Path) -> _PriceFile:
+    rows: dict[str, dict[date, float]] = {}
+    failed: dict[str, RebalError] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return _PriceFile({}, ParseError(
+                "empty file, expected header date,ticker,adj_close", path, 1))
+        if tuple(h.strip() for h in header) != PRICE_CSV_HEADER:
+            return _PriceFile({}, ParseError(
+                f"bad header {header!r}, expected date,ticker,adj_close", path, 1))
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                error = ParseError(f"expected 3 columns, got {len(row)}", path, lineno)
+                return _PriceFile(failed, error)
+            raw_date, ticker, raw_price = row
+            ticker = ticker.strip()
+            if ticker in failed:
+                continue
+            raw_date = raw_date.strip()
+            raw_price = raw_price.strip()
+            try:
+                day = _iso_date(raw_date)
+            except ValueError:
+                failed[ticker] = ParseError(f"bad date {raw_date!r}", path, lineno)
+                continue
+            try:
+                price = float(raw_price)
+            except ValueError:
+                failed[ticker] = ParseError(f"bad price {raw_price!r}", path, lineno)
+                continue
+            if not math.isfinite(price) or price <= 0.0:
+                failed[ticker] = ValidationError(
+                    f"{path}:{lineno}: non-positive price {raw_price} for {ticker}"
+                )
+                continue
+            by_day = rows.get(ticker)
+            if by_day is None:
+                by_day = rows[ticker] = {}
+            if day in by_day:
+                failed[ticker] = ValidationError(
+                    f"{path}:{lineno}: duplicate date {day.isoformat()} for {ticker}"
+                )
+                continue
+            by_day[day] = price
+    series: dict[str, PriceSeries | RebalError] = {}
+    for ticker, by_day in rows.items():
+        if ticker in failed:
+            continue
+        days = sorted(by_day)
+        try:
+            series[ticker] = PriceSeries(ticker, tuple(days), [by_day[d] for d in days])
+        except ValidationError as exc:
+            series[ticker] = exc
+    series.update(failed)
+    return _PriceFile(series, None)
+
+
+def load_price_series(path, ticker: str, parsed: dict | None = None) -> PriceSeries:
     """Read one ticker's rows from a price CSV and validate them.
 
     The file may be per-ticker or long format; only rows whose ticker
     column matches are kept.  Rows may appear in any order; the result is
-    sorted by date.
+    sorted by date.  A bad row fails only its own ticker: the error raised
+    is the first one on this ticker's rows or the file's first malformed
+    row, whichever comes first, then "no rows" or too few observations.
+
+    ``parsed`` is an optional dict owned by the caller for one run.  Files
+    holding more than one ticker are parsed once and kept in it, keyed by
+    path, so later tickers from the same file are a lookup.  Single-ticker
+    files are not kept, since that would hold a per-ticker universe in memory
+    for the whole run: they are read once per call.
     """
     path = Path(path)
-    rows: dict[date, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected header date,ticker,adj_close", path, 1)
-        if tuple(h.strip() for h in header) != PRICE_CSV_HEADER:
-            raise ParseError(
-                f"bad header {header!r}, expected date,ticker,adj_close", path, 1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}", path, lineno)
-            raw_date, raw_ticker, raw_price = (c.strip() for c in row)
-            if raw_ticker != ticker:
-                continue
-            try:
-                day = date.fromisoformat(raw_date)
-            except ValueError:
-                raise ParseError(f"bad date {raw_date!r}", path, lineno)
-            try:
-                price = float(raw_price)
-            except ValueError:
-                raise ParseError(f"bad price {raw_price!r}", path, lineno)
-            if not np.isfinite(price) or price <= 0.0:
-                raise ValidationError(
-                    f"{path}:{lineno}: non-positive price {raw_price} for {ticker}"
-                )
-            if day in rows:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate date {day.isoformat()} for {ticker}"
-                )
-            rows[day] = price
-    if not rows:
+    parsed_file = parsed.get(path) if parsed is not None else None
+    if parsed_file is None:
+        parsed_file = _parse_price_file(path)
+        if parsed is not None and len(parsed_file.series) > 1:
+            parsed[path] = parsed_file
+    series = parsed_file.series.get(ticker)
+    if series is None:
+        if parsed_file.error is not None:
+            raise parsed_file.error.with_traceback(None)
         raise ValidationError(f"{path}: no rows for ticker {ticker!r}")
-    days = sorted(rows)
-    series = PriceSeries(ticker, tuple(days), [rows[d] for d in days])
+    if isinstance(series, RebalError):
+        raise series.with_traceback(None)
     logger.debug("loaded %s: %d observations from %s", ticker, len(series), path)
     return series
 

@@ -109,6 +109,84 @@ class TestLoadPriceSeries:
             load_price_series(path, "AAA")
 
 
+class TestOnePassParsing:
+    """Long-format files are parsed once per run; errors stay per ticker."""
+
+    LONG = [
+        "2021-01-04,AAA,100.0",
+        "2021-01-04,BBB,50.0",
+        "2021-01-05,AAA,101.0",
+        "2021-01-05,BBB,51.0",
+        "2021-01-05,ZZZ,-1.0",
+        "2021-01-06,ZZZ,7.0",
+    ]
+
+    def test_multi_ticker_file_opened_once(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "prices.csv", self.LONG)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr("rebal.market_data.open", counting_open, raising=False)
+        parsed = {}
+        a = load_price_series(path, "AAA", parsed=parsed)
+        b = load_price_series(path, "BBB", parsed=parsed)
+        assert load_price_series(path, "AAA", parsed=parsed) is a
+        with pytest.raises(ValidationError):
+            load_price_series(path, "ZZZ", parsed=parsed)
+        assert opened == [path]
+        assert a == load_price_series(path, "AAA")
+        assert b.prices.tolist() == [50.0, 51.0]
+
+    def test_single_ticker_file_not_kept(self, tmp_path):
+        path = write_csv(tmp_path / "AAA.csv",
+                         ["2021-01-04,AAA,100.0", "2021-01-05,AAA,101.0"])
+        parsed = {}
+        assert len(load_price_series(path, "AAA", parsed=parsed)) == 2
+        assert parsed == {}
+
+    def test_bad_row_fails_only_its_ticker(self, tmp_path):
+        path = write_csv(tmp_path / "prices.csv", self.LONG)
+        parsed = {}
+        with pytest.raises(ValidationError, match=r"prices\.csv:6: .*ZZZ"):
+            load_price_series(path, "ZZZ", parsed=parsed)
+        assert load_price_series(path, "AAA", parsed=parsed).prices.tolist() == [100.0, 101.0]
+        assert load_price_series(path, "BBB", parsed=parsed).prices.tolist() == [50.0, 51.0]
+
+    def test_errors_rank_by_line_then_after_the_pass(self, tmp_path):
+        path = write_csv(tmp_path / "prices.csv", [
+            "2021-01-04,AAA,100.0",
+            "2021-01-04,BBB,50.0",
+            "2021-01-04,ONE,9.0",
+            "2021-01-05,AAA,-1.0",          # line 5: AAA's own bad row
+            "2021-01-05,BBB,51.0",
+            "2021-01-06,BBB,52.0,extra",    # line 7: ragged row
+            "2021-01-07,BBB,53.0",
+        ])
+        parsed = {}
+        with pytest.raises(ValidationError, match=r"prices\.csv:5: .*AAA"):
+            load_price_series(path, "AAA", parsed=parsed)
+        for ticker in ("BBB", "ONE", "MISSING"):
+            # fewer than 2 observations and "no rows" rank after the ragged row
+            with pytest.raises(ParseError, match=r"prices\.csv:7: expected 3 columns"):
+                load_price_series(path, ticker, parsed=parsed)
+
+    def test_bad_header_fails_every_ticker(self, tmp_path):
+        path = write_csv(tmp_path / "prices.csv", self.LONG, header="day,symbol,close")
+        parsed = {}
+        for ticker in ("AAA", "BBB"):
+            with pytest.raises(ParseError, match=r"prices\.csv:1: bad header"):
+                load_price_series(path, ticker, parsed=parsed)
+
+    def test_dates_shared_across_files(self, tmp_path):
+        rows = ["2021-01-04,AAA,100.0", "2021-01-05,AAA,101.0"]
+        a = load_price_series(write_csv(tmp_path / "a.csv", rows), "AAA")
+        b = load_price_series(write_csv(tmp_path / "b.csv", rows), "AAA")
+        assert all(x is y for x, y in zip(a.dates, b.dates))
+
+
 class TestSectorManifest:
     def test_valid_manifest(self, tmp_path):
         path = tmp_path / "m.json"
