@@ -50,16 +50,12 @@ from .metrics import (
 from .portfolio import (
     BacktestResult,
     CapitalPlan,
-    Ledger,
     RebalancePolicy,
-    initial_allocation,
-    rebalance,
+    allocate,
     rebalance_dates,
-    round_half_away_from_zero,
     run_backtest,
 )
 from .report import (
-    ReportBundle,
     emit_plot_data,
     export_tear_sheets,
     format_number,

@@ -5,8 +5,9 @@ Two commands:
 * ``rebal backtest --config run.json [flag overrides]`` runs every sector
   manifest named in the config and writes one output directory per sector
   (tear sheets plus the four plot datasets).  Exits 0 only if every
-  sector's artifacts were written and reparse cleanly; a failed sector's
-  partial outputs are removed.
+  sector's artifacts were written and reparse cleanly.  A sector is
+  written into a temporary sibling directory and moved into place only
+  once verified, so a failed sector leaves any earlier output untouched.
 * ``rebal validate --config run.json`` is a dry run: it loads and aligns
   the data, reports calendar span, per-ticker coverage, and the planned
   rebalance dates, and writes nothing.
@@ -26,7 +27,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -37,9 +38,9 @@ from .market_data import (
     load_price_series,
     load_sector_manifest,
 )
-from .metrics import MetricConfig, tear_sheet
-from .portfolio import FREQUENCIES as REBALANCE_FREQUENCIES
-from .portfolio import CapitalPlan, RebalancePolicy, rebalance_dates, run_backtest
+from .metrics import METRIC_NAMES, MetricConfig, tear_sheet
+from .portfolio import REBALANCE_FREQUENCIES, CapitalPlan, RebalancePolicy
+from .portfolio import rebalance_dates, run_backtest
 from .report import emit_plot_data, export_tear_sheets, read_tear_sheets
 from .returns import simple_returns, split_sample
 
@@ -110,11 +111,7 @@ class RunConfig:
 
 
 _CONFIG_DATES = ("start", "split", "end")
-_CONFIG_KEYS = (
-    "data_dir", "manifests", "out_dir", "start", "split", "end", "frequency",
-    "per_asset_capital", "cost_rate", "periods_per_year", "risk_free",
-    "omega_threshold", "var_cutoff", "tear_sheet_format",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def load_run_config(path) -> RunConfig:
@@ -212,8 +209,13 @@ _NUMERIC_SPANS = {
 
 
 def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) -> None:
-    """Re-read everything just written; raises if any artifact is unreadable."""
-    read_tear_sheets(tear_sheet_path, fmt)
+    """Re-read everything just written; raises if any artifact is unreadable
+    or holds a non-finite number."""
+    for sheet in read_tear_sheets(tear_sheet_path, fmt):
+        for name in METRIC_NAMES:
+            value = getattr(sheet, name)
+            if value is not None and not math.isfinite(value):
+                raise ParseError(f"non-finite {name} in {sheet.window_label}", tear_sheet_path)
     for kind, path in files.items():
         skip_head, skip_tail = _NUMERIC_SPANS[kind]
         with open(path, newline="", encoding="utf-8") as fh:
@@ -227,9 +229,11 @@ def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) ->
             numeric = row[skip_head: len(row) - skip_tail or None]
             for cell in numeric:
                 try:
-                    float(cell)
+                    finite = math.isfinite(float(cell))
                 except ValueError:
-                    raise ParseError(f"unparseable number {cell!r}", path, lineno)
+                    finite = False
+                if not finite:
+                    raise ParseError(f"not a finite number: {cell!r}", path, lineno)
 
 
 def _run_sector(
@@ -239,12 +243,14 @@ def _run_sector(
 
     ``written`` maps each output slug already written in this run to its
     sector; a sector whose slug is taken fails before touching the output
-    tree.  Returns (sector name, output directory).  Any RebalError is
-    re-raised annotated with the pipeline stage that failed.
+    tree.  Artifacts are written into a temporary sibling of the output
+    directory, which replaces it only after they verify.  Returns (sector
+    name, output directory).  Any RebalError is re-raised annotated with the
+    pipeline stage that failed.
     """
     manifest, _, panel = _load_sector(config, manifest_path, parsed)
     sector = manifest.sector
-    out_dir = None
+    staging = None
     stage = "backtest"
     try:
         plan = CapitalPlan(config.per_asset_capital, len(manifest.tickers))
@@ -271,22 +277,28 @@ def _run_sector(
                 f"{written[slug]!r}"
             )
         out_dir = config.out_dir / slug
-        if out_dir.exists():
-            shutil.rmtree(out_dir)
+        staging = config.out_dir / f".{slug}.partial-{os.getpid()}"
+        shutil.rmtree(staging, ignore_errors=True)
         benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
-        files = emit_plot_data(result, benchmark_cum, config.split, out_dir)
+        files = emit_plot_data(result, benchmark_cum, config.split, staging)
         ts_path = export_tear_sheets(
-            sheets, out_dir / f"tear_sheets.{config.tear_sheet_format}",
+            sheets, staging / f"tear_sheets.{config.tear_sheet_format}",
             config.tear_sheet_format,
         )
 
         stage = "verify"
         _reparse_outputs(files, ts_path, config.tear_sheet_format)
+        retired = staging.with_name(staging.name + "-old")
+        if out_dir.exists():
+            out_dir.rename(retired)
+        staging.rename(out_dir)
+        shutil.rmtree(retired, ignore_errors=True)
         return sector, out_dir
     except RebalError as exc:
-        if out_dir is not None and out_dir.exists():
-            shutil.rmtree(out_dir)
         raise _stage_error(sector, stage, exc) from exc
+    finally:
+        if staging is not None and staging.exists():
+            shutil.rmtree(staging)
 
 
 def cmd_backtest(config: RunConfig) -> int:
@@ -347,37 +359,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run-config JSON file")
         p.add_argument("--data-dir", help="override price-data directory")
         p.add_argument("--out-dir", help="override output directory")
-        p.add_argument("--frequency", choices=("daily", "monthly", "yearly", "never"))
+        p.add_argument("--frequency", choices=REBALANCE_FREQUENCIES)
         p.add_argument("--start", type=date.fromisoformat, metavar="YYYY-MM-DD")
         p.add_argument("--split", type=date.fromisoformat, metavar="YYYY-MM-DD")
         p.add_argument("--end", type=date.fromisoformat, metavar="YYYY-MM-DD")
-        p.add_argument("--capital", type=float, help="capital per constituent")
+        p.add_argument("--capital", type=float, dest="per_asset_capital",
+                       help="capital per constituent")
         p.add_argument("--cost-rate", type=float, help="fraction of traded notional")
         p.add_argument("--risk-free", type=float, help="annual risk-free rate")
         p.add_argument("--periods-per-year", type=int)
     return parser
 
 
-_FLAG_FIELDS = {
-    "data_dir": "data_dir",
-    "out_dir": "out_dir",
-    "frequency": "frequency",
-    "start": "start",
-    "split": "split",
-    "end": "end",
-    "capital": "per_asset_capital",
-    "cost_rate": "cost_rate",
-    "risk_free": "risk_free",
-    "periods_per_year": "periods_per_year",
-}
-
-
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
+    """Replace config fields with the flags given; each flag's dest is its field name."""
+    overrides = {
+        name: getattr(args, name) for name in _CONFIG_KEYS
+        if getattr(args, name, None) is not None
+    }
     return replace(config, **overrides) if overrides else config
 
 

@@ -113,8 +113,8 @@ class SectorManifest:
 class PricePanel:
     """Constituent prices plus a benchmark on one shared trading calendar.
 
-    Ticker order is canonical (sorted), so two panels built from the same
-    series in any input order compare equal field for field.
+    Ticker order is canonical and enforced (sorted), so two panels built
+    from the same series in any input order compare equal field for field.
     """
 
     calendar: tuple[date, ...]
@@ -137,6 +137,8 @@ class PricePanel:
                 raise ValidationError(f"panel calendar not strictly increasing at {cur}")
         if tuple(self.columns) != self.tickers:
             raise ValidationError("panel columns do not match ticker order")
+        if list(self.tickers) != sorted(self.tickers):
+            raise ValidationError("panel tickers are not sorted")
         for ticker, col in self.columns.items():
             if len(col) != n:
                 raise ValidationError(f"column {ticker!r} length {len(col)} != {n}")
@@ -159,10 +161,6 @@ class PricePanel:
             and all(np.array_equal(self.columns[t], other.columns[t]) for t in self.tickers)
             and np.array_equal(self.benchmark, other.benchmark)
         )
-
-    def prices_at(self, idx: int) -> dict[str, float]:
-        """Constituent prices on calendar day ``idx``, in ticker order."""
-        return {t: float(self.columns[t][idx]) for t in self.tickers}
 
 
 class _PriceFile(NamedTuple):

@@ -14,8 +14,9 @@ Conventions, fixed here so every number in a report is reproducible:
 * Alpha is the daily regression intercept compounded to an annual
   fraction.
 * A statistic whose definition divides by zero on the given input
-  (zero variance, zero drawdown, no downside mass, zero 5th percentile)
-  raises UndefinedMetricError; tear sheets record it as not-computable
+  (zero variance, zero drawdown, no downside mass, zero 5th percentile),
+  or whose annualization overflows, raises UndefinedMetricError; tear
+  sheets record it, and any other non-finite value, as not-computable
   rather than emitting infinities.
 
 All functions are pure; tear sheets for many windows may be computed
@@ -82,10 +83,6 @@ class TearSheet:
     beta: float | None
     window_label: str = ""
 
-    def metrics(self) -> dict[str, float | None]:
-        """Metric name -> value, in report row order."""
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
 
 METRIC_NAMES: tuple[str, ...] = tuple(
     f.name for f in fields(TearSheet) if f.name != "window_label"
@@ -119,11 +116,22 @@ def cagr(initial: float, final: float, years: float) -> float:
     return (final / initial) ** (1.0 / years) - 1.0
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, undefined when it overflows or is not finite."""
+    try:
+        out = base ** exponent
+    except OverflowError:
+        raise UndefinedMetricError(f"{base} ** {exponent} overflows") from None
+    if not math.isfinite(out):
+        raise UndefinedMetricError(f"{base} ** {exponent} is not finite")
+    return out
+
+
 def annual_return(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Geometric annualization of the window's total compounded return."""
     r = _values(returns)
     total = float(np.prod(1.0 + r))
-    return total ** (cfg.periods_per_year / len(r)) - 1.0
+    return _power(total, cfg.periods_per_year / len(r)) - 1.0
 
 
 def annual_volatility(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
@@ -286,7 +294,7 @@ def alpha_beta(
     cov = float(np.dot(rp - rp.mean(), bd)) / (n - 1)
     beta = cov / var_b
     alpha_daily = float(np.mean(rp)) - beta * float(np.mean(rb))
-    alpha_annual = (1.0 + alpha_daily) ** cfg.periods_per_year - 1.0
+    alpha_annual = _power(1.0 + alpha_daily, cfg.periods_per_year) - 1.0
     return alpha_annual, beta
 
 
@@ -311,8 +319,8 @@ def tear_sheet(
     """Compute the full fifteen-statistic report for one window.
 
     Statistics that are undefined on the window (zero variance, zero
-    drawdown, ...) come back as None; domain errors (too few observations,
-    misaligned benchmark) propagate.
+    drawdown, overflow, ...) or not finite come back as None; domain
+    errors (too few observations, misaligned benchmark) propagate.
     """
     if portfolio.dates != benchmark.dates:
         raise AlignmentError("portfolio and benchmark dates differ")
@@ -320,9 +328,10 @@ def tear_sheet(
 
     def guarded(fn):
         try:
-            return fn()
+            value = fn()
         except UndefinedMetricError:
             return None
+        return value if math.isfinite(value) else None
 
     try:
         alpha, beta = alpha_beta(portfolio, benchmark, cfg)
@@ -330,9 +339,9 @@ def tear_sheet(
         alpha, beta = None, None
 
     return TearSheet(
-        annual_return=annual_return(portfolio, cfg),
+        annual_return=guarded(lambda: annual_return(portfolio, cfg)),
         cumulative_return=float(np.prod(1.0 + r)) - 1.0,
-        annual_volatility=annual_volatility(portfolio, cfg),
+        annual_volatility=guarded(lambda: annual_volatility(portfolio, cfg)),
         max_drawdown=max_drawdown(_wealth(r)),
         sharpe=guarded(lambda: sharpe(portfolio, cfg)),
         calmar=guarded(lambda: calmar(portfolio, cfg)),

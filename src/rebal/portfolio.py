@@ -5,7 +5,7 @@ rounds the resulting share counts half-away-from-zero to whole shares.
 Rounding can overdraw cash by up to half a share per ticker, so an
 explicit clamp follows: while cash is negative, sell one share of the
 ticker whose position value exceeds its per-asset target by the most
-(ties broken by ticker name).  The clamp keeps every ledger solvent and
+(ties broken by ticker name).  The clamp keeps the holdings solvent and
 fully deterministic.
 
 Rebalancing repeats the same construction at the prevailing prices on
@@ -19,27 +19,27 @@ schedule dates derived from the trading calendar:
 * never   — no rebalancing at all.
 
 The start day itself is never a schedule date; the initial allocation
-covers it.  Trades execute at the same closing price used for marking,
-and residual cash earns nothing, so with a zero cost rate portfolio value
-is exactly continuous across a rebalance.
+covers it.  Holdings change only on schedule dates.  Trades execute at
+the same closing price used for marking, and residual cash earns
+nothing, so with a zero cost rate portfolio value is exactly continuous
+across a rebalance.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
-import math
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .errors import AllocationError, DomainError, InsolvencyError, ValidationError
+from .errors import AllocationError, DomainError, InsolvencyError
 from .market_data import PricePanel
 
 logger = logging.getLogger(__name__)
 
-FREQUENCIES = ("daily", "monthly", "yearly", "never")
+REBALANCE_FREQUENCIES = ("daily", "monthly", "yearly", "never")
 
 
 @dataclass(frozen=True)
@@ -68,37 +68,10 @@ class RebalancePolicy:
     cost_rate: float = 0.0
 
     def __post_init__(self):
-        if self.frequency not in FREQUENCIES:
+        if self.frequency not in REBALANCE_FREQUENCIES:
             raise DomainError(f"unknown rebalance frequency {self.frequency!r}")
         if not 0.0 <= self.cost_rate < 1.0:
             raise DomainError(f"cost_rate must lie in [0, 1), got {self.cost_rate}")
-
-
-@dataclass(frozen=True)
-class Ledger:
-    """Holdings snapshot: whole shares per ticker plus residual cash."""
-
-    date: date | None
-    shares: dict[str, int]
-    cash: float
-
-    def __post_init__(self):
-        normalized = {}
-        for ticker, count in self.shares.items():
-            if (
-                isinstance(count, bool)
-                or not isinstance(count, (int, np.integer))
-                or count < 0
-            ):
-                raise ValidationError(
-                    f"share count for {ticker!r} must be a non-negative integer, got {count!r}"
-                )
-            normalized[ticker] = int(count)
-        object.__setattr__(self, "shares", normalized)
-
-    def value(self, prices: dict[str, float]) -> float:
-        """Mark the ledger to market, cash included."""
-        return sum(self.shares[t] * prices[t] for t in self.shares) + self.cash
 
 
 @dataclass(frozen=True)
@@ -107,7 +80,8 @@ class BacktestResult:
 
     ``value[t] = sum_i shares[i][t] * price[i][t] + cash[t]`` on every day;
     share vectors are piecewise constant and change only on
-    ``rebalance_dates``.
+    ``rebalance_dates``.  ``shares`` and ``weights`` map each ticker to its
+    row of one (tickers x days) matrix.
     """
 
     calendar: tuple[date, ...]
@@ -120,65 +94,58 @@ class BacktestResult:
     initial_capital: float
 
 
-def round_half_away_from_zero(x: float) -> int:
-    """Nearest integer, with .5 rounding away from zero (not banker's)."""
-    return int(math.floor(x + 0.5)) if x >= 0.0 else -int(math.floor(-x + 0.5))
+def _sum_left_to_right(v: np.ndarray) -> float:
+    # np.sum sums pairwise, which can differ in the last bit from adding
+    # the terms one after another in ticker order; every total here must
+    # be the latter so that outputs never depend on the summation scheme.
+    return float(np.cumsum(v)[-1])
 
 
-def _clamp_overdraft(
-    shares: dict[str, int],
-    prices: dict[str, float],
-    targets: dict[str, float],
-    cash: float,
-) -> float:
-    """Sell shares until cash is non-negative.
+def _clamp_to_solvency(shares: np.ndarray, prices: np.ndarray, target: float,
+                       cash: float) -> float:
+    """Sell one share at a time, in place, until cash is non-negative.
 
-    Each step sells one share of the ticker whose position value exceeds
-    its target by the most, ties broken by ticker name.  Returns the new
-    cash balance.
+    Each step sells the held position whose value exceeds ``target`` by
+    the most; ``argmax`` takes the first maximum, i.e. ties go to the
+    ticker that sorts first.  Returns the new cash balance.
     """
     while cash < 0.0:
-        pick = None
-        pick_excess = None
-        for ticker in sorted(shares):
-            if shares[ticker] == 0:
-                continue
-            excess = shares[ticker] * prices[ticker] - targets[ticker]
-            if pick is None or excess > pick_excess:
-                pick = ticker
-                pick_excess = excess
-        if pick is None:
+        pick = int(np.argmax(np.where(shares > 0, shares * prices - target, -np.inf)))
+        if shares[pick] == 0:
             raise InsolvencyError("cannot clamp overdraft: no shares left to sell")
         shares[pick] -= 1
-        cash += prices[pick]
+        cash += float(prices[pick])
     return cash
 
 
-def initial_allocation(
-    prices_at_t0: dict[str, float], plan: CapitalPlan, as_of: date | None = None
-) -> Ledger:
-    """Build the day-0 equal-weight ledger from per-asset capital.
+def allocate(
+    prices: np.ndarray,
+    target: float,
+    total: float,
+    held: np.ndarray | None = None,
+    cost_rate: float = 0.0,
+) -> tuple[np.ndarray, float]:
+    """Whole-share equal-weight holdings at one day's prices.
 
-    Shares are per_asset_capital / price rounded to the nearest integer;
-    leftover (or overdrawn-then-clamped) capital stays as cash.
+    ``prices`` is one price per ticker in sorted-ticker order.  Each
+    position is sized to ``target`` of the ``total`` capital, rounded half
+    away from zero to whole shares, and the overdraft clamp restores
+    solvency.  When ``held`` (the current share counts) is given and
+    ``cost_rate`` is positive, that fraction of the traded notional is
+    charged to cash and the clamp runs again; those corrective sales are
+    not charged.  Returns (int64 share counts, cash).
     """
-    if len(prices_at_t0) != plan.n_assets:
-        raise AllocationError(
-            f"plan expects {plan.n_assets} assets, got {len(prices_at_t0)} prices"
-        )
-    for ticker, price in prices_at_t0.items():
-        if not np.isfinite(price) or price <= 0.0:
-            raise AllocationError(f"non-positive price for {ticker!r}: {price}")
-
-    shares = {
-        t: round_half_away_from_zero(plan.per_asset_capital / p)
-        for t, p in prices_at_t0.items()
-    }
-    invested = sum(shares[t] * prices_at_t0[t] for t in shares)
-    cash = plan.total_capital - invested
-    targets = {t: plan.per_asset_capital for t in shares}
-    cash = _clamp_overdraft(shares, prices_at_t0, targets, cash)
-    return Ledger(date=as_of, shares=shares, cash=cash)
+    prices = np.asarray(prices, dtype=np.float64)
+    if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
+        raise AllocationError(f"non-positive price in {prices.tolist()}")
+    if total <= 0.0:
+        raise InsolvencyError(f"portfolio value {total} is not positive")
+    shares = np.floor(target / prices + 0.5).astype(np.int64)
+    cash = _clamp_to_solvency(shares, prices, target, total - _sum_left_to_right(shares * prices))
+    if held is not None and cost_rate > 0.0:
+        cash -= cost_rate * _sum_left_to_right(np.abs(shares - held) * prices)
+        cash = _clamp_to_solvency(shares, prices, target, cash)
+    return shares, cash
 
 
 def rebalance_dates(calendar, frequency: str) -> list[date]:
@@ -189,7 +156,7 @@ def rebalance_dates(calendar, frequency: str) -> list[date]:
     calendar = list(calendar)
     if not calendar:
         raise DomainError("empty calendar")
-    if frequency not in FREQUENCIES:
+    if frequency not in REBALANCE_FREQUENCIES:
         raise DomainError(f"unknown rebalance frequency {frequency!r}")
     if frequency == "never":
         return []
@@ -224,57 +191,14 @@ def _anniversary(start: date, year: int) -> date:
         return date(year, 3, 1)
 
 
-def rebalance(
-    ledger: Ledger,
-    prices: dict[str, float],
-    policy: RebalancePolicy,
-    as_of: date | None = None,
-) -> Ledger:
-    """Reset a ledger to equal weights at the given prices.
-
-    The portfolio is marked to market, each constituent is retargeted to
-    an equal slice of that value, counts are rounded to whole shares, and
-    the overdraft clamp restores solvency.  Transaction cost, if any, is
-    charged on the traded notional of the rounded-and-clamped order and
-    deducted from cash; if the charge itself overdraws, the clamp runs
-    again (those final corrective sales are not re-charged).
-    """
-    missing = [t for t in ledger.shares if t not in prices]
-    if missing:
-        raise ValidationError(f"prices missing for tickers: {missing}")
-    for ticker, price in prices.items():
-        if not np.isfinite(price) or price <= 0.0:
-            raise AllocationError(f"non-positive price for {ticker!r}: {price}")
-
-    total = ledger.value(prices)
-    if total <= 0.0:
-        raise InsolvencyError(f"portfolio value {total} is not positive")
-    n = len(ledger.shares)
-    target = total / n
-    targets = {t: target for t in ledger.shares}
-
-    new_shares = {
-        t: round_half_away_from_zero(target / prices[t]) for t in ledger.shares
-    }
-    cash = total - sum(new_shares[t] * prices[t] for t in new_shares)
-    cash = _clamp_overdraft(new_shares, prices, targets, cash)
-
-    if policy.cost_rate > 0.0:
-        traded = sum(
-            abs(new_shares[t] - ledger.shares[t]) * prices[t] for t in new_shares
-        )
-        cash -= policy.cost_rate * traded
-        cash = _clamp_overdraft(new_shares, prices, targets, cash)
-
-    return Ledger(date=as_of if as_of is not None else ledger.date, shares=new_shares, cash=cash)
-
-
 def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) -> BacktestResult:
     """Simulate the portfolio over a panel's full calendar.
 
     Day 0 is the initial allocation at day-0 prices; on each schedule date
-    the ledger is rebalanced at that day's prices before marking to
-    market.
+    the holdings are rebalanced at that day's prices before marking to
+    market.  Holdings only change on those trade dates, so each span
+    between two of them is filled in one slice, and value and weights are
+    computed for the whole run at once.
     """
     if len(panel.tickers) != plan.n_assets:
         raise AllocationError(
@@ -282,27 +206,27 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
         )
 
     n_days = len(panel.calendar)
-    schedule = set(rebalance_dates(panel.calendar, policy.frequency))
-    value = np.empty(n_days, dtype=np.float64)
+    applied = tuple(rebalance_dates(panel.calendar, policy.frequency))
+    bounds = [0] + [bisect.bisect_left(panel.calendar, day) for day in applied] + [n_days]
+    prices = np.stack([panel.columns[t] for t in panel.tickers])
+    shares = np.empty(prices.shape, dtype=np.int64)
     cash = np.empty(n_days, dtype=np.float64)
-    shares = {t: np.empty(n_days, dtype=np.int64) for t in panel.tickers}
-    weights = {t: np.empty(n_days, dtype=np.float64) for t in panel.tickers}
 
-    ledger = None
-    applied: list[date] = []
-    for i, day in enumerate(panel.calendar):
-        prices = panel.prices_at(i)
-        if i == 0:
-            ledger = initial_allocation(prices, plan, as_of=day)
-        elif day in schedule:
-            ledger = rebalance(ledger, prices, policy, as_of=day)
-            applied.append(day)
-        marked = ledger.value(prices)
-        value[i] = marked
-        cash[i] = ledger.cash
-        for t in panel.tickers:
-            shares[t][i] = ledger.shares[t]
-            weights[t][i] = ledger.shares[t] * prices[t] / marked
+    held, balance = allocate(prices[:, 0], plan.per_asset_capital, plan.total_capital)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo > 0:
+            total = _sum_left_to_right(held * prices[:, lo]) + balance
+            held, balance = allocate(
+                prices[:, lo], total / plan.n_assets, total, held, policy.cost_rate
+            )
+        shares[:, lo:hi] = held[:, None]
+        cash[lo:hi] = balance
+
+    # the axis-0 reduction adds ticker rows one after another, in the same
+    # order as _sum_left_to_right
+    weights = shares * prices
+    value = np.add.reduce(weights, axis=0) + cash
+    weights /= value
 
     logger.debug(
         "backtest over %d days, %d tickers, %d rebalances (%s)",
@@ -312,9 +236,9 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
         calendar=panel.calendar,
         tickers=panel.tickers,
         value=value,
-        weights=weights,
-        shares=shares,
+        weights=dict(zip(panel.tickers, weights)),
+        shares=dict(zip(panel.tickers, shares)),
         cash=cash,
-        rebalance_dates=tuple(applied),
+        rebalance_dates=applied,
         initial_capital=plan.total_capital,
     )

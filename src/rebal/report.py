@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -36,21 +35,7 @@ from .returns import aggregate, simple_returns
 
 logger = logging.getLogger(__name__)
 
-PLOT_KINDS = ("shares", "weights", "cumulative", "distributions")
 BOX_STATS = ("min", "q1", "median", "q3", "max")
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """Everything one backtest run produced on disk."""
-
-    tear_sheets: tuple[tuple[str, TearSheet], ...]
-    series_files: dict[str, Path]
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.tear_sheets]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate window labels: {labels}")
 
 
 def format_number(x: float) -> str:
@@ -125,12 +110,11 @@ def read_tear_sheets(path, format: str = "csv") -> list[TearSheet]:
     raise ValidationError(f"unknown tear-sheet format {format!r}")
 
 
-def _write_wide_csv(path: Path, header: list[str], dates, columns) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i, day in enumerate(dates):
-            writer.writerow([day.isoformat()] + [col(i) for col in columns])
+        writer.writerows(rows)
 
 
 def emit_plot_data(
@@ -153,45 +137,31 @@ def emit_plot_data(
             f"{len(result.calendar)}"
         )
     tickers = list(result.tickers)
-    manifest: dict[str, Path] = {}
+    dates = [day.isoformat() for day in result.calendar]
+    manifest = {kind: out_dir / f"{kind}.csv"
+                for kind in ("shares", "weights", "cumulative", "distributions")}
 
-    path = out_dir / "shares.csv"
-    _write_wide_csv(
-        path, ["date"] + tickers, result.calendar,
-        [lambda i, t=t: str(int(result.shares[t][i])) for t in tickers],
-    )
-    manifest["shares"] = path
-
-    path = out_dir / "weights.csv"
-    _write_wide_csv(
-        path, ["date"] + tickers, result.calendar,
-        [lambda i, t=t: format_number(result.weights[t][i]) for t in tickers],
-    )
-    manifest["weights"] = path
+    columns = [map(str, result.shares[t].tolist()) for t in tickers]
+    _write_csv(manifest["shares"], ["date"] + tickers, zip(dates, *columns))
+    columns = [map(format_number, result.weights[t].tolist()) for t in tickers]
+    _write_csv(manifest["weights"], ["date"] + tickers, zip(dates, *columns))
 
     portfolio_cum = result.value / result.value[0] - 1.0
-    path = out_dir / "cumulative.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "portfolio_cum", "benchmark_cum", "segment"])
-        for i, day in enumerate(result.calendar):
-            segment = "in_sample" if day < split_date else "out_of_sample"
-            writer.writerow(
-                [day.isoformat(), format_number(portfolio_cum[i]),
-                 format_number(benchmark_cum[i]), segment]
-            )
-    manifest["cumulative"] = path
+    segments = ["in_sample" if day < split_date else "out_of_sample"
+                for day in result.calendar]
+    _write_csv(
+        manifest["cumulative"], ["date", "portfolio_cum", "benchmark_cum", "segment"],
+        zip(dates, map(format_number, portfolio_cum.tolist()),
+            map(format_number, benchmark_cum.tolist()), segments),
+    )
 
     daily = simple_returns(result.calendar, result.value)
-    path = out_dir / "distributions.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frequency", "stat", "value"])
-        for frequency in ("daily", "weekly", "monthly", "annual"):
-            series = daily if frequency == "daily" else aggregate(daily, frequency)
-            for stat, value in zip(BOX_STATS, box_plot_summary(series)):
-                writer.writerow([frequency, stat, format_number(value)])
-    manifest["distributions"] = path
+    rows = []
+    for frequency in ("daily", "weekly", "monthly", "annual"):
+        series = daily if frequency == "daily" else aggregate(daily, frequency)
+        for stat, value in zip(BOX_STATS, box_plot_summary(series)):
+            rows.append((frequency, stat, format_number(value)))
+    _write_csv(manifest["distributions"], ["frequency", "stat", "value"], rows)
 
     logger.debug("emitted plot data for %d days into %s", len(result.calendar), out_dir)
     return manifest

@@ -15,15 +15,10 @@ from datetime import date
 import numpy as np
 
 from .errors import DomainError, WindowError
+from .market_data import _frozen
 
 KINDS = ("simple", "log")
 FREQUENCIES = ("daily", "weekly", "monthly", "annual")
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

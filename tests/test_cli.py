@@ -1,14 +1,18 @@
 """End-to-end command-line tests on generated synthetic data."""
 
+import csv
+import dataclasses
 import json
 from datetime import date
 
 import pytest
 
+import rebal.cli
 import rebal.market_data
+import rebal.report
 
 from rebal.cli import RunConfig, load_run_config, main, resolve_price_file
-from rebal.errors import ConfigError
+from rebal.errors import ConfigError, ParseError
 from rebal.synthetic import generate_universe
 
 
@@ -204,6 +208,71 @@ class TestSectorSlugs:
         assert main(["backtest", "--config", str(config),
                      "--out-dir", str(root / "alone")]) == 0
         assert output_tree(root / "alone" / "auto_parts") == kept
+
+
+class TestOverflowingStatistics:
+    def test_overflowing_annualisation_leaves_empty_cells(self, tmp_path, capsys):
+        # two tickers rising 50x and 40x a day: compounding to a year
+        # overflows a float, which must give empty cells, not a traceback
+        days = [date(2021, 1, d) for d in (4, 5, 6, 7, 8, 11, 12, 13, 14, 15)]
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for ticker, growth in (("UP50", 50.0), ("UP40", 40.0), ("IDX", 1.01)):
+            rows = [f"{d.isoformat()},{ticker},{growth ** i!r}" for i, d in enumerate(days)]
+            if ticker == "IDX":  # give the benchmark some variance
+                rows[3] = f"{days[3].isoformat()},IDX,0.97"
+            (data_dir / f"{ticker}.csv").write_text(
+                "date,ticker,adj_close\n" + "\n".join(rows) + "\n")
+        manifest = tmp_path / "boom.json"
+        manifest.write_text(json.dumps(
+            {"sector": "boom", "tickers": ["UP50", "UP40"], "benchmark": "IDX"}))
+        config = write_config(tmp_path, data_dir, [manifest], start="2021-01-04",
+                              split="2021-01-11", end="2021-01-15", frequency="never")
+        assert main(["backtest", "--config", str(config)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        with open(tmp_path / "out" / "boom" / "tear_sheets.csv", newline="") as fh:
+            table = {row[0]: row[1:] for row in csv.reader(fh)}
+        for name in ("annual_return", "calmar", "alpha"):
+            assert table[name] == ["", "", ""], name
+        assert all(cell for cell in table["cumulative_return"])
+
+
+class TestNeverHalfWrite:
+    @pytest.mark.parametrize("target", ["plot data", "tear sheet"])
+    def test_non_finite_output_fails_verify(self, small_universe, monkeypatch,
+                                            capsys, target):
+        root, data_dir, manifests = small_universe
+        if target == "plot data":
+            monkeypatch.setattr(rebal.report, "format_number", lambda x: "nan")
+        else:
+            real = rebal.cli.tear_sheet
+            monkeypatch.setattr(rebal.cli, "tear_sheet", lambda *args: dataclasses.replace(
+                real(*args), sharpe=float("inf")))
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "stage verify" in err and "Traceback" not in err
+        assert list((root / "out").iterdir()) == []
+
+    def test_failed_rerun_keeps_previous_output(self, small_universe, monkeypatch):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        first = output_tree(root / "out")
+
+        def broken_verify(*args):
+            raise ParseError("forced verify failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rebal.cli, "_reparse_outputs", broken_verify)
+            assert main(["backtest", "--config", str(config), "--frequency", "never"]) == 1
+        assert output_tree(root / "out") == first
+        assert [p.name for p in (root / "out").iterdir()] == ["auto"]
+
+        # a good rerun replaces the output and leaves no staging directory
+        assert main(["backtest", "--config", str(config), "--frequency", "never"]) == 0
+        assert output_tree(root / "out") != first
+        assert [p.name for p in (root / "out").iterdir()] == ["auto"]
 
 
 class TestValidateCommand:

@@ -369,6 +369,23 @@ class TestTearSheet:
                      "skewness", "kurtosis", "stability", "alpha", "beta"):
             assert getattr(sheet, name) is None, name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_statistics_are_not_computable(self, rng):
+        # a 1e300 gain annualizes past the largest float, and its squared
+        # deviation overflows too: those cells are not-computable, not inf
+        portfolio = daily_series([1e300, -0.5, 0.0, -0.5, 0.0])
+        bench = daily_series(random_returns(rng, 5))
+        with pytest.raises(UndefinedMetricError):
+            annual_return(portfolio, CFG)
+        with pytest.raises(UndefinedMetricError):
+            alpha_beta(portfolio, bench, CFG)
+        sheet = tear_sheet(portfolio, bench, CFG, "w")
+        for name in ("annual_return", "annual_volatility", "calmar", "alpha", "beta"):
+            assert getattr(sheet, name) is None, name
+        for name in METRIC_NAMES:
+            value = getattr(sheet, name)
+            assert value is None or math.isfinite(value), name
+
     def test_published_cumulative_example(self, rng):
         # any positive path from 10k to 48k reports a 380% cumulative return
         steps = np.exp(rng.normal(0.0, 0.01, size=99))

@@ -6,20 +6,19 @@ from datetime import date
 import numpy as np
 import pytest
 
-from rebal.errors import AllocationError, DomainError, InsolvencyError, ValidationError
+import engine_oracle
+from rebal.errors import AllocationError, DomainError, InsolvencyError
 from rebal.market_data import PricePanel
 from rebal.portfolio import (
     CapitalPlan,
-    Ledger,
     RebalancePolicy,
-    initial_allocation,
-    rebalance,
+    allocate,
     rebalance_dates,
-    round_half_away_from_zero,
     run_backtest,
 )
+from rebal.synthetic import business_days
 
-from conftest import trading_days
+from conftest import random_returns, trading_days
 
 
 def make_panel(columns: dict[str, list[float]], days=None, benchmark=None):
@@ -35,59 +34,78 @@ def make_panel(columns: dict[str, list[float]], days=None, benchmark=None):
     )
 
 
+def initial(prices, per_asset_capital=100_000.0):
+    """Day-0 allocation of ``per_asset_capital`` to each of ``prices``."""
+    prices = np.asarray(prices, dtype=float)
+    return allocate(prices, per_asset_capital, per_asset_capital * len(prices))
+
+
+def rebalanced(held, prices, cash, cost_rate=0.0):
+    """Rebalance ``held`` shares plus ``cash`` at ``prices``, as run_backtest does."""
+    held = np.asarray(held, dtype=np.int64)
+    prices = np.asarray(prices, dtype=float)
+    total = float(np.sum(held * prices)) + cash
+    return allocate(prices, total / len(prices), total, held, cost_rate)
+
+
 class TestRounding:
     @pytest.mark.parametrize("x,expected", [
         (0.4, 0), (0.5, 1), (0.6, 1), (1.5, 2), (2.5, 3),
-        (-0.4, 0), (-0.5, -1), (-1.5, -2), (12.82, 13), (526.3158, 526),
+        (12.82, 13), (526.3158, 526),
     ])
     def test_half_away_from_zero(self, x, expected):
-        assert round_half_away_from_zero(x) == expected
+        # at price 1 the count is target rounded; capital to spare means
+        # the overdraft clamp never runs
+        shares, _ = allocate(np.array([1.0]), x, x + 1.0)
+        assert shares.tolist() == [expected]
 
 
 class TestInitialAllocation:
     def test_exact_division_leaves_no_cash(self):
-        ledger = initial_allocation({"A": 100_000.0}, CapitalPlan(100_000.0, 1))
-        assert ledger.shares == {"A": 1}
-        assert ledger.cash == 0.0
+        shares, cash = initial([100_000.0])
+        assert shares.tolist() == [1]
+        assert cash == 0.0
 
     def test_hand_arithmetic_round_down(self):
-        ledger = initial_allocation({"A": 190.0}, CapitalPlan(100_000.0, 1))
-        assert ledger.shares == {"A": 526}
-        assert ledger.cash == pytest.approx(60.0)
-        assert 526 * 190.0 + ledger.cash == pytest.approx(100_000.0)
+        shares, cash = initial([190.0])
+        assert shares.tolist() == [526]
+        assert cash == pytest.approx(60.0)
+        assert 526 * 190.0 + cash == pytest.approx(100_000.0)
 
     def test_overdraft_clamp_sells_back_one_share(self):
         # 100000 / 7800 = 12.82 rounds to 13 -> cash -1400, clamp to 12
-        ledger = initial_allocation({"A": 7_800.0}, CapitalPlan(100_000.0, 1))
-        assert ledger.shares == {"A": 12}
-        assert ledger.cash == pytest.approx(6_400.0)
+        shares, cash = initial([7_800.0])
+        assert shares.tolist() == [12]
+        assert cash == pytest.approx(6_400.0)
 
     def test_clamp_prefers_most_overweight_ticker(self):
         # both rounded up to 13; A overshoots its 100k target by 2700 vs
         # B's 1400, so the clamp sells A
-        prices = {"A": 7_900.0, "B": 7_800.0}
-        ledger = initial_allocation(prices, CapitalPlan(100_000.0, 2))
-        pre_clamp = {t: round_half_away_from_zero(100_000.0 / p) for t, p in prices.items()}
-        assert pre_clamp == {"A": 13, "B": 13}
-        assert ledger.shares == {"A": 12, "B": 13}
-        assert ledger.cash == pytest.approx(3_800.0)
+        prices = np.array([7_900.0, 7_800.0])  # A, B
+        pre_clamp = np.floor(100_000.0 / prices + 0.5)
+        assert pre_clamp.tolist() == [13, 13]
+        shares, cash = initial(prices)
+        assert shares.tolist() == [12, 13]
+        assert cash == pytest.approx(3_800.0)
 
     def test_lexicographic_tie_break(self):
-        ledger = initial_allocation({"B": 7_800.0, "A": 7_800.0},
-                                    CapitalPlan(100_000.0, 2))
-        assert ledger.shares == {"B": 13, "A": 12}
+        panel = make_panel({"B": [7_800.0] * 2, "A": [7_800.0] * 2})
+        result = run_backtest(panel, CapitalPlan(100_000.0, 2), RebalancePolicy("never"))
+        assert {t: int(result.shares[t][0]) for t in ("B", "A")} == {"B": 13, "A": 12}
 
     def test_value_is_conserved(self):
         plan = CapitalPlan(100_000.0, 3)
-        prices = {"A": 77.7, "B": 1234.5, "C": 9.99}
-        ledger = initial_allocation(prices, plan)
-        assert ledger.value(prices) == pytest.approx(plan.total_capital, rel=1e-12)
+        prices = np.array([77.7, 1234.5, 9.99])
+        shares, cash = initial(prices)
+        value = float(np.sum(shares * prices)) + cash
+        assert value == pytest.approx(plan.total_capital, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(AllocationError):
-            initial_allocation({"A": -5.0}, CapitalPlan(100_000.0, 1))
+            initial([-5.0])
         with pytest.raises(AllocationError):
-            initial_allocation({"A": 10.0}, CapitalPlan(100_000.0, 2))
+            run_backtest(make_panel({"A": [10.0, 10.0]}), CapitalPlan(100_000.0, 2),
+                         RebalancePolicy("never"))
         with pytest.raises(DomainError):
             CapitalPlan(0.0, 1)
         with pytest.raises(DomainError):
@@ -165,36 +183,31 @@ class TestRebalanceDates:
 
 class TestRebalance:
     def test_equal_weight_fixed_point(self):
-        ledger = Ledger(None, {"A": 5, "B": 5}, 0.0)
-        out = rebalance(ledger, {"A": 10.0, "B": 10.0}, RebalancePolicy("daily"))
-        assert out.shares == {"A": 5, "B": 5}
-        assert out.cash == 0.0
+        shares, cash = rebalanced([5, 5], [10.0, 10.0], 0.0)
+        assert shares.tolist() == [5, 5]
+        assert cash == 0.0
 
     def test_hand_worked_two_asset_case(self):
-        ledger = Ledger(None, {"A": 10, "B": 0}, 0.0)
-        out = rebalance(ledger, {"A": 10.0, "B": 10.0}, RebalancePolicy("daily"))
-        assert out.shares == {"A": 5, "B": 5}
-        assert out.cash == 0.0
+        shares, cash = rebalanced([10, 0], [10.0, 10.0], 0.0)
+        assert shares.tolist() == [5, 5]
+        assert cash == 0.0
 
     def test_transaction_cost_triggers_clamp(self):
-        ledger = Ledger(None, {"A": 10, "B": 0}, 0.0)
-        out = rebalance(ledger, {"A": 10.0, "B": 10.0},
-                        RebalancePolicy("daily", cost_rate=0.01))
+        shares, cash = rebalanced([10, 0], [10.0, 10.0], 0.0, cost_rate=0.01)
         # traded notional 100 costs 1.0, overdrawing cash; the clamp sells
         # one more share of the (tied, lexicographically first) richer leg
-        assert out.shares == {"A": 4, "B": 5}
-        assert out.cash == pytest.approx(9.0)
+        assert shares.tolist() == [4, 5]
+        assert cash == pytest.approx(9.0)
 
     def test_zero_cost_preserves_value_exactly(self, rng):
         for _ in range(200):
             n = int(rng.integers(1, 8))
-            tickers = [f"T{i}" for i in range(n)]
-            shares = {t: int(rng.integers(0, 400)) for t in tickers}
-            prices = {t: float(rng.uniform(0.5, 5000)) for t in tickers}
+            held = rng.integers(0, 400, size=n)
+            prices = rng.uniform(0.5, 5000, size=n)
             cash = float(rng.uniform(0, 10000))
-            ledger = Ledger(None, shares, cash)
-            before = ledger.value(prices)
-            after = rebalance(ledger, prices, RebalancePolicy("daily")).value(prices)
+            before = float(np.sum(held * prices)) + cash
+            shares, new_cash = rebalanced(held, prices, cash)
+            after = float(np.sum(shares * prices)) + new_cash
             assert math.isclose(before, after, rel_tol=1e-9)
 
     def test_equal_weight_bound_after_rebalance(self, rng):
@@ -202,41 +215,29 @@ class TestRebalance:
         # share's width for every clamp sale on that ticker
         for _ in range(100):
             n = int(rng.integers(2, 12))
-            tickers = [f"T{i}" for i in range(n)]
-            prices = {t: float(np.exp(rng.uniform(np.log(1.0), np.log(10_000.0))))
-                      for t in tickers}
-            ledger = Ledger(None, {t: int(rng.integers(0, 500)) for t in tickers},
-                            float(rng.uniform(0, 50_000)))
-            total = ledger.value(prices)
+            prices = np.exp(rng.uniform(np.log(1.0), np.log(10_000.0), size=n))
+            held = rng.integers(0, 500, size=n)
+            cash = float(rng.uniform(0, 50_000))
+            total = float(np.sum(held * prices)) + cash
             if total <= 0.0:
                 continue
-            out = rebalance(ledger, prices, RebalancePolicy("daily"))
+            shares, _ = rebalanced(held, prices, cash)
             target = total / n
-            for t in tickers:
-                rounded = round_half_away_from_zero(target / prices[t])
-                clamp_sales = rounded - out.shares[t]
+            for i in range(n):
+                rounded = math.floor(target / prices[i] + 0.5)
+                clamp_sales = rounded - shares[i]
                 assert clamp_sales >= 0  # the clamp only ever sells
-                weight = out.shares[t] * prices[t] / total
-                bound = (0.5 + clamp_sales) * prices[t] / total
+                weight = shares[i] * prices[i] / total
+                bound = (0.5 + clamp_sales) * prices[i] / total
                 assert abs(weight - 1.0 / n) <= bound + 1e-12
 
     def test_insolvent_ledger_rejected(self):
-        ledger = Ledger(None, {"A": 0}, 0.0)
         with pytest.raises(InsolvencyError):
-            rebalance(ledger, {"A": 10.0}, RebalancePolicy("daily"))
-
-    def test_missing_price_rejected(self):
-        ledger = Ledger(None, {"A": 1, "B": 1}, 0.0)
-        with pytest.raises(ValidationError):
-            rebalance(ledger, {"A": 10.0}, RebalancePolicy("daily"))
+            rebalanced([0], [10.0], 0.0)
 
 
 class TestLedger:
-    def test_integer_shares_enforced(self):
-        with pytest.raises(ValidationError):
-            Ledger(None, {"A": 1.5}, 0.0)
-        with pytest.raises(ValidationError):
-            Ledger(None, {"A": -1}, 0.0)
+    """Inputs that shape the holdings: the rebalance policy."""
 
     def test_policy_validation(self):
         with pytest.raises(DomainError):
@@ -364,3 +365,76 @@ class TestRunBacktest:
         for frequency, result in zip(frequencies, parallel):
             np.testing.assert_array_equal(result.value, serial[frequency].value)
             np.testing.assert_array_equal(result.cash, serial[frequency].cash)
+
+
+def oracle_panel(rng, n_tickers, days, start_prices=None):
+    """A random-walk panel on ``days`` starting at ``start_prices``
+    (tickers T00, T01, ...)."""
+    n = len(days)
+    if start_prices is None:
+        start_prices = np.exp(rng.uniform(np.log(0.5), np.log(20_000.0), n_tickers))
+    return make_panel(
+        {f"T{k:02d}": p0 * np.cumprod(np.r_[1.0, 1.0 + random_returns(rng, n - 1, sigma=0.04)])
+         for k, p0 in enumerate(start_prices)},
+        days=tuple(days), benchmark=[1000.0] * n,
+    )
+
+
+class TestMatchesDictEngine:
+    """run_backtest equals the per-day dict engine in tests/engine_oracle.py
+    bit for bit: same value, cash, shares, weights and schedule."""
+
+    def assert_same(self, panel, capital, frequency, cost_rate):
+        result = run_backtest(panel, CapitalPlan(capital, len(panel.tickers)),
+                              RebalancePolicy(frequency, cost_rate))
+        oracle = engine_oracle.run_backtest(panel, capital, frequency, cost_rate)
+        np.testing.assert_array_equal(result.value, oracle.value)
+        np.testing.assert_array_equal(result.cash, oracle.cash)
+        for t in panel.tickers:
+            np.testing.assert_array_equal(result.shares[t], oracle.shares[t])
+            np.testing.assert_array_equal(result.weights[t], oracle.weights[t])
+        assert result.rebalance_dates == oracle.rebalance_dates
+        return result
+
+    @pytest.mark.parametrize("frequency", ["daily", "monthly", "yearly", "never"])
+    @pytest.mark.parametrize("cost_rate", [0.0, 0.002])
+    def test_random_panels(self, frequency, cost_rate):
+        rng = np.random.default_rng(4242)
+        base = business_days(date(2021, 1, 4), date(2023, 9, 20))
+        for _ in range(12):
+            size = int(rng.integers(2, 200))
+            keep = sorted(rng.choice(len(base), size=size, replace=False))
+            panel = oracle_panel(rng, int(rng.integers(1, 15)), [base[i] for i in keep])
+            capital = float(np.exp(rng.uniform(np.log(50.0), np.log(1e6))))
+            self.assert_same(panel, capital, frequency, cost_rate)
+
+    @pytest.mark.parametrize("frequency", ["daily", "monthly"])
+    def test_equal_prices_fire_the_tie_break(self, frequency):
+        # every ticker rounds 100000 / 7800 up to 13 shares, 8400 over
+        # budget; the clamp sells two shares, each time choosing among equal
+        # excesses by ticker name
+        rng = np.random.default_rng(7)
+        panel = oracle_panel(rng, 6, trading_days(80), start_prices=[7_800.0] * 6)
+        first = {t: panel.columns[t][0] for t in panel.tickers}
+        assert len(set(first.values())) == 1
+        result = self.assert_same(panel, 100_000.0, frequency, 0.001)
+        assert [int(result.shares[t][0]) for t in panel.tickers] == [12, 12, 13, 13, 13, 13]
+
+    def test_small_capital_sells_several_shares_in_one_clamp(self):
+        # 100 / 150 rounds up to one share each: cash starts at -250 and the
+        # clamp sells two shares, the first two tickers by name
+        rng = np.random.default_rng(9)
+        panel = oracle_panel(rng, 5, trading_days(60), start_prices=[150.0] * 5)
+        result = self.assert_same(panel, 100.0, "daily", 0.0)
+        assert [int(result.shares[t][0]) for t in panel.tickers] == [0, 0, 1, 1, 1]
+        for cost_rate in (0.0, 0.01):
+            self.assert_same(panel, 100.0, "monthly", cost_rate)
+
+    def test_insolvency_raises_in_both_engines(self):
+        # day 0: both legs round 0.5 up, the clamp sells A; day 1: the trade
+        # to two A's costs 90% of its 500 notional, more than the portfolio
+        panel = make_panel({"A": [100.0, 100.0], "B": [100.0, 300.0]})
+        with pytest.raises(InsolvencyError):
+            engine_oracle.run_backtest(panel, 50.0, "daily", 0.9)
+        with pytest.raises(InsolvencyError):
+            run_backtest(panel, CapitalPlan(50.0, 2), RebalancePolicy("daily", 0.9))

@@ -11,7 +11,6 @@ from rebal.errors import ValidationError
 from rebal.metrics import METRIC_NAMES, MetricConfig, tear_sheet
 from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
 from rebal.report import (
-    ReportBundle,
     emit_plot_data,
     export_tear_sheets,
     format_number,
@@ -99,11 +98,6 @@ class TestExportTearSheets:
     def test_unknown_format_rejected(self, rng, tmp_path):
         with pytest.raises(ValidationError):
             export_tear_sheets([make_sheet(rng, "w")], tmp_path / "ts.xml", "xml")
-
-    def test_bundle_rejects_duplicate_labels(self, rng):
-        sheet = make_sheet(rng, "w")
-        with pytest.raises(ValidationError):
-            ReportBundle((("w", sheet), ("w", sheet)), {})
 
 
 class TestEmitPlotData:
