@@ -31,6 +31,8 @@ from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, ParseError, RebalError
 from .market_data import (
     align_panel,
@@ -188,7 +190,7 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         ]
         benchmark = load_price_series(
             resolve_price_file(config.data_dir, manifest.benchmark), manifest.benchmark,
-            parsed=parsed,
+            parsed=parsed, keep=True,
         )
         stage = "align"
         panel = align_panel(series, benchmark)
@@ -198,14 +200,45 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         raise _stage_error(sector, stage, exc) from exc
 
 
-# Which columns of each plot dataset hold numbers: a fixed leading span of
-# text columns, then numeric columns, with an optional trailing text column.
-_NUMERIC_SPANS = {
+# How many text columns lead and trail each plot dataset's numeric columns.
+_TEXT_COLUMNS = {
     "shares": (1, 0),          # date | numbers...
     "weights": (1, 0),
     "cumulative": (1, 1),      # date | numbers... | segment
     "distributions": (2, 0),   # frequency, stat | number
 }
+
+
+def _reparse_table(kind: str, path: Path) -> None:
+    """Re-read one plot dataset: every row has the header's column count and
+    every numeric cell parses as a finite float."""
+    head, tail = _TEXT_COLUMNS[kind]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        lines = fh.read().splitlines()
+    if header is None:
+        raise ParseError(f"{kind} file is empty", path)
+    numeric = len(header) - head - tail
+    if numeric < 1:
+        raise ParseError(f"{kind} header needs at least {head + tail + 1} columns", path, 1)
+    if not any(lines):
+        raise ParseError(f"{kind} file has no data rows", path)
+    dtype = ([(f"head{i}", str) for i in range(head)]
+             + [("numbers", np.float64, (numeric,))]
+             + [(f"tail{i}", str) for i in range(tail)])
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ParseError(f"malformed {kind} file: {exc}", path) from None
+    first = reader.line_num + 1
+    if len(table) != len(lines):  # loadtxt skips blank lines
+        raise ParseError(f"blank line in {kind} file", path, first + lines.index(""))
+    finite = np.isfinite(table["numbers"])
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        cell = str(float(table["numbers"][row, col]))
+        raise ParseError(f"not a finite number: {cell!r}", path, first + int(row))
 
 
 def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) -> None:
@@ -217,23 +250,7 @@ def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) ->
             if value is not None and not math.isfinite(value):
                 raise ParseError(f"non-finite {name} in {sheet.window_label}", tear_sheet_path)
     for kind, path in files.items():
-        skip_head, skip_tail = _NUMERIC_SPANS[kind]
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2:
-            raise ParseError(f"{kind} file has no data rows", path)
-        header, body = rows[0], rows[1:]
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"ragged row in {kind} file", path, lineno)
-            numeric = row[skip_head: len(row) - skip_tail or None]
-            for cell in numeric:
-                try:
-                    finite = math.isfinite(float(cell))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise ParseError(f"not a finite number: {cell!r}", path, lineno)
+        _reparse_table(kind, path)
 
 
 def _run_sector(

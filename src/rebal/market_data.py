@@ -29,6 +29,7 @@ import functools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -47,6 +48,13 @@ def _frozen(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def _first_not_increasing(values: tuple):
+    """The first element not greater than its predecessor, or None."""
+    if all(map(operator.lt, values, values[1:])):
+        return None
+    return next(cur for prev, cur in zip(values, values[1:]) if cur <= prev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +76,9 @@ class PriceSeries:
             raise ValidationError(
                 f"{self.ticker}: need at least 2 observations, got {len(self.dates)}"
             )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ValidationError(
-                    f"{self.ticker}: dates not strictly increasing at {cur}"
-                )
+        bad = _first_not_increasing(self.dates)
+        if bad is not None:
+            raise ValidationError(f"{self.ticker}: dates not strictly increasing at {bad}")
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
             raise ValidationError(f"{self.ticker}: prices must be positive and finite")
 
@@ -132,9 +138,9 @@ class PricePanel:
         n = len(self.calendar)
         if n < 2:
             raise ValidationError(f"panel calendar too short ({n} days)")
-        for prev, cur in zip(self.calendar, self.calendar[1:]):
-            if cur <= prev:
-                raise ValidationError(f"panel calendar not strictly increasing at {cur}")
+        bad = _first_not_increasing(self.calendar)
+        if bad is not None:
+            raise ValidationError(f"panel calendar not strictly increasing at {bad}")
         if tuple(self.columns) != self.tickers:
             raise ValidationError("panel columns do not match ticker order")
         if list(self.tickers) != sorted(self.tickers):
@@ -243,7 +249,9 @@ def _parse_price_file(path: Path) -> _PriceFile:
     return _PriceFile(series, None)
 
 
-def load_price_series(path, ticker: str, parsed: dict | None = None) -> PriceSeries:
+def load_price_series(
+    path, ticker: str, parsed: dict | None = None, keep: bool = False
+) -> PriceSeries:
     """Read one ticker's rows from a price CSV and validate them.
 
     The file may be per-ticker or long format; only rows whose ticker
@@ -256,13 +264,15 @@ def load_price_series(path, ticker: str, parsed: dict | None = None) -> PriceSer
     holding more than one ticker are parsed once and kept in it, keyed by
     path, so later tickers from the same file are a lookup.  Single-ticker
     files are not kept, since that would hold a per-ticker universe in memory
-    for the whole run: they are read once per call.
+    for the whole run: they are read once per call, unless ``keep`` is set
+    for a series the caller reads again, such as a benchmark every sector
+    shares.
     """
     path = Path(path)
     parsed_file = parsed.get(path) if parsed is not None else None
     if parsed_file is None:
         parsed_file = _parse_price_file(path)
-        if parsed is not None and len(parsed_file.series) > 1:
+        if parsed is not None and (keep or len(parsed_file.series) > 1):
             parsed[path] = parsed_file
     series = parsed_file.series.get(ticker)
     if series is None:
@@ -295,6 +305,10 @@ def load_sector_manifest(path) -> SectorManifest:
     return SectorManifest(str(raw["sector"]), tuple(raw["tickers"]), str(raw["benchmark"]))
 
 
+def _ordinals(days) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, days), dtype=np.int64, count=len(days))
+
+
 def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel:
     """Intersect all date sets and restrict every column to that calendar.
 
@@ -323,10 +337,11 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
         )
 
     calendar = tuple(sorted(shared))
+    calendar_days = _ordinals(calendar)
 
     def restrict(s: PriceSeries) -> np.ndarray:
-        by_date = dict(zip(s.dates, s.prices))
-        return np.array([by_date[d] for d in calendar], dtype=np.float64)
+        # both date lists are sorted and every calendar day is in s.dates
+        return s.prices[np.searchsorted(_ordinals(s.dates), calendar_days)]
 
     ordered = sorted(series, key=lambda s: s.ticker)
     columns = {s.ticker: restrict(s) for s in ordered}

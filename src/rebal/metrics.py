@@ -15,7 +15,8 @@ Conventions, fixed here so every number in a report is reproducible:
   fraction.
 * A statistic whose definition divides by zero on the given input
   (zero variance, zero drawdown, no downside mass, zero 5th percentile),
-  or whose annualization overflows, raises UndefinedMetricError; tear
+  or whose annualization, compounded wealth or Sharpe or Sortino
+  denominator overflows, raises UndefinedMetricError; tear
   sheets record it, and any other non-finite value, as not-computable
   rather than emitting infinities.
 
@@ -157,7 +158,10 @@ def max_drawdown(wealth) -> float:
 
 
 def _wealth(r: np.ndarray) -> np.ndarray:
-    return np.concatenate(([1.0], np.cumprod(1.0 + r)))
+    wealth = np.concatenate(([1.0], np.cumprod(1.0 + r)))
+    if not np.all(np.isfinite(wealth)):
+        raise UndefinedMetricError("compounded wealth overflows")
+    return wealth
 
 
 def sharpe(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
@@ -166,6 +170,8 @@ def sharpe(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     sd = _sample_std(r)
     if sd == 0.0:
         raise UndefinedMetricError("zero standard deviation")
+    if not math.isfinite(sd):
+        raise UndefinedMetricError("standard deviation overflows")
     return float(np.mean(r)) / sd * math.sqrt(cfg.periods_per_year)
 
 
@@ -181,6 +187,8 @@ def sortino(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     dd = math.sqrt(float(np.mean(downside * downside)))
     if dd == 0.0:
         raise UndefinedMetricError("zero downside deviation")
+    if not math.isfinite(dd):
+        raise UndefinedMetricError("downside deviation overflows")
     return float(np.mean(r)) / dd * math.sqrt(cfg.periods_per_year)
 
 
@@ -340,9 +348,9 @@ def tear_sheet(
 
     return TearSheet(
         annual_return=guarded(lambda: annual_return(portfolio, cfg)),
-        cumulative_return=float(np.prod(1.0 + r)) - 1.0,
+        cumulative_return=guarded(lambda: float(np.prod(1.0 + r)) - 1.0),
         annual_volatility=guarded(lambda: annual_volatility(portfolio, cfg)),
-        max_drawdown=max_drawdown(_wealth(r)),
+        max_drawdown=guarded(lambda: max_drawdown(_wealth(r))),
         sharpe=guarded(lambda: sharpe(portfolio, cfg)),
         calmar=guarded(lambda: calmar(portfolio, cfg)),
         sortino=guarded(lambda: sortino(portfolio, cfg)),

@@ -110,11 +110,15 @@ def read_tear_sheets(path, format: str = "csv") -> list[TearSheet]:
     raise ValidationError(f"unknown tear-sheet format {format!r}")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], line: str, rows) -> None:
+    """Write ``header`` as a CSV record, then ``line % row`` for each row.
+
+    The header goes through ``csv`` so that names needing quotes get them;
+    each body line is one ``%``-template, never a per-cell call.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(line % row for row in rows)
 
 
 def emit_plot_data(
@@ -141,18 +145,23 @@ def emit_plot_data(
     manifest = {kind: out_dir / f"{kind}.csv"
                 for kind in ("shares", "weights", "cumulative", "distributions")}
 
-    columns = [map(str, result.shares[t].tolist()) for t in tickers]
-    _write_csv(manifest["shares"], ["date"] + tickers, zip(dates, *columns))
-    columns = [map(format_number, result.weights[t].tolist()) for t in tickers]
-    _write_csv(manifest["weights"], ["date"] + tickers, zip(dates, *columns))
+    # %.12g is format_number's format, except that it prints -0.0 as "-0":
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+    n = len(tickers)
+    for kind, cell, matrix in (
+        ("shares", ",%d", np.array([result.shares[t] for t in tickers])),
+        ("weights", ",%.12g", np.array([result.weights[t] for t in tickers]) + 0.0),
+    ):
+        _write_table(manifest[kind], ["date"] + tickers, "%s" + cell * n + "\n",
+                     ((day, *row) for day, row in zip(dates, matrix.T.tolist())))
 
     portfolio_cum = result.value / result.value[0] - 1.0
     segments = ["in_sample" if day < split_date else "out_of_sample"
                 for day in result.calendar]
-    _write_csv(
+    _write_table(
         manifest["cumulative"], ["date", "portfolio_cum", "benchmark_cum", "segment"],
-        zip(dates, map(format_number, portfolio_cum.tolist()),
-            map(format_number, benchmark_cum.tolist()), segments),
+        "%s,%.12g,%.12g,%s\n",
+        zip(dates, portfolio_cum.tolist(), (benchmark_cum + 0.0).tolist(), segments),
     )
 
     daily = simple_returns(result.calendar, result.value)
@@ -161,7 +170,8 @@ def emit_plot_data(
         series = daily if frequency == "daily" else aggregate(daily, frequency)
         for stat, value in zip(BOX_STATS, box_plot_summary(series)):
             rows.append((frequency, stat, format_number(value)))
-    _write_csv(manifest["distributions"], ["frequency", "stat", "value"], rows)
+    _write_table(manifest["distributions"], ["frequency", "stat", "value"],
+                 "%s,%s,%s\n", rows)
 
     logger.debug("emitted plot data for %d days into %s", len(result.calendar), out_dir)
     return manifest

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 from datetime import date
 
 import pytest
@@ -146,6 +147,28 @@ class TestLongFormatIngestion:
         assert main(["validate", "--config", str(config)]) == 0
         assert opened.count(prices) == 1
 
+    def test_benchmark_file_read_once_across_sectors(self, tmp_path, monkeypatch):
+        data_dir, manifests = generate_universe(
+            tmp_path / "fixture", start=date(2021, 1, 4), end=date(2021, 2, 26),
+            n_sectors=3, tickers_per_sector=2, seed=11,
+        )
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(rebal.market_data, "open", counting_open, raising=False)
+        benchmark = json.loads(manifests[0].read_text())["benchmark"]
+        index = data_dir / f"{benchmark}.csv"
+        config = write_config(tmp_path, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        assert opened.count(index) == 1
+        assert opened.count(data_dir / "AUTO01.csv") == 1
+        opened.clear()
+        assert main(["validate", "--config", str(config)]) == 0
+        assert opened.count(index) == 1
+
     def test_bad_row_fails_only_the_sector_using_it(self, two_sector_long, capsys):
         root, data_dir, manifests = two_sector_long
         path = data_dir / "prices.csv"
@@ -243,7 +266,15 @@ class TestNeverHalfWrite:
                                             capsys, target):
         root, data_dir, manifests = small_universe
         if target == "plot data":
-            monkeypatch.setattr(rebal.report, "format_number", lambda x: "nan")
+            real = rebal.cli.run_backtest
+
+            def nan_weight(*args):
+                result = real(*args)
+                weights = {t: w.copy() for t, w in result.weights.items()}
+                weights[result.tickers[-1]][-1] = float("nan")
+                return dataclasses.replace(result, weights=weights)
+
+            monkeypatch.setattr(rebal.cli, "run_backtest", nan_weight)
         else:
             real = rebal.cli.tear_sheet
             monkeypatch.setattr(rebal.cli, "tear_sheet", lambda *args: dataclasses.replace(
@@ -273,6 +304,62 @@ class TestNeverHalfWrite:
         assert main(["backtest", "--config", str(config), "--frequency", "never"]) == 0
         assert output_tree(root / "out") != first
         assert [p.name for p in (root / "out").iterdir()] == ["auto"]
+
+
+def damage(lines, col, how):
+    """Corrupt the CSV ``lines`` in place, at line 3 where a line is needed."""
+    if how in ("nan", "-inf", ""):
+        cells = lines[2].split(",")
+        cells[col] = how
+        lines[2] = ",".join(cells)
+    elif how == "short row":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    elif how == "long row":
+        lines[2] += ",0"
+    elif how == "blank line":
+        lines.insert(2, "")
+    else:  # no rows
+        del lines[1:]
+
+
+class TestReparseOutputs:
+    """Verify rejects each kind of damage in each plot dataset, naming the file."""
+
+    # first numeric column of each plot dataset
+    NUMERIC_COLUMN = {"shares": 1, "weights": 1, "cumulative": 1, "distributions": 2}
+
+    @pytest.fixture
+    def outputs(self, small_universe):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        out = root / "out" / "auto"
+        files = {kind: out / f"{kind}.csv" for kind in self.NUMERIC_COLUMN}
+        return files, out / "tear_sheets.csv"
+
+    def test_written_outputs_reparse(self, outputs):
+        files, tear_sheets = outputs
+        rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+
+    @pytest.mark.parametrize("kind", ["shares", "weights", "cumulative", "distributions"])
+    @pytest.mark.parametrize("how", ["nan", "-inf", "", "short row", "long row",
+                                     "blank line", "no rows"])
+    def test_damaged_file_is_a_parse_error(self, outputs, kind, how):
+        files, tear_sheets = outputs
+        path = files[kind]
+        lines = path.read_text().splitlines()
+        damage(lines, self.NUMERIC_COLUMN[kind], how)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
+            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+        if how in ("nan", "-inf", "blank line"):
+            assert caught.value.line == 3
+
+    def test_empty_file_is_a_parse_error(self, outputs):
+        files, tear_sheets = outputs
+        files["weights"].write_text("")
+        with pytest.raises(ParseError, match=re.escape(str(files["weights"]))):
+            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
 
 
 class TestValidateCommand:

@@ -137,6 +137,15 @@ class TestSharpe:
         shifted = daily_series(values + rf_cfg.risk_free_daily)
         assert math.isclose(sharpe(shifted, rf_cfg), base, rel_tol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_deviation_is_undefined(self):
+        # finite returns whose squared deviation overflows: the ratio is
+        # not computable, not a meaningless 0.0
+        series = daily_series([1e300, -0.5, 0.0, -0.5, 0.0])
+        with pytest.raises(UndefinedMetricError):
+            sharpe(series, CFG)
+        assert tear_sheet(series, series, CFG, "w").sharpe is None
+
 
 class TestSortino:
     def test_balanced_pair_is_zero(self):
@@ -152,6 +161,14 @@ class TestSortino:
     def test_no_downside_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
             sortino(daily_series([0.0, 0.01, 0.02]), CFG)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_downside_deviation_is_undefined(self):
+        # a huge risk-free rate, not de-annualized, puts every excess return
+        # near -1e300, whose square overflows: not computable, not -0.0
+        cfg = MetricConfig(periods_per_year=1, risk_free_rate_annual=1e300)
+        with pytest.raises(UndefinedMetricError):
+            sortino(daily_series([0.01, -0.02, 0.03]), cfg)
 
     def test_strictly_negative_returns_are_negative(self):
         assert sortino(daily_series([-0.01, -0.02, -0.005]), CFG) < 0.0
@@ -381,6 +398,21 @@ class TestTearSheet:
             alpha_beta(portfolio, bench, CFG)
         sheet = tear_sheet(portfolio, bench, CFG, "w")
         for name in ("annual_return", "annual_volatility", "calmar", "alpha", "beta"):
+            assert getattr(sheet, name) is None, name
+        for name in METRIC_NAMES:
+            value = getattr(sheet, name)
+            assert value is None or math.isfinite(value), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_wealth_is_not_computable(self, rng):
+        # each 1e300 gain compounds: wealth passes the largest float on
+        # day 3, so cumulative return and drawdown are empty, not an error
+        portfolio = daily_series([1e300, 0.0, 1e300, 0.0, 1e300])
+        bench = daily_series(random_returns(rng, 5))
+        with pytest.raises(UndefinedMetricError):
+            calmar(portfolio, CFG)
+        sheet = tear_sheet(portfolio, bench, CFG, "w")
+        for name in ("cumulative_return", "max_drawdown", "calmar"):
             assert getattr(sheet, name) is None, name
         for name in METRIC_NAMES:
             value = getattr(sheet, name)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rebal.errors import ValidationError
-from rebal.metrics import METRIC_NAMES, MetricConfig, tear_sheet
+from rebal.metrics import METRIC_NAMES, MetricConfig, box_plot_summary, tear_sheet
 from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
 from rebal.report import (
     emit_plot_data,
@@ -16,6 +16,7 @@ from rebal.report import (
     format_number,
     read_tear_sheets,
 )
+from rebal.returns import aggregate, simple_returns
 from conftest import daily_series, random_returns
 from test_portfolio import make_panel
 
@@ -100,6 +101,43 @@ class TestExportTearSheets:
             export_tear_sheets([make_sheet(rng, "w")], tmp_path / "ts.xml", "xml")
 
 
+def old_emit_plot_data(result, benchmark_cum, split_date, out_dir):
+    """Reference writer: every cell formatted on its own, rows through csv.
+
+    Restates the cell-at-a-time emitter, and its number format, so that
+    the table-at-a-time writer is judged against bytes it cannot change.
+    """
+    def fmt(x):
+        return "0" if x == 0.0 else format(float(x), ".12g")
+
+    def write(name, header, rows):
+        with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    out_dir.mkdir(parents=True)
+    tickers = list(result.tickers)
+    dates = [day.isoformat() for day in result.calendar]
+    write("shares.csv", ["date"] + tickers,
+          zip(dates, *[map(str, result.shares[t].tolist()) for t in tickers]))
+    write("weights.csv", ["date"] + tickers,
+          zip(dates, *[map(fmt, result.weights[t].tolist()) for t in tickers]))
+    portfolio_cum = result.value / result.value[0] - 1.0
+    write("cumulative.csv", ["date", "portfolio_cum", "benchmark_cum", "segment"],
+          zip(dates, map(fmt, portfolio_cum.tolist()), map(fmt, benchmark_cum.tolist()),
+              ["in_sample" if day < split_date else "out_of_sample"
+               for day in result.calendar]))
+    daily = simple_returns(result.calendar, result.value)
+    rows = []
+    for frequency in ("daily", "weekly", "monthly", "annual"):
+        series = daily if frequency == "daily" else aggregate(daily, frequency)
+        for stat, value in zip(("min", "q1", "median", "q3", "max"),
+                               box_plot_summary(series)):
+            rows.append((frequency, stat, fmt(value)))
+    write("distributions.csv", ["frequency", "stat", "value"], rows)
+
+
 class TestEmitPlotData:
     def run_small_backtest(self, rng, n=5, tickers=("A", "B")):
         columns = {
@@ -177,6 +215,26 @@ class TestEmitPlotData:
         second = emit_plot_data(result, bench, panel.calendar[10], tmp_path / "two")
         for kind in first:
             assert first[kind].read_bytes() == second[kind].read_bytes()
+
+    def test_bytes_match_cell_at_a_time_writer(self, rng, tmp_path):
+        # names that csv must quote, a ticker too dear to buy (zero shares
+        # and weights), and a -0.0 cell that must print as 0
+        def walk(start, n=300):
+            return (start * np.cumprod(1 + rng.normal(0.0005, 0.02, n))).tolist()
+
+        panel = make_panel({"A": walk(50.0), "BRK,B": walk(300.0),
+                            'Q"T': walk(7.5), "ZZ": walk(1e7)})
+        result = run_backtest(panel, CapitalPlan(100_000.0, 4), RebalancePolicy("monthly"))
+        assert not result.shares["ZZ"].any()
+        bench = panel.benchmark / panel.benchmark[0] - 1.0
+        bench[7] = -0.0
+        split = panel.calendar[120]
+        manifest = emit_plot_data(result, bench, split, tmp_path / "new")
+        old_emit_plot_data(result, bench, split, tmp_path / "old")
+        header = manifest["shares"].read_text().splitlines()[0]
+        assert header == 'date,A,"BRK,B","Q""T",ZZ'
+        for kind, path in manifest.items():
+            assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
 
     def test_benchmark_length_mismatch_rejected(self, rng, tmp_path):
         panel, result, bench = self.run_small_backtest(rng)
