@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, RebalError
+from .errors import ConfigError, DomainError, ParseError, RebalError
 from .market_data import (
     align_panel,
     clip_panel,
@@ -90,11 +90,12 @@ class RunConfig:
         ppy = self.periods_per_year
         if isinstance(ppy, bool) or not isinstance(ppy, int) or ppy < 1:
             raise ConfigError(f"periods_per_year must be a positive integer, got {ppy!r}")
-        if self.frequency not in REBALANCE_FREQUENCIES:
-            raise ConfigError(
-                f"unknown frequency {self.frequency!r}, expected one of "
-                f"{', '.join(REBALANCE_FREQUENCIES)}"
-            )
+        try:
+            CapitalPlan(self.per_asset_capital, 1)
+            RebalancePolicy(self.frequency, self.cost_rate)
+            self.metric_config()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if not (self.start < self.split <= self.end):
             raise ConfigError(
                 f"window must satisfy start < split <= end, got "

@@ -6,8 +6,13 @@ in one file):
     date,ticker,adj_close
     2021-01-04,TCS,2928.60
 
-Dates are ISO-8601 calendar days (no timezone), prices are positive
-decimals.  UTF-8, LF or CRLF line endings.
+Cells are split as the csv module splits them (quoted cells may hold
+commas, doubled quotes and line breaks) and stripped of whitespace.  A
+date is exactly YYYY-MM-DD in ASCII digits and names a real day; a price
+is a positive, finite ASCII decimal as float() reads it, without "_".
+UTF-8 with LF, CRLF or CR line ends; bytes that are not UTF-8 make a bad
+date or price, or in a ticker cell stop the file like a ragged row, as a
+NUL character does.  Manifest tickers must be plain file names.
 
 Sector manifest schema (JSON):
 
@@ -25,10 +30,10 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
+import io
+import itertools
 import json
 import logging
-import math
 import operator
 from dataclasses import dataclass
 from datetime import date
@@ -113,6 +118,10 @@ class SectorManifest:
             raise ValidationError(
                 f"sector {self.sector!r}: benchmark {self.benchmark!r} is also a constituent"
             )
+        names = [t for t in (*self.tickers, self.benchmark)
+                 if t in ("", ".", "..") or "/" in t or "\\" in t]
+        if names:
+            raise ValidationError(f"sector {self.sector!r}: {names[0]!r} is not a plain file name")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,78 +183,201 @@ class _PriceFile(NamedTuple):
 
     ``series`` maps each ticker seen to its validated PriceSeries or to the
     first error on one of its rows.  ``error`` is the file's first
-    structural error (bad header, ragged row); parsing stops there, so every
-    per-ticker error recorded comes from an earlier line.
+    structural error (bad header, ragged row, NUL character, ticker that is
+    not UTF-8); parsing stops there, so every per-ticker error recorded
+    comes from an earlier line.
     """
 
     series: dict[str, PriceSeries | RebalError]
     error: ParseError | None
 
 
-# One shared date object per distinct ISO string, across every file of a
-# run.  Bounded so a long-lived process does not grow without limit; 2**14
-# days is about 45 years of calendar days.
-_iso_date = functools.lru_cache(maxsize=1 << 14)(date.fromisoformat)
+# The ASCII characters that str.strip() removes.
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# Fields of the whole-file read.  A cell that fills its field may have been
+# cut short, so the csv module then splits the file instead.
+_CELLS = np.dtype([("date", "S16"), ("ticker", "S16"), ("price", np.float64)])
+_CELL_ENDS = [_CELLS.fields[f][1] + _CELLS[f].itemsize - 1 for f in ("date", "ticker")]
+# Less its lowest allowed byte, each byte of a YYYY-MM-DD cell padded to 16
+# bytes is at most the span allowed there, in wrapping uint8 arithmetic.
+_DATE_LOW = np.frombuffer(b"0000-00-00".ljust(16, b"\0"), dtype=np.uint8)
+_DATE_SPAN = np.frombuffer(b"\t\t\t\t\0\t\t\0\t\t".ljust(16, b"\0"), dtype=np.uint8)
+# Days in, and before, each month of a common year; months 0 and 13 stand
+# for any month out of range.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], dtype=np.int32)
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, dtype=np.int32) - _MONTH_DAYS
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64
+# One date object per day across every file a process reads: the day with
+# ordinal first + i is days[i], over the span of days read so far.
+_shared: tuple[int, np.ndarray] = (0, np.empty(0, dtype=object))
+
+
+def _text(cell: bytes) -> str:
+    return cell.decode("utf-8", "surrogatepass")
+
+
+def _iso_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Day ordinals of YYYY-MM-DD cells, and which cells are such dates."""
+    if len(cells) > 1 << 13:  # in blocks, to bound the temporaries
+        parts = [_iso_ordinals(cells[i:i + (1 << 13)]) for i in range(0, len(cells), 1 << 13)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    digits = cells.astype("S16").view(np.uint8).reshape(-1, 16) - _DATE_LOW
+    wrong = (digits > _DATE_SPAN).view(np.uint64)
+    d = digits.astype(np.int32)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day = np.minimum(d[:, 5] * 10 + d[:, 6], 13), d[:, 8] * 10 + d[:, 9]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok = ((wrong[:, 0] | wrong[:, 1]) == 0) & (year >= 1) & (day >= 1)
+    ok &= day <= _MONTH_DAYS[month] + (leap & (month == 2))
+    y = year - 1
+    ordinal = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month] + day
+    return np.where(ok, ordinal + (leap & (month > 2)), 1), ok
+
+
+def _shared_days(ordinals: np.ndarray) -> tuple[date, ...]:
+    global _shared
+    first, days = _shared  # read once: a concurrent update replaces both
+    lo = min(int(ordinals.min()), first) if len(days) else int(ordinals.min())
+    hi = max(int(ordinals.max()) + 1, first + len(days))
+    if hi - lo > 1 << 16:  # over 179 years: too wide a span to keep
+        return tuple((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]").tolist())
+    if hi - lo > len(days):
+        grown = (np.arange(lo, hi) - _EPOCH_ORDINAL).astype("datetime64[D]").astype(object)
+        grown[first - lo:first - lo + len(days)] = days
+        first, days = _shared = lo, grown
+    return tuple(days[ordinals - first].tolist())
+
+
+def _float(cell: bytes) -> float | None:
+    """The value of an ASCII decimal cell, or None if it is not one."""
+    try:
+        return float(cell) if cell.isascii() and b"_" not in cell else None
+    except ValueError:
+        return None
+
+
+def _lines(text: str):
+    """The lines of text: a list, which np.loadtxt reads fastest, or for a
+    text over 128 KiB an iterator that splits 64 KiB at a time, to bound
+    memory."""
+    if len(text) <= 1 << 17:
+        return text.split("\n")
+    ends = [0]
+    while ends[-1] < len(text):
+        ends.append(text.find("\n", ends[-1] + (1 << 16)) + 1 or len(text))
+    return itertools.chain.from_iterable(text[i:j].split("\n") for i, j in zip(ends, ends[1:]))
+
+
+def _split_rows(fh, path: Path):
+    """Date, ticker and price columns of the rows after the header, their
+    line numbers, and the structural error that stops the split, if any.
+
+    One np.loadtxt call reads an ASCII file whose lines are rows with a
+    positive price, or empty.  The csv module splits any other file into
+    stripped UTF-8 cells, the prices still text.
+    """
+    text = fh.read()
+    if text.isascii() and "\0" not in text and "," in text:
+        n = text.count("\n") + (not text.endswith("\n"))
+        try:
+            cells = np.loadtxt(_lines(text), dtype=_CELLS, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+        except ValueError:  # a ragged row, a bad price or a line of spaces
+            cells = np.zeros(0, dtype=_CELLS)
+        numbers = np.arange(2, n + 2)
+        if len(cells) < n and '"' not in text:  # np.loadtxt skipped empty lines
+            numbers = 2 + np.flatnonzero([line not in ("", "\r") for line in text.split("\n")])
+        if (len(cells) == len(numbers)  # and no line break in quotes
+                and not cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
+                and ((cells["price"] > 0.0) & (cells["price"] < np.inf)).all()):
+            return cells["date"], cells["ticker"], cells["price"], numbers, None
+    rows, numbers, error = [], [], None
+    nul = "\0" in text
+    surrogates = text.encode("utf-8", "replace") != text.encode("utf-8", "surrogatepass")
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=2):
+        if len(row) != 3:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            error = ParseError(f"expected 3 columns, got {len(row)}", path, lineno)
+        elif nul and "\0" in "".join(row):
+            error = ParseError("NUL character in row", path, lineno)
+        elif surrogates and row[1].encode("utf-8", "replace") != row[1].encode(
+                "utf-8", "surrogatepass"):
+            error = ParseError("ticker is not valid UTF-8", path, lineno)
+        else:
+            rows.append(row)
+            numbers.append(lineno)
+            continue
+        break
+    cells = np.char.strip(np.array(rows, dtype=str).reshape(-1, 3))  # as str.strip() strips
+    cells = cells.astype(bytes) if text.isascii() else np.char.encode(cells, "utf-8", "surrogatepass")
+    return *cells.T, np.array(numbers, dtype=np.intp), error
 
 
 def _parse_price_file(path: Path) -> _PriceFile:
-    rows: dict[str, dict[date, float]] = {}
-    failed: dict[str, RebalError] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    # Bytes that are not UTF-8 become lone surrogates, which no cell check accepts.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        header = next(csv.reader(fh), None)
         if header is None:
             return _PriceFile({}, ParseError(
                 "empty file, expected header date,ticker,adj_close", path, 1))
         if tuple(h.strip() for h in header) != PRICE_CSV_HEADER:
             return _PriceFile({}, ParseError(
                 f"bad header {header!r}, expected date,ticker,adj_close", path, 1))
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                error = ParseError(f"expected 3 columns, got {len(row)}", path, lineno)
-                return _PriceFile(failed, error)
-            raw_date, ticker, raw_price = row
-            ticker = ticker.strip()
-            if ticker in failed:
-                continue
-            raw_date = raw_date.strip()
-            raw_price = raw_price.strip()
-            try:
-                day = _iso_date(raw_date)
-            except ValueError:
-                failed[ticker] = ParseError(f"bad date {raw_date!r}", path, lineno)
-                continue
-            try:
-                price = float(raw_price)
-            except ValueError:
-                failed[ticker] = ParseError(f"bad price {raw_price!r}", path, lineno)
-                continue
-            if not math.isfinite(price) or price <= 0.0:
-                failed[ticker] = ValidationError(
-                    f"{path}:{lineno}: non-positive price {raw_price} for {ticker}"
-                )
-                continue
-            by_day = rows.get(ticker)
-            if by_day is None:
-                by_day = rows[ticker] = {}
-            if day in by_day:
-                failed[ticker] = ValidationError(
-                    f"{path}:{lineno}: duplicate date {day.isoformat()} for {ticker}"
-                )
-                continue
-            by_day[day] = price
+        dates, tickers, prices, lines, error = _split_rows(fh, path)
+
+    if (tickers == tickers[:1]).all():  # one ticker per file, the usual layout
+        distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)
+    else:
+        distinct, group = np.unique(tickers, return_inverse=True)
+    ids: dict[str, int] = {}  # cells that differ only in padding name one ticker
+    tid = np.array([ids.setdefault(c.decode().strip(), len(ids)) for c in distinct.tolist()],
+                   dtype=np.intp)[group]
+    names = list(ids)
+    ordinal, date_ok = _iso_ordinals(dates)
+    if not date_ok.all():  # padded or bad cells
+        dates = np.char.strip(dates, _ASCII_SPACE)
+        ordinal, date_ok = _iso_ordinals(dates)
+    value, price_bad = prices, np.zeros(len(prices), dtype=bool)
+    if prices.dtype.kind == "S":  # split by the csv module: still text
+        parsed = [_float(c) for c in prices.tolist()]
+        value, price_bad = np.array(parsed, dtype=np.float64), np.equal(parsed, None)
+    positive = (value > 0.0) & (value < np.inf)
+    good = date_ok & ~price_bad & positive
+    # Good rows by ticker, day and line; ordinals are below 2**22.
+    key = tid.astype(np.int64) << 22 | ordinal
+    order = np.flatnonzero(good)
+    if (np.diff(key[order]) <= 0).any():
+        order = order[np.argsort(key[order], kind="stable")]
+    bad = ~good
+    bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # a repeated day
     series: dict[str, PriceSeries | RebalError] = {}
-    for ticker, by_day in rows.items():
-        if ticker in failed:
+    for row in np.flatnonzero(bad).tolist():  # a ticker's first bad row is its error
+        ticker, line = names[tid[row]], int(lines[row])
+        if ticker in series:
             continue
-        days = sorted(by_day)
-        try:
-            series[ticker] = PriceSeries(ticker, tuple(days), [by_day[d] for d in days])
-        except ValidationError as exc:
-            series[ticker] = exc
-    series.update(failed)
+        if not date_ok[row]:
+            exc = ParseError(f"bad date {_text(dates[row])!r}", path, line)
+        elif price_bad[row]:
+            exc = ParseError(f"bad price {_text(prices[row])!r}", path, line)
+        elif not positive[row]:
+            exc = ValidationError(
+                f"{path}:{line}: non-positive price {_text(prices[row])} for {ticker}")
+        else:
+            day = date.fromordinal(int(ordinal[row])).isoformat()
+            exc = ValidationError(f"{path}:{line}: duplicate date {day} for {ticker}")
+        series[ticker] = exc
+    if error is not None:
+        return _PriceFile(series, error)
+    starts = [0, *(np.flatnonzero(np.diff(tid[order])) + 1).tolist()]
+    for lo, hi in zip(starts, starts[1:] + [len(order)]) if len(order) else ():
+        rows = order[lo:hi]
+        ticker = names[tid[rows[0]]]
+        if ticker not in series:
+            try:
+                series[ticker] = PriceSeries(ticker, _shared_days(ordinal[rows]), value[rows])
+            except ValidationError as exc:
+                series[ticker] = exc
     return _PriceFile(series, None)
 
 

@@ -69,7 +69,10 @@ class RebalancePolicy:
 
     def __post_init__(self):
         if self.frequency not in REBALANCE_FREQUENCIES:
-            raise DomainError(f"unknown rebalance frequency {self.frequency!r}")
+            raise DomainError(
+                f"unknown frequency {self.frequency!r}, expected one of "
+                f"{', '.join(REBALANCE_FREQUENCIES)}"
+            )
         if not 0.0 <= self.cost_rate < 1.0:
             raise DomainError(f"cost_rate must lie in [0, 1), got {self.cost_rate}")
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,47 @@ class TestLongFormatIngestion:
             trees.append(output_tree(root / "out"))
         assert len(trees[0]) == 15
         assert trees[0] == trees[1]
+
+
+class TestInputBoundary:
+    """Bad price bytes and manifest names fail their sector, never the run."""
+
+    @pytest.mark.parametrize("row, match", [
+        (b"2021-03-01,AUTO01,\xff\xfe\n", ":42: bad price '\\udcff\\udcfe'"),
+        (b"2021-03-01,AUTO\xff,1.0\n", ":42: ticker is not valid UTF-8"),
+    ])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_non_utf8_row_is_a_parse_error(self, small_universe, capsys, command, row, match):
+        root, data_dir, manifests = small_universe
+        path = data_dir / "AUTO01.csv"
+        path.write_bytes(path.read_bytes() + row)
+        config = write_config(root, data_dir, manifests)
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage load" in err
+        assert str(path) + match in err
+        assert "Traceback" not in err
+
+    def test_manifest_ticker_must_be_a_plain_file_name(self, small_universe, capsys,
+                                                       monkeypatch):
+        root, data_dir, manifests = small_universe
+        (data_dir.parent / "OUTSIDE.csv").write_bytes((data_dir / "AUTO01.csv").read_bytes())
+        payload = json.loads(manifests[0].read_text())
+        manifests[0].write_text(json.dumps(dict(payload, tickers=["AUTO01", "../OUTSIDE"])))
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr("rebal.market_data.open", counting_open, raising=False)
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage manifest" in err and "'../OUTSIDE'" in err
+        assert opened and all(Path(p).resolve().parent == data_dir.resolve()
+                              for p in opened if str(p).endswith(".csv"))
+        assert not (root / "out" / "auto").exists()
 
 
 class TestSectorSlugs:
@@ -472,6 +514,23 @@ class TestConfigBoundary:
         config = write_config(root, data_dir, manifests)
         assert main(["backtest", "--config", str(config), flag, value]) == 2
         assert match in capsys.readouterr().err
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("args, match", [
+        (["--capital", "-5"], "per_asset_capital must be positive"),
+        (["--cost-rate", "1.5"], "cost_rate must lie in [0, 1)"),
+        (["--risk-free", "-3"], "risk_free_rate_annual must be >= -1"),
+        ([], "var_cutoff must lie in (0, 0.5)"),
+    ])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_out_of_range_value_exits_2(self, small_universe, capsys, command, args, match):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests,
+                              **({} if args else {"var_cutoff": 0.9}))
+        assert main([command, "--config", str(config), *args]) == 2
+        err = capsys.readouterr().err
+        assert match in err
+        assert "Traceback" not in err
         assert not (root / "out").exists()
 
     def test_risk_free_nan_in_json_writes_nothing(self, small_universe, capsys):

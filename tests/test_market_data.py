@@ -1,11 +1,18 @@
 """Ingestion, validation, and alignment tests."""
 
+import os
+import re
+import subprocess
+import sys
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rebal.errors import AlignmentError, ParseError, ValidationError, WindowError
+import parse_oracle
+from rebal.errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
 from rebal.market_data import (
     PriceSeries,
     align_panel,
@@ -103,9 +110,33 @@ class TestLoadPriceSeries:
         )
         assert len(load_price_series(path, "AAA")) == 2
 
+    def test_header_only_file_in_a_fresh_process(self, tmp_path):
+        # the first file a process reads has no rows: nothing is cached yet
+        path = write_csv(tmp_path / "a.csv", [])
+        code = ("import sys; from rebal.market_data import load_price_series\n"
+                "try:\n    load_price_series(sys.argv[1], 'AAA')\n"
+                "except Exception as exc:\n    print(type(exc).__name__, exc)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.startswith("ValidationError") and "no rows for ticker 'AAA'" in out
+
     def test_single_observation_rejected(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["2021-01-04,AAA,100.0"])
         with pytest.raises(ValidationError, match="at least 2"):
+            load_price_series(path, "AAA")
+
+    @pytest.mark.parametrize("row, match", [
+        # date.fromisoformat takes these two from Python 3.11 on
+        ("20210105,AAA,101.0", "bad date '20210105'"),
+        ("2021-W01-2,AAA,101.0", "bad date '2021-W01-2'"),
+        # float() takes these two, numpy does not
+        ("2021-01-05,AAA,1_000.5", "bad price '1_000.5'"),
+        ("2021-01-05,AAA,\u0661\u0662\u0663", "bad price '\u0661\u0662\u0663'"),
+    ])
+    def test_only_iso_days_and_ascii_decimals(self, tmp_path, row, match):
+        path = write_csv(tmp_path / "a.csv", ["2021-01-04,AAA,100.0", row])
+        with pytest.raises(ParseError, match=re.escape(f"a.csv:3: {match}")):
             load_price_series(path, "AAA")
 
 
@@ -187,6 +218,123 @@ class TestOnePassParsing:
         assert all(x is y for x, y in zip(a.dates, b.dates))
 
 
+# Cells the generated price files draw from, good ones weighted up so that
+# most tickers keep a series.  Bad dates and prices cover every kind the row
+# parser rejected; tickers include non-ASCII names, names that need quoting
+# and one longer than any fixed-width field of the whole-file read.
+_DATES = [str(date(2021, 1, 1).fromordinal(date(2021, 1, 1).toordinal() + k))
+          for k in range(60)] + ["2020-02-29", "2000-02-29", "0001-01-01", "9999-12-31"] + [
+    "2021-02-30", "2021-13-01", "2021-00-10", "2021-04-31", "1900-02-29", "0000-01-01",
+    "20210104", "2021-W01-2", "2021-1-4", "2021-01-04T00:00", "", "not-a-date",
+    "2021-01-0\uff14",
+]
+_TICKERS = ["AAA", "BBB", "\u00c4\u00d6\u00dc", "\u682a\u5f0f", "A,B", 'Q"T', "", "X" * 40]
+_CLEAN_PRICES = ["100.5", "7", "1e3", ".5", "2.", "+3.25", "1E-3", "98765432109876543210"]
+_PRICES = _CLEAN_PRICES * 3 + [
+    "0", "-5", "-0", "nan", "inf", "-inf", "1e400", "1_000.5", "\u0661\u0662\u0663",
+    "abc", "", "0x10", "1e",
+]
+
+
+@st.composite
+def price_files(draw):
+    """Bytes of a price CSV: clean ASCII files that the whole-file read takes,
+    or files with every kind of fault the row parser knew.
+
+    Hypothesis draws each row's cells; a seeded Random drawn with them lays
+    out padding, quoting, blank and ragged rows, line ends and stray bytes.
+    """
+    clean = draw(st.booleans())
+    tickers = ["AAA", "BBB"] * 4 + (_TICKERS[4:7] if clean else _TICKERS)
+    rows = draw(st.lists(st.tuples(st.sampled_from(_DATES), st.sampled_from(tickers),
+                                   st.sampled_from(_CLEAN_PRICES if clean else _PRICES)),
+                         min_size=4, max_size=20))
+    rnd = draw(st.randoms(use_true_random=True))
+    pads = [""] * 4 + [" ", "\t", "  "] + ([] if clean else ["\u00a0", "\u3000"])
+    ends = [b"\n", b"\r\n"] if clean else [b"\n", b"\r\n", b"\r"]
+
+    def cell(text):
+        text = rnd.choice(pads) + text + rnd.choice(pads)
+        if rnd.random() < 0.2 or (clean and ("," in text or '"' in text)):
+            text = '"' + text.replace('"', '""') + '"'
+        raw = text.encode("utf-8")
+        if not clean and rnd.random() < 0.03:
+            raw = rnd.choice([b"\xff\xfe", raw + b"\x85", raw + b"\0", b"\xc3"])
+        return raw
+
+    lines = [b"date,ticker,adj_close"]
+    for row in rows:
+        if not clean and rnd.random() < 0.05:
+            lines.append(rnd.choice([b"", b" ", b"\t"]))
+        cells = [cell(text) for text in row]
+        if not clean and rnd.random() < 0.04:
+            cells = cells[:2] if rnd.random() < 0.5 else cells + [cell("extra")]
+        lines.append(b",".join(cells))
+    end = rnd.choice(ends)
+    body = b"".join(line + (end if clean else rnd.choice(ends)) for line in lines)
+    return body if rnd.random() < 0.5 else body.rstrip(b"\r\n")
+
+
+def _outcome(load, path, ticker, parsed):
+    try:
+        series = load(path, ticker, parsed=parsed)
+    except RebalError as exc:
+        return type(exc), str(exc)
+    return series.ticker, series.dates, series.prices.tolist()
+
+
+class TestMatchesRowParser:
+    """The whole-file parse gives what the csv-module row loop in
+    ``tests/parse_oracle.py`` gives: the same series, or the same error."""
+
+    @staticmethod
+    def assert_same(path, tickers):
+        ours, theirs = {}, {}
+        for ticker in tickers:
+            assert (_outcome(load_price_series, path, ticker, ours)
+                    == _outcome(parse_oracle.load_price_series, path, ticker, theirs))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=price_files())
+    def test_generated_files(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_bytes(data)
+        self.assert_same(path, [*_TICKERS, "MISSING"])
+
+    @pytest.mark.parametrize("quoted_break", [False, True])
+    def test_long_file_split_in_blocks(self, tmp_path, quoted_break):
+        # Over 128 KiB, lines reach np.loadtxt 64 KiB at a time; put a line
+        # break inside quotes across the first block boundary.
+        day0 = date(2000, 1, 1).toordinal()
+        rows = [f"{date.fromordinal(day0 + k)},T{k % 7},{k + 1}.5" for k in range(9000)]
+        if quoted_break:
+            start = 0
+            r = next(r for r, row in enumerate(rows) if (start := start + len(row) + 1) > 1 << 16)
+            start -= len(rows[r]) + 1
+            rows[r] = f'{rows[r][:10]},"Q{"x" * (1 + (1 << 16) - start - 14)}\nQ",1.5'
+        path = tmp_path / "prices.csv"
+        path.write_text("date,ticker,adj_close\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        self.assert_same(path, [f"T{k}" for k in range(7)] + ["MISSING"])
+
+    @pytest.mark.parametrize("body", [
+        b"2021-01-04,AAA,1\n2021-01-05,AAA,2\n",                    # clean
+        b"2021-01-04,AAA,1\n\n2021-01-05,AAA,2\n \n",               # blank lines
+        b'"2021-01-04","AAA","1"\r\n"2021-01-05","A\nA","2"\r\n',    # quoted line break
+        b"2021-01-04,AAA,1\r2021-01-05,AAA,-2\r",                   # lone CR, bad price
+        b"2021-01-04,AAA,1\n2021-01-05,AAA,2,3\n2021-01-06,BBB,1\n",  # ragged row
+        b"2021-01-04,AAA,1\n2021-01-05,AAA\0,2\n",                  # NUL
+        b"2021-01-04,\xff,1\n2021-01-05,AAA,2\n",                   # ticker not UTF-8
+        b"2021-01-04,AAA,1\n2021-01-05,AAA,\xff\xfe\n",             # price not UTF-8
+        b"2021-01-04,AAA,1\n2021-01-05,\xc2\xa0AAA\xe3\x80\x80,2\n",  # Unicode padding
+        b"2021-01-04,AAA,1\n" + b"2021-01-05,AAA," + b"9" * 40 + b"\n",  # over-wide price
+    ])
+    def test_edge_files(self, tmp_path, body):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,ticker,adj_close\n" + body)
+        self.assert_same(path, ["AAA", "BBB", "A\nA", "MISSING"])
+
+
 class TestSectorManifest:
     def test_valid_manifest(self, tmp_path):
         path = tmp_path / "m.json"
@@ -200,6 +348,12 @@ class TestSectorManifest:
         ('{"sector": "x", "tickers": [], "benchmark": "IX"}', "empty"),
         ('{"sector": "x", "tickers": ["A", "A"], "benchmark": "IX"}', "duplicate"),
         ('{"sector": "x", "tickers": ["A", "IX"], "benchmark": "IX"}', "constituent"),
+        ('{"sector": "x", "tickers": ["../OUTSIDE"], "benchmark": "IX"}', "plain file name"),
+        ('{"sector": "x", "tickers": ["A/B"], "benchmark": "IX"}', "plain file name"),
+        ('{"sector": "x", "tickers": ["A\\\\B"], "benchmark": "IX"}', "plain file name"),
+        ('{"sector": "x", "tickers": [""], "benchmark": "IX"}', "plain file name"),
+        ('{"sector": "x", "tickers": ["A"], "benchmark": "."}', "plain file name"),
+        ('{"sector": "x", "tickers": ["A"], "benchmark": ".."}', "plain file name"),
     ])
     def test_invariant_violations(self, tmp_path, payload, match):
         path = tmp_path / "m.json"
