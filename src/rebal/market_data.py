@@ -291,27 +291,32 @@ def _split_rows(fh, path: Path):
                 and not cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
                 and ((cells["price"] > 0.0) & (cells["price"] < np.inf)).all()):
             return cells["date"], cells["ticker"], cells["price"], numbers, None
-    rows, numbers, error = [], [], None
-    nul = "\0" in text
-    surrogates = text.encode("utf-8", "replace") != text.encode("utf-8", "surrogatepass")
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=2):
-        if len(row) != 3:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            error = ParseError(f"expected 3 columns, got {len(row)}", path, lineno)
-        elif nul and "\0" in "".join(row):
-            error = ParseError("NUL character in row", path, lineno)
-        elif surrogates and row[1].encode("utf-8", "replace") != row[1].encode(
-                "utf-8", "surrogatepass"):
-            error = ParseError("ticker is not valid UTF-8", path, lineno)
-        else:
-            rows.append(row)
-            numbers.append(lineno)
-            continue
-        break
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    size = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    blank = size == 0
+    ones = np.flatnonzero(size == 1)
+    blank[ones] = [not rows[i][0].strip() for i in ones.tolist()]
+    # The first row that is ragged, holds a NUL or has a ticker that is not
+    # UTF-8 stops the split; the last two are looked for only if present.
+    faults = [((size != 3) & ~blank, "expected 3 columns, got {}")]
+    if "\0" in text:
+        faults.append(([len(r) == 3 and "\0" in "".join(r) for r in rows], "NUL character in row"))
+    if text.encode("utf-8", "replace") != text.encode("utf-8", "surrogatepass"):
+        faults.append(([len(r) == 3 and r[1].encode("utf-8", "replace")
+                        != r[1].encode("utf-8", "surrogatepass") for r in rows],
+                       "ticker is not valid UTF-8"))
+    stop, error = len(rows), None
+    for wrong, message in faults:
+        first = np.flatnonzero(wrong)[:1].tolist()
+        if first and first[0] < stop:
+            stop = first[0]
+            error = ParseError(message.format(size[stop]), path, stop + 2)
+    numbers = np.flatnonzero(~blank[:stop])
+    rows = [rows[i] for i in numbers.tolist()]
+    numbers += 2
     cells = np.char.strip(np.array(rows, dtype=str).reshape(-1, 3))  # as str.strip() strips
     cells = cells.astype(bytes) if text.isascii() else np.char.encode(cells, "utf-8", "surrogatepass")
-    return *cells.T, np.array(numbers, dtype=np.intp), error
+    return *cells.T, numbers, error
 
 
 def _parse_price_file(path: Path) -> _PriceFile:
@@ -340,8 +345,11 @@ def _parse_price_file(path: Path) -> _PriceFile:
         ordinal, date_ok = _iso_ordinals(dates)
     value, price_bad = prices, np.zeros(len(prices), dtype=bool)
     if prices.dtype.kind == "S":  # split by the csv module: still text
-        parsed = [_float(c) for c in prices.tolist()]
-        value, price_bad = np.array(parsed, dtype=np.float64), np.equal(parsed, None)
+        try:  # one cast when every cell reads as float() reads it; "_" is not allowed
+            value, price_bad = prices.astype(np.float64), np.char.find(prices, b"_") >= 0
+        except ValueError:
+            parsed = [_float(c) for c in prices.tolist()]
+            value, price_bad = np.array(parsed, dtype=np.float64), np.equal(parsed, None)
     positive = (value > 0.0) & (value < np.inf)
     good = date_ok & ~price_bad & positive
     # Good rows by ticker, day and line; ordinals are below 2**22.
