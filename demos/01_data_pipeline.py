@@ -41,9 +41,7 @@ gappy = series[0]
 kept = [i for i in range(len(gappy)) if i % 7 != 3]
 from rebal import PriceSeries  # noqa: E402
 
-series[0] = PriceSeries(gappy.ticker,
-                        tuple(gappy.dates[i] for i in kept),
-                        gappy.prices[kept])
+series[0] = PriceSeries(gappy.ticker, gappy.dates[kept], gappy.prices[kept])
 print(f"\ndropped {len(gappy) - len(kept)} scattered rows from {gappy.ticker}")
 
 panel = align_panel(series, benchmark)
@@ -53,6 +51,6 @@ print(f"aligned calendar: {len(panel.calendar)} shared days "
 clipped = clip_panel(panel, date(2021, 2, 1), date(2021, 4, 30))
 print(f"clipped to Feb..Apr: {len(clipped.calendar)} days "
       f"({clipped.calendar[0]}..{clipped.calendar[-1]})")
-print("\ncolumns stay aligned to the calendar:")
-for t in clipped.tickers:
-    print(f"  {t:>8}: {clipped.columns[t][:3].round(2)} ...")
+print("\nprice rows stay aligned to the calendar:")
+for t, row in zip(clipped.tickers, clipped.prices):
+    print(f"  {t:>8}: {row[:3].round(2)} ...")

@@ -44,25 +44,22 @@ for frequency in ("never", "yearly", "monthly", "daily"):
     result = run_backtest(panel, plan, RebalancePolicy(frequency))
     # worst equal-weight deviation across the run
     n = len(panel.tickers)
-    drift = max(
-        float(np.max(np.abs(result.weights[t] - 1.0 / n))) for t in panel.tickers
-    )
+    drift = float(np.max(np.abs(result.weights - 1.0 / n)))
     print(f"{frequency:>10} {len(result.rebalance_dates):>7} "
           f"{result.value[-1]:>14,.2f} {drift:>14.4f}")
 
 print("\nvalue is continuous through a zero-cost rebalance:")
 result = run_backtest(panel, plan, RebalancePolicy("monthly"))
 day = result.rebalance_dates[0]
-i = panel.calendar.index(day)
-pre = sum(result.shares[t][i - 1] * panel.columns[t][i] for t in panel.tickers)
-pre += result.cash[i - 1]
+i = int(np.searchsorted(panel.calendar, day))
+pre = float(result.shares[:, i - 1] @ panel.prices[:, i]) + result.cash[i - 1]
 print(f"  {day}: pre-trade mark {pre:,.2f} -> post-trade value "
       f"{result.value[i]:,.2f}")
 
 print("\nshare counts are whole numbers; residual cash stays small:")
-i = panel.calendar.index(result.rebalance_dates[1])
-for t in panel.tickers:
-    print(f"  {t:>8}: {result.shares[t][i - 1]:>6d} -> {result.shares[t][i]:>6d} shares")
+i = int(np.searchsorted(panel.calendar, result.rebalance_dates[1]))
+for t, row in zip(panel.tickers, result.shares):
+    print(f"  {t:>8}: {row[i - 1]:>6d} -> {row[i]:>6d} shares")
 print(f"  cash after trade: {result.cash[i]:,.2f}")
 
 print("\na cost rate drags on every trade (same monthly schedule):")

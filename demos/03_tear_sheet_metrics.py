@@ -47,13 +47,13 @@ print(f"{manifest.sector}: {len(panel.calendar)} days, "
 portfolio = simple_returns(panel.calendar, result.value)
 bench_returns = simple_returns(panel.calendar, panel.benchmark)
 split_day = date(2022, 7, 1)
-p = split_sample(portfolio, split_day)
-b = split_sample(bench_returns, split_day)
+p_in, p_out = split_sample(portfolio, split_day)
+b_in, b_out = split_sample(bench_returns, split_day)
 
 cfg = MetricConfig()  # 252 trading days, zero risk-free, 5% VaR cutoff
 sheets = [
-    tear_sheet(p.in_sample, b.in_sample, cfg, "in_sample"),
-    tear_sheet(p.out_of_sample, b.out_of_sample, cfg, "out_of_sample"),
+    tear_sheet(p_in, b_in, cfg, "in_sample"),
+    tear_sheet(p_out, b_out, cfg, "out_of_sample"),
     tear_sheet(portfolio, bench_returns, cfg, "overall"),
 ]
 

@@ -63,11 +63,8 @@ from .report import (
 )
 from .returns import (
     ReturnSeries,
-    SampleSplit,
     aggregate,
     cumulative_return,
-    cumulative_return_series,
-    log_returns,
     simple_returns,
     split_sample,
 )

@@ -37,6 +37,7 @@ from .errors import ConfigError, DomainError, ParseError, RebalError
 from .market_data import (
     align_panel,
     clip_panel,
+    iso_day,
     load_price_series,
     load_sector_manifest,
 )
@@ -48,10 +49,8 @@ from .returns import simple_returns, split_sample
 
 logger = logging.getLogger(__name__)
 
-WINDOW_LABELS = ("in_sample", "out_of_sample", "overall")
-
-
 _FLOAT_FIELDS = ("per_asset_capital", "cost_rate", "risk_free", "omega_threshold", "var_cutoff")
+_CONFIG_DATES = ("start", "split", "end")
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,9 @@ class RunConfig:
     data_dir: Path
     manifests: tuple[Path, ...]
     out_dir: Path = Path("out")
-    start: date = date(2021, 1, 4)
-    split: date = date(2022, 7, 1)
-    end: date = date(2023, 9, 20)
+    start: np.datetime64 = np.datetime64("2021-01-04")
+    split: np.datetime64 = np.datetime64("2022-07-01")
+    end: np.datetime64 = np.datetime64("2023-09-20")
     frequency: str = "yearly"
     per_asset_capital: float = 100_000.0
     cost_rate: float = 0.0
@@ -81,6 +80,14 @@ class RunConfig:
         object.__setattr__(self, "data_dir", Path(self.data_dir))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "manifests", tuple(Path(p) for p in self.manifests))
+        for name in _CONFIG_DATES:
+            value = getattr(self, name)
+            if not isinstance(value, (date, np.datetime64)):
+                try:  # the price files' date grammar, on every Python version
+                    value = iso_day(value)
+                except ValueError:
+                    raise ConfigError(f"bad date for {name!r}: {value!r}") from None
+            object.__setattr__(self, name, np.datetime64(value, "D"))
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -113,7 +120,6 @@ class RunConfig:
         )
 
 
-_CONFIG_DATES = ("start", "split", "end")
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
@@ -134,15 +140,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     if "data_dir" not in raw or "manifests" not in raw:
         raise ConfigError(f"{path}: config needs 'data_dir' and 'manifests'")
-    kwargs = dict(raw)
-    for key in _CONFIG_DATES:
-        if key in kwargs:
-            try:
-                kwargs[key] = date.fromisoformat(kwargs[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}: bad date for {key!r}: {kwargs[key]!r}")
     try:
-        config = RunConfig(**kwargs)
+        config = RunConfig(**raw)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}")
     base = path.parent
@@ -279,11 +278,11 @@ def _run_sector(
         cfg = config.metric_config()
         portfolio_daily = simple_returns(panel.calendar, result.value)
         benchmark_daily = simple_returns(panel.calendar, panel.benchmark)
-        p_split = split_sample(portfolio_daily, config.split)
-        b_split = split_sample(benchmark_daily, config.split)
+        p_in, p_out = split_sample(portfolio_daily, config.split)
+        b_in, b_out = split_sample(benchmark_daily, config.split)
         sheets = [
-            tear_sheet(p_split.in_sample, b_split.in_sample, cfg, "in_sample"),
-            tear_sheet(p_split.out_of_sample, b_split.out_of_sample, cfg, "out_of_sample"),
+            tear_sheet(p_in, b_in, cfg, "in_sample"),
+            tear_sheet(p_out, b_out, cfg, "out_of_sample"),
             tear_sheet(portfolio_daily, benchmark_daily, cfg, "overall"),
         ]
 
@@ -351,15 +350,15 @@ def cmd_validate(config: RunConfig) -> int:
             continue
         calendar = panel.calendar
         print(
-            f"sector {manifest.sector}: calendar {calendar[0].isoformat()}"
-            f"..{calendar[-1].isoformat()} ({len(calendar)} trading days)"
+            f"sector {manifest.sector}: calendar {calendar[0]}"
+            f"..{calendar[-1]} ({len(calendar)} trading days)"
         )
         coverage = ", ".join(f"{s.ticker}={len(s)}" for s in series)
         print(f"  raw coverage: {coverage}")
         planned = rebalance_dates(calendar, config.frequency)
         print(f"  planned rebalances ({config.frequency}): {len(planned)}")
-        for day in planned:
-            print(f"    {day.isoformat()}")
+        for day in np.datetime_as_string(planned).tolist():
+            print(f"    {day}")
     return status
 
 
@@ -378,9 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", help="override price-data directory")
         p.add_argument("--out-dir", help="override output directory")
         p.add_argument("--frequency", choices=REBALANCE_FREQUENCIES)
-        p.add_argument("--start", type=date.fromisoformat, metavar="YYYY-MM-DD")
-        p.add_argument("--split", type=date.fromisoformat, metavar="YYYY-MM-DD")
-        p.add_argument("--end", type=date.fromisoformat, metavar="YYYY-MM-DD")
+        p.add_argument("--start", metavar="YYYY-MM-DD")
+        p.add_argument("--split", metavar="YYYY-MM-DD")
+        p.add_argument("--end", metavar="YYYY-MM-DD")
         p.add_argument("--capital", type=float, dest="per_asset_capital",
                        help="capital per constituent")
         p.add_argument("--cost-rate", type=float, help="fraction of traded notional")

@@ -22,20 +22,22 @@ Alignment policy is strict date intersection: a panel's calendar contains
 exactly the days on which every constituent and the benchmark traded.  No
 forward-filling or imputation is performed.
 
+Dates are ``datetime64[D]`` arrays: ``PriceSeries.dates`` and
+``PricePanel.calendar``.  A panel's prices are one read-only
+(tickers x days) ``float64`` matrix, rows in sorted-ticker order.
+
 All types are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
 import json
 import logging
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
@@ -49,29 +51,42 @@ logger = logging.getLogger(__name__)
 PRICE_CSV_HEADER = ("date", "ticker", "adj_close")
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+DAY = np.dtype("datetime64[D]")
+
+
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-def _first_not_increasing(values: tuple):
-    """The first element not greater than its predecessor, or None."""
-    if all(map(operator.lt, values, values[1:])):
-        return None
-    return next(cur for prev, cur in zip(values, values[1:]) if cur <= prev)
+def _check_increasing(days: np.ndarray, error, what: str) -> None:
+    """Raise ``error`` naming the first day not after its predecessor."""
+    bad = np.flatnonzero(np.diff(days) <= 0)
+    if len(bad):
+        raise error(f"{what} not strictly increasing at {days[bad[0] + 1]}")
+
+
+class _ArrayRecord:
+    """Equality of dataclass records holding arrays: field by field, by value."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
-class PriceSeries:
+class PriceSeries(_ArrayRecord):
     """Validated daily adjusted-close series for one ticker."""
 
     ticker: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", _frozen(self.dates, DAY))
         object.__setattr__(self, "prices", _frozen(self.prices))
         if len(self.dates) != len(self.prices):
             raise ValidationError(
@@ -81,23 +96,12 @@ class PriceSeries:
             raise ValidationError(
                 f"{self.ticker}: need at least 2 observations, got {len(self.dates)}"
             )
-        bad = _first_not_increasing(self.dates)
-        if bad is not None:
-            raise ValidationError(f"{self.ticker}: dates not strictly increasing at {bad}")
+        _check_increasing(self.dates, ValidationError, f"{self.ticker}: dates")
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
             raise ValidationError(f"{self.ticker}: prices must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PriceSeries):
-            return NotImplemented
-        return (
-            self.ticker == other.ticker
-            and self.dates == other.dates
-            and np.array_equal(self.prices, other.prices)
-        )
 
 
 @dataclass(frozen=True)
@@ -125,40 +129,36 @@ class SectorManifest:
 
 
 @dataclass(frozen=True, eq=False)
-class PricePanel:
+class PricePanel(_ArrayRecord):
     """Constituent prices plus a benchmark on one shared trading calendar.
 
     Ticker order is canonical and enforced (sorted), so two panels built
     from the same series in any input order compare equal field for field.
+    Row i of ``prices`` is ``tickers[i]`` on every calendar day.
     """
 
-    calendar: tuple[date, ...]
+    calendar: np.ndarray
     tickers: tuple[str, ...]
-    columns: dict[str, np.ndarray]
+    prices: np.ndarray
     benchmark: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "calendar", tuple(self.calendar))
+        object.__setattr__(self, "calendar", _frozen(self.calendar, DAY))
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(
-            self, "columns", {t: _frozen(v) for t, v in self.columns.items()}
-        )
+        object.__setattr__(self, "prices", _frozen(self.prices))
         object.__setattr__(self, "benchmark", _frozen(self.benchmark))
         n = len(self.calendar)
         if n < 2:
             raise ValidationError(f"panel calendar too short ({n} days)")
-        bad = _first_not_increasing(self.calendar)
-        if bad is not None:
-            raise ValidationError(f"panel calendar not strictly increasing at {bad}")
-        if tuple(self.columns) != self.tickers:
-            raise ValidationError("panel columns do not match ticker order")
+        _check_increasing(self.calendar, ValidationError, "panel calendar")
         if list(self.tickers) != sorted(self.tickers):
             raise ValidationError("panel tickers are not sorted")
-        for ticker, col in self.columns.items():
-            if len(col) != n:
-                raise ValidationError(f"column {ticker!r} length {len(col)} != {n}")
-            if not np.all(np.isfinite(col)) or np.any(col <= 0.0):
-                raise ValidationError(f"column {ticker!r} has non-positive prices")
+        if self.prices.shape != (len(self.tickers), n):
+            raise ValidationError(
+                f"prices shape {self.prices.shape} != ({len(self.tickers)}, {n})")
+        bad = ~(np.isfinite(self.prices) & (self.prices > 0.0)).all(axis=1)
+        if bad.any():
+            raise ValidationError(f"{self.tickers[bad.argmax()]!r} has non-positive prices")
         if len(self.benchmark) != n:
             raise ValidationError("benchmark length does not match calendar")
         if not np.all(np.isfinite(self.benchmark)) or np.any(self.benchmark <= 0.0):
@@ -166,16 +166,6 @@ class PricePanel:
 
     def __len__(self) -> int:
         return len(self.calendar)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PricePanel):
-            return NotImplemented
-        return (
-            self.calendar == other.calendar
-            and self.tickers == other.tickers
-            and all(np.array_equal(self.columns[t], other.columns[t]) for t in self.tickers)
-            and np.array_equal(self.benchmark, other.benchmark)
-        )
 
 
 class _PriceFile(NamedTuple):
@@ -207,9 +197,6 @@ _DATE_SPAN = np.frombuffer(b"\t\t\t\t\0\t\t\0\t\t".ljust(16, b"\0"), dtype=np.ui
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], dtype=np.int32)
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, dtype=np.int32) - _MONTH_DAYS
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64
-# One date object per day across every file a process reads: the day with
-# ordinal first + i is days[i], over the span of days read so far.
-_shared: tuple[int, np.ndarray] = (0, np.empty(0, dtype=object))
 
 
 def _text(cell: bytes) -> str:
@@ -234,18 +221,16 @@ def _iso_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, ordinal + (leap & (month > 2)), 1), ok
 
 
-def _shared_days(ordinals: np.ndarray) -> tuple[date, ...]:
-    global _shared
-    first, days = _shared  # read once: a concurrent update replaces both
-    lo = min(int(ordinals.min()), first) if len(days) else int(ordinals.min())
-    hi = max(int(ordinals.max()) + 1, first + len(days))
-    if hi - lo > 1 << 16:  # over 179 years: too wide a span to keep
-        return tuple((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]").tolist())
-    if hi - lo > len(days):
-        grown = (np.arange(lo, hi) - _EPOCH_ORDINAL).astype("datetime64[D]").astype(object)
-        grown[first - lo:first - lo + len(days)] = days
-        first, days = _shared = lo, grown
-    return tuple(days[ordinals - first].tolist())
+def iso_day(text) -> np.datetime64:
+    """The day a YYYY-MM-DD string names, by the price-file date grammar.
+
+    Raises ValueError for any other value.
+    """
+    plain = isinstance(text, str) and len(text) == 10 and text.isascii()
+    ordinal, ok = _iso_ordinals(np.array([text.encode() if plain else b""]))
+    if not ok[0]:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return np.datetime64(int(ordinal[0]) - _EPOCH_ORDINAL, "D")
 
 
 def _float(cell: bytes) -> float | None:
@@ -357,6 +342,7 @@ def _parse_price_file(path: Path) -> _PriceFile:
     order = np.flatnonzero(good)
     if (np.diff(key[order]) <= 0).any():
         order = order[np.argsort(key[order], kind="stable")]
+    days = (ordinal - _EPOCH_ORDINAL).astype(DAY)
     bad = ~good
     bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # a repeated day
     series: dict[str, PriceSeries | RebalError] = {}
@@ -372,8 +358,7 @@ def _parse_price_file(path: Path) -> _PriceFile:
             exc = ValidationError(
                 f"{path}:{line}: non-positive price {_text(prices[row])} for {ticker}")
         else:
-            day = date.fromordinal(int(ordinal[row])).isoformat()
-            exc = ValidationError(f"{path}:{line}: duplicate date {day} for {ticker}")
+            exc = ValidationError(f"{path}:{line}: duplicate date {days[row]} for {ticker}")
         series[ticker] = exc
     if error is not None:
         return _PriceFile(series, error)
@@ -383,7 +368,7 @@ def _parse_price_file(path: Path) -> _PriceFile:
         ticker = names[tid[rows[0]]]
         if ticker not in series:
             try:
-                series[ticker] = PriceSeries(ticker, _shared_days(ordinal[rows]), value[rows])
+                series[ticker] = PriceSeries(ticker, days[rows], value[rows])
             except ValidationError as exc:
                 series[ticker] = exc
     return _PriceFile(series, None)
@@ -445,10 +430,6 @@ def load_sector_manifest(path) -> SectorManifest:
     return SectorManifest(str(raw["sector"]), tuple(raw["tickers"]), str(raw["benchmark"]))
 
 
-def _ordinals(days) -> np.ndarray:
-    return np.fromiter(map(date.toordinal, days), dtype=np.int64, count=len(days))
-
-
 def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel:
     """Intersect all date sets and restrict every column to that calendar.
 
@@ -462,35 +443,30 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
     if len(set(tickers)) != len(tickers):
         raise ValidationError(f"duplicate tickers in alignment input: {tickers}")
 
-    all_series = list(series) + [benchmark]
-    date_sets = {s.ticker: frozenset(s.dates) for s in all_series}
-    shared = frozenset.intersection(*date_sets.values())
-    if len(shared) < 2:
-        offenders = []
-        for s in all_series:
-            others = [d for t, d in date_sets.items() if t != s.ticker]
-            if len(frozenset.intersection(*others)) >= 2:
-                offenders.append(s.ticker)
-        names = ", ".join(sorted(offenders)) if offenders else ", ".join(sorted(date_sets))
+    all_series = sorted(series, key=lambda s: s.ticker) + [benchmark]
+    n = len(all_series)
+    days = np.concatenate([s.dates for s in all_series]).view(np.int64)
+    first = days.min()
+    days -= first
+    # each series holds a day at most once, so a count of n means all hold it
+    counts = np.bincount(days)
+    calendar = (np.flatnonzero(counts == n) + first).astype(DAY)
+    if len(calendar) < 2:
+        # a series is an offender if the days all the others share number 2
+        # or more: the shared days plus the days only it lacks
+        near = (np.flatnonzero(counts == n - 1) + first).astype(DAY)
+        offenders = [s.ticker for s in all_series
+                     if len(calendar) + len(np.setdiff1d(near, s.dates)) >= 2]
+        names = sorted(offenders or {s.ticker for s in all_series})
         raise AlignmentError(
-            f"fewer than 2 shared trading days across inputs (offending tickers: {names})"
+            f"fewer than 2 shared trading days across inputs (offending tickers: "
+            f"{', '.join(names)})"
         )
-
-    calendar = tuple(sorted(shared))
-    calendar_days = _ordinals(calendar)
-
-    def restrict(s: PriceSeries) -> np.ndarray:
-        # both date lists are sorted and every calendar day is in s.dates
-        return s.prices[np.searchsorted(_ordinals(s.dates), calendar_days)]
-
-    ordered = sorted(series, key=lambda s: s.ticker)
-    columns = {s.ticker: restrict(s) for s in ordered}
-    panel = PricePanel(
-        calendar=calendar,
-        tickers=tuple(s.ticker for s in ordered),
-        columns=columns,
-        benchmark=restrict(benchmark),
-    )
+    # every series is sorted, so its shared days come in calendar order
+    shared = counts[days] == n
+    prices = np.concatenate([s.prices for s in all_series])[shared].reshape(n, -1)
+    panel = PricePanel(calendar, tuple(s.ticker for s in all_series[:-1]),
+                       prices[:-1], prices[-1])
     logger.debug(
         "aligned %d tickers onto %d shared days (%s..%s)",
         len(tickers), len(calendar), calendar[0], calendar[-1],
@@ -498,12 +474,12 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
     return panel
 
 
-def clip_panel(panel: PricePanel, start: date, end: date) -> PricePanel:
+def clip_panel(panel: PricePanel, start, end) -> PricePanel:
     """Restrict a panel's calendar to [start, end] inclusive."""
+    start, end = np.datetime64(start, "D"), np.datetime64(end, "D")
     if start > end:
         raise WindowError(f"start {start} after end {end}")
-    lo = bisect.bisect_left(panel.calendar, start)
-    hi = bisect.bisect_right(panel.calendar, end)
+    lo, hi = np.searchsorted(panel.calendar, [start, end + 1])
     if hi - lo < 2:
         raise WindowError(
             f"window {start}..{end} leaves {hi - lo} trading days (need at least 2)"
@@ -511,6 +487,6 @@ def clip_panel(panel: PricePanel, start: date, end: date) -> PricePanel:
     return PricePanel(
         calendar=panel.calendar[lo:hi],
         tickers=panel.tickers,
-        columns={t: v[lo:hi] for t, v in panel.columns.items()},
+        prices=panel.prices[:, lo:hi],
         benchmark=panel.benchmark[lo:hi],
     )

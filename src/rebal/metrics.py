@@ -91,8 +91,6 @@ METRIC_NAMES: tuple[str, ...] = tuple(
 
 
 def _values(returns: ReturnSeries) -> np.ndarray:
-    if returns.kind != "simple":
-        raise DomainError("metric expects simple returns, got log returns")
     if len(returns) == 0:
         raise DomainError("empty return series")
     return returns.values
@@ -288,7 +286,7 @@ def alpha_beta(
     Returns (alpha_annual, beta) where beta is the sample-covariance slope
     and alpha is the daily intercept compounded over one year.
     """
-    if portfolio.dates != benchmark.dates:
+    if not np.array_equal(portfolio.dates, benchmark.dates):
         raise AlignmentError("portfolio and benchmark dates differ")
     rp = _values(portfolio) - cfg.risk_free_daily
     rb = _values(benchmark) - cfg.risk_free_daily
@@ -330,7 +328,7 @@ def tear_sheet(
     drawdown, overflow, ...) or not finite come back as None; domain
     errors (too few observations, misaligned benchmark) propagate.
     """
-    if portfolio.dates != benchmark.dates:
+    if not np.array_equal(portfolio.dates, benchmark.dates):
         raise AlignmentError("portfolio and benchmark dates differ")
     r = _values(portfolio)
 

@@ -23,19 +23,20 @@ covers it.  Holdings change only on schedule dates.  Trades execute at
 the same closing price used for marking, and residual cash earns
 nothing, so with a zero cost rate portfolio value is exactly continuous
 across a rebalance.
+
+Calendars and schedules are ``datetime64[D]`` arrays; holdings and
+weights are (tickers x days) matrices, rows in the panel's ticker order.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
 from .errors import AllocationError, DomainError, InsolvencyError
-from .market_data import PricePanel
+from .market_data import DAY, PricePanel
 
 logger = logging.getLogger(__name__)
 
@@ -81,19 +82,21 @@ class RebalancePolicy:
 class BacktestResult:
     """Full daily state of one backtest.
 
-    ``value[t] = sum_i shares[i][t] * price[i][t] + cash[t]`` on every day;
+    ``value[t] = sum_i shares[i, t] * price[i, t] + cash[t]`` on every day;
     share vectors are piecewise constant and change only on
-    ``rebalance_dates``.  ``shares`` and ``weights`` map each ticker to its
-    row of one (tickers x days) matrix.
+    ``rebalance_dates``.  ``shares`` (``int64``) and ``weights``
+    (``float64``) are (tickers x days) matrices whose row i is
+    ``tickers[i]``; ``calendar`` and ``rebalance_dates`` are
+    ``datetime64[D]`` arrays.
     """
 
-    calendar: tuple[date, ...]
+    calendar: np.ndarray
     tickers: tuple[str, ...]
     value: np.ndarray
-    weights: dict[str, np.ndarray]
-    shares: dict[str, np.ndarray]
+    weights: np.ndarray
+    shares: np.ndarray
     cash: np.ndarray
-    rebalance_dates: tuple[date, ...]
+    rebalance_dates: np.ndarray
     initial_capital: float
 
 
@@ -151,47 +154,32 @@ def allocate(
     return shares, cash
 
 
-def rebalance_dates(calendar, frequency: str) -> list[date]:
-    """Schedule dates for a trading calendar under one frequency.
+def rebalance_dates(calendar, frequency: str) -> np.ndarray:
+    """Schedule dates for a strictly increasing trading calendar under one
+    frequency, as a ``datetime64[D]`` array.
 
     The first calendar day is never included.
     """
-    calendar = list(calendar)
-    if not calendar:
+    calendar = np.asarray(calendar, dtype=DAY)
+    if not len(calendar):
         raise DomainError("empty calendar")
     if frequency not in REBALANCE_FREQUENCIES:
         raise DomainError(f"unknown rebalance frequency {frequency!r}")
     if frequency == "never":
-        return []
+        return calendar[:0]
     if frequency == "daily":
         return calendar[1:]
     if frequency == "monthly":
-        first_of_month: dict[tuple[int, int], date] = {}
-        for day in calendar:
-            first_of_month.setdefault((day.year, day.month), day)
-        start_month = (calendar[0].year, calendar[0].month)
-        return [d for key, d in sorted(first_of_month.items()) if key != start_month]
-    # yearly: first trading day on/after each anniversary of the start date
-    start = calendar[0]
-    out: list[date] = []
-    year = start.year + 1
-    while True:
-        anniversary = _anniversary(start, year)
-        if anniversary > calendar[-1]:
-            break
-        idx = bisect.bisect_left(calendar, anniversary)
-        day = calendar[idx]
-        if not out or day != out[-1]:
-            out.append(day)
-        year += 1
-    return out
-
-
-def _anniversary(start: date, year: int) -> date:
-    try:
-        return start.replace(year=year)
-    except ValueError:  # Feb 29 in a non-leap year
-        return date(year, 3, 1)
+        months = calendar.astype("datetime64[M]")
+        return calendar[1:][months[1:] != months[:-1]]
+    # yearly: first trading day on/after each anniversary of the start date;
+    # a Feb 29 start is 28 days after Feb 1, which is Mar 1 in a common year
+    start_month = calendar[0].astype("datetime64[M]")
+    offset = calendar[0] - start_month.astype(DAY)
+    years = int(calendar[-1].astype("datetime64[Y]") - start_month.astype("datetime64[Y]"))
+    anniversaries = (start_month + 12 * np.arange(1, years + 1)).astype(DAY) + offset
+    anniversaries = anniversaries[anniversaries <= calendar[-1]]
+    return calendar[np.unique(np.searchsorted(calendar, anniversaries))]
 
 
 def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) -> BacktestResult:
@@ -209,9 +197,9 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
         )
 
     n_days = len(panel.calendar)
-    applied = tuple(rebalance_dates(panel.calendar, policy.frequency))
-    bounds = [0] + [bisect.bisect_left(panel.calendar, day) for day in applied] + [n_days]
-    prices = np.stack([panel.columns[t] for t in panel.tickers])
+    applied = rebalance_dates(panel.calendar, policy.frequency)
+    bounds = [0, *np.searchsorted(panel.calendar, applied).tolist(), n_days]
+    prices = panel.prices
     shares = np.empty(prices.shape, dtype=np.int64)
     cash = np.empty(n_days, dtype=np.float64)
 
@@ -239,8 +227,8 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
         calendar=panel.calendar,
         tickers=panel.tickers,
         value=value,
-        weights=dict(zip(panel.tickers, weights)),
-        shares=dict(zip(panel.tickers, shares)),
+        weights=weights,
+        shares=shares,
         cash=cash,
         rebalance_dates=applied,
         initial_capital=plan.total_capital,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +123,7 @@ def _write_table(path: Path, header: list[str], line: str, rows) -> None:
 def emit_plot_data(
     result: BacktestResult,
     benchmark_cum: np.ndarray,
-    split_date: date,
+    split_date,
     out_dir,
 ) -> dict[str, Path]:
     """Write the four per-portfolio plot datasets and return the manifest.
@@ -141,7 +140,7 @@ def emit_plot_data(
             f"{len(result.calendar)}"
         )
     tickers = list(result.tickers)
-    dates = [day.isoformat() for day in result.calendar]
+    dates = np.datetime_as_string(result.calendar).tolist()
     manifest = {kind: out_dir / f"{kind}.csv"
                 for kind in ("shares", "weights", "cumulative", "distributions")}
 
@@ -149,15 +148,15 @@ def emit_plot_data(
     # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
     n = len(tickers)
     for kind, cell, matrix in (
-        ("shares", ",%d", np.array([result.shares[t] for t in tickers])),
-        ("weights", ",%.12g", np.array([result.weights[t] for t in tickers]) + 0.0),
+        ("shares", ",%d", result.shares),
+        ("weights", ",%.12g", result.weights + 0.0),
     ):
         _write_table(manifest[kind], ["date"] + tickers, "%s" + cell * n + "\n",
                      ((day, *row) for day, row in zip(dates, matrix.T.tolist())))
 
     portfolio_cum = result.value / result.value[0] - 1.0
-    segments = ["in_sample" if day < split_date else "out_of_sample"
-                for day in result.calendar]
+    segments = np.where(result.calendar < np.datetime64(split_date, "D"),
+                        "in_sample", "out_of_sample").tolist()
     _write_table(
         manifest["cumulative"], ["date", "portfolio_cum", "benchmark_cum", "segment"],
         "%s,%.12g,%.12g,%s\n",

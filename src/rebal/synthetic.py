@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
+
+from .market_data import DAY, iso_day
 
 SECTORS = (
     ("auto", "AUTO"),
@@ -39,16 +41,11 @@ DEFAULT_END = date(2023, 9, 20)
 DEFAULT_SEED = 20210104
 
 
-def business_days(start: date, end: date) -> list[date]:
-    """Mondays through Fridays in [start, end], no holiday calendar."""
-    days = []
-    day = start
-    one = timedelta(days=1)
-    while day <= end:
-        if day.weekday() < 5:
-            days.append(day)
-        day += one
-    return days
+def business_days(start, end) -> np.ndarray:
+    """Mondays through Fridays in [start, end] as ``datetime64[D]``, no
+    holiday calendar."""
+    days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
+    return days[np.is_busday(days)]
 
 
 def _random_walk(rng: np.random.Generator, n: int, start_price: float,
@@ -59,16 +56,16 @@ def _random_walk(rng: np.random.Generator, n: int, start_price: float,
 
 
 def write_price_csv(path: Path, ticker: str, days, prices) -> None:
+    dates = np.datetime_as_string(np.asarray(days, dtype=DAY)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("date,ticker,adj_close\n")
-        for day, price in zip(days, prices):
-            fh.write(f"{day.isoformat()},{ticker},{price:.2f}\n")
+        fh.writelines(f"{day},{ticker},{price:.2f}\n" for day, price in zip(dates, prices))
 
 
 def generate_universe(
     root,
-    start: date = DEFAULT_START,
-    end: date = DEFAULT_END,
+    start=DEFAULT_START,
+    end=DEFAULT_END,
     seed: int = DEFAULT_SEED,
     n_sectors: int = 10,
     tickers_per_sector: int = 10,
@@ -116,8 +113,8 @@ def generate_universe(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory to create data/ and manifests/ in")
-    parser.add_argument("--start", type=date.fromisoformat, default=DEFAULT_START)
-    parser.add_argument("--end", type=date.fromisoformat, default=DEFAULT_END)
+    parser.add_argument("--start", type=iso_day, default=DEFAULT_START)
+    parser.add_argument("--end", type=iso_day, default=DEFAULT_END)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--sectors", type=int, default=10)
     parser.add_argument("--tickers", type=int, default=10)

@@ -6,8 +6,9 @@ calendar day, marks a dict ledger to market with Python's left-to-right
 ``sum``, and rebalances on schedule dates.  Tests compare the array engine
 against it for exact (bitwise) equality.
 
-Only the schedule comes from ``rebal.portfolio``; everything else is
-restated here so that a change to the engine cannot change its judge.
+The schedule comes from the per-day loop in ``calendar_oracle``; nothing
+comes from ``rebal.portfolio``, so that a change to the engine cannot
+change its judge.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from datetime import date
 
 import numpy as np
 
+from calendar_oracle import rebalance_dates
 from rebal.errors import AllocationError, InsolvencyError
-from rebal.portfolio import rebalance_dates
 
 
 @dataclass
@@ -96,16 +97,17 @@ def rebalance(ledger: Ledger, prices: dict[str, float], cost_rate: float) -> Led
 def run_backtest(panel, per_asset_capital: float, frequency: str,
                  cost_rate: float = 0.0) -> OracleResult:
     """Day-by-day simulation over ``panel`` (a rebal PricePanel)."""
-    n_days = len(panel.calendar)
-    schedule = set(rebalance_dates(panel.calendar, frequency))
+    calendar = panel.calendar.tolist()
+    n_days = len(calendar)
+    schedule = set(rebalance_dates(calendar, frequency))
     value = np.empty(n_days)
     cash = np.empty(n_days)
     shares = {t: np.empty(n_days, dtype=np.int64) for t in panel.tickers}
     weights = {t: np.empty(n_days) for t in panel.tickers}
     ledger = None
     applied = []
-    for i, day in enumerate(panel.calendar):
-        prices = {t: float(panel.columns[t][i]) for t in panel.tickers}
+    for i, day in enumerate(calendar):
+        prices = {t: float(row[i]) for t, row in zip(panel.tickers, panel.prices)}
         if i == 0:
             ledger = initial_allocation(prices, per_asset_capital)
         elif day in schedule:

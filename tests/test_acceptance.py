@@ -124,7 +124,7 @@ def _random_panel(rng) -> PricePanel:
         base = business_days(date(2021, 1, 4), date(2023, 9, 20))
         size = int(rng.integers(40, 130))
         keep = sorted(rng.choice(len(base), size=size, replace=False))
-        days = tuple(base[i] for i in keep)
+        days = base[keep]
     else:
         start = date(2021, 1, 4)
         days = trading_days(int(rng.integers(5, 90)), start)
@@ -139,7 +139,7 @@ def _random_panel(rng) -> PricePanel:
     return PricePanel(
         calendar=days,
         tickers=tickers,
-        columns={t: columns[t] for t in tickers},
+        prices=np.array([columns[t] for t in tickers]),
         benchmark=1000.0 * np.cumprod(1.0 + random_returns(rng, n, sigma=0.02)),
     )
 
@@ -156,24 +156,23 @@ def test_criterion_3_value_conservation():
         policy = RebalancePolicy(frequencies[trial % 4], cost_rate=0.0)
         result = run_backtest(panel, plan, policy)
 
-        day_index = {d: i for i, d in enumerate(panel.calendar)}
+        day_index = {d: i for i, d in enumerate(panel.calendar.tolist())}
         assert np.all(result.cash >= 0.0)
-        for t in panel.tickers:
-            assert result.shares[t].dtype == np.int64
-            assert np.all(result.shares[t] >= 0)
+        assert result.shares.dtype == np.int64
+        assert np.all(result.shares >= 0)
 
-        checkpoints = [panel.calendar[0]] + list(result.rebalance_dates)
+        checkpoints = [panel.calendar[0].item()] + result.rebalance_dates.tolist()
         for day in checkpoints:
             i = day_index[day]
-            price_sum = sum(panel.columns[t][i] for t in panel.tickers)
+            price_sum = sum(panel.prices[k][i] for k in range(len(panel.tickers)))
             assert 0.0 <= result.cash[i] < price_sum, (
                 f"trial {trial}: cash {result.cash[i]} outside [0, {price_sum})"
             )
 
-        for day in result.rebalance_dates:
+        for day in result.rebalance_dates.tolist():
             i = day_index[day]
             pre_trade = sum(
-                result.shares[t][i - 1] * panel.columns[t][i] for t in panel.tickers
+                result.shares[k][i - 1] * panel.prices[k][i] for k in range(len(panel.tickers))
             ) + result.cash[i - 1]
             assert rel_close(result.value[i], pre_trade, 1e-9), (
                 f"trial {trial}: value jumped {pre_trade} -> {result.value[i]}"

@@ -312,8 +312,8 @@ class TestNeverHalfWrite:
 
             def nan_weight(*args):
                 result = real(*args)
-                weights = {t: w.copy() for t, w in result.weights.items()}
-                weights[result.tickers[-1]][-1] = float("nan")
+                weights = result.weights.copy()
+                weights[-1, -1] = float("nan")
                 return dataclasses.replace(result, weights=weights)
 
             monkeypatch.setattr(rebal.cli, "run_backtest", nan_weight)
@@ -532,6 +532,45 @@ class TestConfigBoundary:
         assert match in err
         assert "Traceback" not in err
         assert not (root / "out").exists()
+
+    # Only YYYY-MM-DD, as in price files: date.fromisoformat takes the first
+    # two from Python 3.11 on, which would make a config's meaning depend on
+    # the interpreter.
+    @pytest.mark.parametrize("key, value", [
+        ("start", "20210104"), ("split", "2021-W05-1"), ("end", "2021-2-26"),
+        ("end", "2021-02-26T00:00"), ("start", 20210104), ("split", None),
+    ])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_config_date_follows_price_file_grammar(self, small_universe, capsys,
+                                                     command, key, value):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests, **{key: value})
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad date for {key!r}: {value!r}" in err
+        assert "Traceback" not in err
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--start", "2021-W01-2"), ("--split", "20210201"), ("--end", "2021-02-30"),
+    ])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_flag_date_follows_price_file_grammar(self, small_universe, capsys,
+                                                   command, flag, value):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        assert main([command, "--config", str(config), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"bad date for {flag[2:]!r}: {value!r}" in err
+        assert "Traceback" not in err
+        assert not (root / "out").exists()
+
+    def test_flag_dates_override_config(self, small_universe, capsys):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        args = ["--start", "2021-01-11", "--split", "2021-01-25", "--end", "2021-02-19"]
+        assert main(["validate", "--config", str(config), *args]) == 0
+        assert "calendar 2021-01-11..2021-02-19 (30 trading days)" in capsys.readouterr().out
 
     def test_risk_free_nan_in_json_writes_nothing(self, small_universe, capsys):
         root, data_dir, manifests = small_universe

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import parse_oracle
 from rebal.errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
 from rebal.market_data import (
+    PricePanel,
     PriceSeries,
     align_panel,
     clip_panel,
@@ -32,7 +33,7 @@ def write_csv(path, rows, header="date,ticker,adj_close"):
 def make_series(ticker, days, prices=None):
     if prices is None:
         prices = [100.0 + i for i in range(len(days))]
-    return PriceSeries(ticker, tuple(days), prices)
+    return PriceSeries(ticker, days, prices)
 
 
 class TestLoadPriceSeries:
@@ -41,7 +42,7 @@ class TestLoadPriceSeries:
                          ["2021-01-04,AAA,100.0", "2021-01-05,AAA,101.0"])
         series = load_price_series(path, "AAA")
         assert len(series) == 2
-        assert series.dates == (date(2021, 1, 4), date(2021, 1, 5))
+        assert series.dates.tolist() == [date(2021, 1, 4), date(2021, 1, 5)]
         assert series.prices.tolist() == [100.0, 101.0]
 
     def test_negative_price_names_offending_line(self, tmp_path):
@@ -65,6 +66,16 @@ class TestLoadPriceSeries:
                          ["2021-01-04,AAA,100.0", "2021-01-04,AAA,100.5"])
         with pytest.raises(ValidationError, match="duplicate date"):
             load_price_series(path, "AAA")
+
+    def test_out_of_order_dates_name_the_first_bad_day(self):
+        # datetime64 days print as date.isoformat() does, years below 1000 too
+        days = np.array(["0999-01-02", "0999-01-03", "0999-01-01"], dtype="datetime64[D]")
+        with pytest.raises(ValidationError,
+                           match="^AAA: dates not strictly increasing at 0999-01-01$"):
+            PriceSeries("AAA", days, [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError,
+                           match="^panel calendar not strictly increasing at 0999-01-03$"):
+            PricePanel(days[[0, 1, 1]], ("AAA",), [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0])
 
     def test_malformed_rows_report_line_numbers(self, tmp_path):
         bad_date = write_csv(tmp_path / "d.csv",
@@ -211,12 +222,6 @@ class TestOnePassParsing:
             with pytest.raises(ParseError, match=r"prices\.csv:1: bad header"):
                 load_price_series(path, ticker, parsed=parsed)
 
-    def test_dates_shared_across_files(self, tmp_path):
-        rows = ["2021-01-04,AAA,100.0", "2021-01-05,AAA,101.0"]
-        a = load_price_series(write_csv(tmp_path / "a.csv", rows), "AAA")
-        b = load_price_series(write_csv(tmp_path / "b.csv", rows), "AAA")
-        assert all(x is y for x, y in zip(a.dates, b.dates))
-
 
 # Cells the generated price files draw from, good ones weighted up so that
 # most tickers keep a series.  Bad dates and prices cover every kind the row
@@ -280,7 +285,7 @@ def _outcome(load, path, ticker, parsed):
         series = load(path, ticker, parsed=parsed)
     except RebalError as exc:
         return type(exc), str(exc)
-    return series.ticker, series.dates, series.prices.tolist()
+    return series.ticker, series.dates.tolist(), series.prices.tolist()
 
 
 class TestMatchesRowParser:
@@ -375,9 +380,9 @@ class TestAlignPanel:
         b = make_series("BBB", days)
         bench = make_series("IX", days)
         panel = align_panel([a, b], bench)
-        assert panel.calendar == days
+        np.testing.assert_array_equal(panel.calendar, days)
         assert panel.tickers == ("AAA", "BBB")
-        np.testing.assert_array_equal(panel.columns["AAA"], a.prices)
+        np.testing.assert_array_equal(panel.prices[0], a.prices)
 
     def test_intersection_by_hand(self):
         d1, d2, d3, d4 = (date(2021, 3, 1), date(2021, 3, 2),
@@ -386,9 +391,8 @@ class TestAlignPanel:
         b = make_series("BBB", [d2, d3, d4], [20.0, 21.0, 22.0])
         bench = make_series("IX", [d1, d2, d3, d4], [1.0, 2.0, 3.0, 4.0])
         panel = align_panel([a, b], bench)
-        assert panel.calendar == (d2, d3)
-        assert panel.columns["AAA"].tolist() == [11.0, 12.0]
-        assert panel.columns["BBB"].tolist() == [20.0, 21.0]
+        assert panel.calendar.tolist() == [d2, d3]
+        assert panel.prices.tolist() == [[11.0, 12.0], [20.0, 21.0]]  # AAA, BBB
         assert panel.benchmark.tolist() == [2.0, 3.0]
 
     def test_zero_shared_dates_names_offender(self):
@@ -407,7 +411,7 @@ class TestAlignPanel:
         series = []
         for name in names:
             keep = sorted(rng.choice(30, size=20, replace=False))
-            series.append(make_series(name, [days[i] for i in keep],
+            series.append(make_series(name, days[keep],
                                       rng.uniform(10, 500, size=20).tolist()))
         bench = make_series("IX", days)
         base = align_panel(series, bench)
@@ -425,10 +429,10 @@ class TestAlignPanel:
                 size = int(rng.integers(40, 120))
                 keep = sorted(rng.choice(120, size=size, replace=False))
                 series.append(make_series(
-                    f"T{k}", [days[i] for i in keep],
+                    f"T{k}", days[keep],
                     rng.uniform(1, 1000, size=size).tolist()))
             keep = sorted(rng.choice(120, size=int(rng.integers(40, 120)), replace=False))
-            bench = make_series("IX", [days[i] for i in keep],
+            bench = make_series("IX", days[keep],
                                 rng.uniform(1, 1000, size=len(keep)).tolist())
             try:
                 panel = align_panel(series, bench)
@@ -437,10 +441,10 @@ class TestAlignPanel:
             n = len(panel.calendar)
             assert n >= 2
             assert all(x < y for x, y in zip(panel.calendar, panel.calendar[1:]))
-            assert all(len(panel.columns[t]) == n for t in panel.tickers)
+            assert panel.prices.shape == (len(panel.tickers), n)
             assert len(panel.benchmark) == n
-            shared = set.intersection(*(set(s.dates) for s in series + [bench]))
-            assert set(panel.calendar) == shared
+            shared = set.intersection(*(set(s.dates.tolist()) for s in series + [bench]))
+            assert set(panel.calendar.tolist()) == shared
 
     def test_duplicate_tickers_rejected(self):
         days = trading_days(4)
@@ -465,7 +469,7 @@ class TestClipPanel:
         panel = self.make_panel(10)
         clipped = clip_panel(panel, panel.calendar[2], panel.calendar[6])
         assert len(clipped) == 5
-        assert clipped.calendar == panel.calendar[2:7]
+        np.testing.assert_array_equal(clipped.calendar, panel.calendar[2:7])
 
     def test_degenerate_window_rejected(self):
         panel = self.make_panel()
@@ -486,6 +490,8 @@ class TestClipPanel:
     def test_panel_arrays_are_immutable(self):
         panel = self.make_panel()
         with pytest.raises(ValueError):
-            panel.columns["AAA"][0] = 1.0
+            panel.prices[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            panel.calendar[0] = panel.calendar[1]
         with pytest.raises(ValueError):
             panel.benchmark[0] = 1.0

@@ -5,11 +5,14 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+import calendar_oracle
 import engine_oracle
 from rebal.errors import AllocationError, DomainError, InsolvencyError
 from rebal.market_data import PricePanel
 from rebal.portfolio import (
+    REBALANCE_FREQUENCIES,
     CapitalPlan,
     RebalancePolicy,
     allocate,
@@ -18,18 +21,18 @@ from rebal.portfolio import (
 )
 from rebal.synthetic import business_days
 
-from conftest import random_returns, trading_days
+from conftest import calendars, random_returns, trading_days
 
 
 def make_panel(columns: dict[str, list[float]], days=None, benchmark=None):
     n = len(next(iter(columns.values())))
-    days = days or trading_days(n)
+    days = trading_days(n) if days is None else days
     benchmark = benchmark or [1000.0 + i for i in range(n)]
     tickers = tuple(sorted(columns))
     return PricePanel(
         calendar=days,
         tickers=tickers,
-        columns={t: np.asarray(columns[t], dtype=float) for t in tickers},
+        prices=np.array([columns[t] for t in tickers], dtype=float),
         benchmark=benchmark,
     )
 
@@ -91,7 +94,7 @@ class TestInitialAllocation:
     def test_lexicographic_tie_break(self):
         panel = make_panel({"B": [7_800.0] * 2, "A": [7_800.0] * 2})
         result = run_backtest(panel, CapitalPlan(100_000.0, 2), RebalancePolicy("never"))
-        assert {t: int(result.shares[t][0]) for t in ("B", "A")} == {"B": 13, "A": 12}
+        assert dict(zip(result.tickers, result.shares[:, 0].tolist())) == {"B": 13, "A": 12}
 
     def test_value_is_conserved(self):
         plan = CapitalPlan(100_000.0, 3)
@@ -114,33 +117,27 @@ class TestInitialAllocation:
 
 class TestRebalanceDates:
     def test_never_is_empty(self):
-        assert rebalance_dates(trading_days(500), "never") == []
+        assert rebalance_dates(trading_days(500), "never").tolist() == []
 
     def test_daily_is_every_day_after_the_first(self):
         days = trading_days(10)
-        assert rebalance_dates(days, "daily") == list(days[1:])
+        assert rebalance_dates(days, "daily").tolist() == days[1:].tolist()
 
     def test_yearly_study_calendar_has_two_anniversaries(self):
-        from rebal.synthetic import business_days
-
         days = business_days(date(2021, 1, 4), date(2023, 9, 20))
         planned = rebalance_dates(days, "yearly")
-        assert planned == [date(2022, 1, 4), date(2023, 1, 4)]
+        assert planned.tolist() == [date(2022, 1, 4), date(2023, 1, 4)]
 
     def test_yearly_skips_to_next_trading_day(self):
         # anniversary lands on a weekend: 2022-01-01/02; start Jan 1 2021 (Fri)
-        from rebal.synthetic import business_days
-
         days = business_days(date(2021, 1, 1), date(2022, 3, 1))
         planned = rebalance_dates(days, "yearly")
-        assert planned == [date(2022, 1, 3)]  # first Monday on/after Jan 1
+        assert planned.tolist() == [date(2022, 1, 3)]  # first Monday on/after Jan 1
 
     def test_monthly_march_to_may(self):
-        from rebal.synthetic import business_days
-
         days = business_days(date(2021, 3, 10), date(2021, 5, 31))
         planned = rebalance_dates(days, "monthly")
-        assert planned == [date(2021, 4, 1), date(2021, 5, 3)]
+        assert planned.tolist() == [date(2021, 4, 1), date(2021, 5, 3)]
 
     def test_start_day_never_included(self):
         days = trading_days(300)
@@ -155,10 +152,10 @@ class TestRebalanceDates:
         for _ in range(20):
             size = int(rng.integers(50, 700))
             keep = sorted(rng.choice(len(base), size=size, replace=False))
-            days = tuple(base[i] for i in keep)
-            daily = set(rebalance_dates(days, "daily"))
-            monthly = rebalance_dates(days, "monthly")
-            yearly = rebalance_dates(days, "yearly")
+            days = base[keep].tolist()
+            daily = set(rebalance_dates(days, "daily").tolist())
+            monthly = rebalance_dates(days, "monthly").tolist()
+            yearly = rebalance_dates(days, "yearly").tolist()
             assert set(monthly) <= daily
             assert set(yearly) <= daily
             monthly_months = {(d.year, d.month) for d in monthly}
@@ -170,15 +167,23 @@ class TestRebalanceDates:
             assert len(yearly) <= max(1, len(monthly))
 
     def test_feb_29_anniversary_falls_through_to_march(self):
-        from rebal.synthetic import business_days
-
         days = business_days(date(2024, 2, 29), date(2025, 3, 10))
         planned = rebalance_dates(days, "yearly")
-        assert planned == [date(2025, 3, 3)]  # Mar 1 2025 is a Saturday
+        assert planned.tolist() == [date(2025, 3, 3)]  # Mar 1 2025 is a Saturday
 
     def test_empty_calendar_rejected(self):
         with pytest.raises(DomainError):
             rebalance_dates([], "daily")
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(days=calendars())
+    @example(days=business_days(date(2021, 1, 4), date(2022, 1, 4)))  # ends on an anniversary
+    @example(days=np.array(["2020-02-29", "2020-03-02", "2021-03-01"], dtype="datetime64[D]"))
+    def test_matches_per_day_loop(self, days):
+        # the loop over date objects in tests/calendar_oracle.py is the judge
+        for frequency in REBALANCE_FREQUENCIES:
+            assert (rebalance_dates(days, frequency).tolist()
+                    == calendar_oracle.rebalance_dates(days.tolist(), frequency))
 
 
 class TestRebalance:
@@ -255,8 +260,8 @@ class TestRunBacktest:
         for frequency in ("daily", "monthly", "yearly", "never"):
             result = run_backtest(panel, plan, RebalancePolicy(frequency))
             np.testing.assert_allclose(result.value, plan.total_capital, rtol=1e-12)
-            for t in panel.tickers:
-                assert len(set(result.weights[t].tolist())) == 1
+            for row in result.weights:
+                assert len(set(row.tolist())) == 1
 
     def test_never_rebalancing_is_buy_and_hold(self, rng):
         n = 60
@@ -266,15 +271,13 @@ class TestRunBacktest:
         })
         result = run_backtest(panel, CapitalPlan(100_000.0, 2),
                               RebalancePolicy("never"))
-        assert result.rebalance_dates == ()
-        for t in panel.tickers:
-            assert np.all(result.shares[t] == result.shares[t][0])
+        assert result.rebalance_dates.tolist() == []
+        for row in result.shares:
+            assert np.all(row == row[0])
         assert np.all(result.cash == result.cash[0])
 
     def test_yearly_rebalance_sells_winner_buys_laggard(self):
-        from rebal.synthetic import business_days
-
-        days = tuple(business_days(date(2021, 1, 4), date(2022, 1, 10)))
+        days = business_days(date(2021, 1, 4), date(2022, 1, 10))
         n = len(days)
         # A doubles linearly over the year, B stays flat
         a = np.linspace(100.0, 200.0, n)
@@ -283,13 +286,14 @@ class TestRunBacktest:
                            benchmark=np.linspace(1000, 1100, n).tolist())
         result = run_backtest(panel, CapitalPlan(100_000.0, 2),
                               RebalancePolicy("yearly"))
-        assert result.rebalance_dates == (date(2022, 1, 4),)
-        idx = days.index(date(2022, 1, 4))
-        assert result.shares["A"][idx] < result.shares["A"][idx - 1]
-        assert result.shares["B"][idx] > result.shares["B"][idx - 1]
+        assert result.rebalance_dates.tolist() == [date(2022, 1, 4)]
+        idx = int(np.searchsorted(days, np.datetime64("2022-01-04")))
+        shares_a, shares_b = result.shares  # rows in ticker order: A, B
+        assert shares_a[idx] < shares_a[idx - 1]
+        assert shares_b[idx] > shares_b[idx - 1]
         # post-trade per-asset values differ by at most one share's price
-        value_a = result.shares["A"][idx] * a[idx]
-        value_b = result.shares["B"][idx] * b[idx]
+        value_a = shares_a[idx] * a[idx]
+        value_b = shares_b[idx] * b[idx]
         assert abs(value_a - value_b) <= max(a[idx], b[idx]) + 1e-9
 
     def test_shares_piecewise_constant_between_rebalances(self, rng):
@@ -300,12 +304,11 @@ class TestRunBacktest:
         })
         result = run_backtest(panel, CapitalPlan(100_000.0, 2),
                               RebalancePolicy("monthly"))
-        schedule = set(result.rebalance_dates)
+        schedule = set(result.rebalance_dates.tolist())
         for i in range(1, n):
-            changed = any(result.shares[t][i] != result.shares[t][i - 1]
-                          for t in panel.tickers)
+            changed = any(row[i] != row[i - 1] for row in result.shares)
             if changed:
-                assert panel.calendar[i] in schedule
+                assert panel.calendar[i].item() in schedule
 
     def test_result_invariants_hold_every_day(self, rng):
         n = 90
@@ -317,10 +320,10 @@ class TestRunBacktest:
         result = run_backtest(panel, CapitalPlan(100_000.0, 3),
                               RebalancePolicy("monthly"))
         for i in range(n):
-            marked = sum(result.shares[t][i] * panel.columns[t][i]
-                         for t in panel.tickers) + result.cash[i]
+            marked = sum(result.shares[k][i] * panel.prices[k][i]
+                         for k in range(len(panel.tickers))) + result.cash[i]
             assert math.isclose(result.value[i], marked, rel_tol=1e-9)
-            total = sum(result.weights[t][i] for t in panel.tickers)
+            total = sum(result.weights[k][i] for k in range(len(panel.tickers)))
             total += result.cash[i] / result.value[i]
             assert math.isclose(total, 1.0, rel_tol=1e-9)
             assert result.cash[i] >= 0.0
@@ -336,9 +339,8 @@ class TestRunBacktest:
         r2 = run_backtest(panel, plan, RebalancePolicy("daily"))
         np.testing.assert_array_equal(r1.value, r2.value)
         np.testing.assert_array_equal(r1.cash, r2.cash)
-        for t in panel.tickers:
-            np.testing.assert_array_equal(r1.shares[t], r2.shares[t])
-            np.testing.assert_array_equal(r1.weights[t], r2.weights[t])
+        np.testing.assert_array_equal(r1.shares, r2.shares)
+        np.testing.assert_array_equal(r1.weights, r2.weights)
 
     def test_ticker_count_mismatch_rejected(self):
         panel = make_panel({"A": [50.0] * 5, "B": [75.0] * 5})
@@ -376,7 +378,7 @@ def oracle_panel(rng, n_tickers, days, start_prices=None):
     return make_panel(
         {f"T{k:02d}": p0 * np.cumprod(np.r_[1.0, 1.0 + random_returns(rng, n - 1, sigma=0.04)])
          for k, p0 in enumerate(start_prices)},
-        days=tuple(days), benchmark=[1000.0] * n,
+        days=days, benchmark=[1000.0] * n,
     )
 
 
@@ -390,10 +392,10 @@ class TestMatchesDictEngine:
         oracle = engine_oracle.run_backtest(panel, capital, frequency, cost_rate)
         np.testing.assert_array_equal(result.value, oracle.value)
         np.testing.assert_array_equal(result.cash, oracle.cash)
-        for t in panel.tickers:
-            np.testing.assert_array_equal(result.shares[t], oracle.shares[t])
-            np.testing.assert_array_equal(result.weights[t], oracle.weights[t])
-        assert result.rebalance_dates == oracle.rebalance_dates
+        for k, t in enumerate(panel.tickers):
+            np.testing.assert_array_equal(result.shares[k], oracle.shares[t])
+            np.testing.assert_array_equal(result.weights[k], oracle.weights[t])
+        assert result.rebalance_dates.tolist() == list(oracle.rebalance_dates)
         return result
 
     @pytest.mark.parametrize("frequency", ["daily", "monthly", "yearly", "never"])
@@ -404,7 +406,7 @@ class TestMatchesDictEngine:
         for _ in range(12):
             size = int(rng.integers(2, 200))
             keep = sorted(rng.choice(len(base), size=size, replace=False))
-            panel = oracle_panel(rng, int(rng.integers(1, 15)), [base[i] for i in keep])
+            panel = oracle_panel(rng, int(rng.integers(1, 15)), base[keep])
             capital = float(np.exp(rng.uniform(np.log(50.0), np.log(1e6))))
             self.assert_same(panel, capital, frequency, cost_rate)
 
@@ -415,10 +417,9 @@ class TestMatchesDictEngine:
         # excesses by ticker name
         rng = np.random.default_rng(7)
         panel = oracle_panel(rng, 6, trading_days(80), start_prices=[7_800.0] * 6)
-        first = {t: panel.columns[t][0] for t in panel.tickers}
-        assert len(set(first.values())) == 1
+        assert len(set(panel.prices[:, 0].tolist())) == 1
         result = self.assert_same(panel, 100_000.0, frequency, 0.001)
-        assert [int(result.shares[t][0]) for t in panel.tickers] == [12, 12, 13, 13, 13, 13]
+        assert result.shares[:, 0].tolist() == [12, 12, 13, 13, 13, 13]
 
     def test_small_capital_sells_several_shares_in_one_clamp(self):
         # 100 / 150 rounds up to one share each: cash starts at -250 and the
@@ -426,7 +427,7 @@ class TestMatchesDictEngine:
         rng = np.random.default_rng(9)
         panel = oracle_panel(rng, 5, trading_days(60), start_prices=[150.0] * 5)
         result = self.assert_same(panel, 100.0, "daily", 0.0)
-        assert [int(result.shares[t][0]) for t in panel.tickers] == [0, 0, 1, 1, 1]
+        assert result.shares[:, 0].tolist() == [0, 0, 1, 1, 1]
         for cost_rate in (0.0, 0.01):
             self.assert_same(panel, 100.0, "monthly", cost_rate)
 

@@ -63,12 +63,11 @@ def compute_windows(data_dir: Path, tickers, benchmark: str, reference: dict):
     portfolio = simple_returns(panel.calendar, result.value)
     bench_returns = simple_returns(panel.calendar, panel.benchmark)
     split_day = date.fromisoformat(reference["split"])
-    p = split_sample(portfolio, split_day)
-    b = split_sample(bench_returns, split_day)
+    p_in, p_out = split_sample(portfolio, split_day)
+    b_in, b_out = split_sample(bench_returns, split_day)
     return {
-        "in_sample": tear_sheet(p.in_sample, b.in_sample, cfg, "in_sample"),
-        "out_of_sample": tear_sheet(p.out_of_sample, b.out_of_sample, cfg,
-                                    "out_of_sample"),
+        "in_sample": tear_sheet(p_in, b_in, cfg, "in_sample"),
+        "out_of_sample": tear_sheet(p_out, b_out, cfg, "out_of_sample"),
         "overall": tear_sheet(portfolio, bench_returns, cfg, "overall"),
     }
 

@@ -118,16 +118,17 @@ def old_emit_plot_data(result, benchmark_cum, split_date, out_dir):
 
     out_dir.mkdir(parents=True)
     tickers = list(result.tickers)
-    dates = [day.isoformat() for day in result.calendar]
+    calendar = result.calendar.tolist()
+    dates = [day.isoformat() for day in calendar]
     write("shares.csv", ["date"] + tickers,
-          zip(dates, *[map(str, result.shares[t].tolist()) for t in tickers]))
+          zip(dates, *[map(str, row.tolist()) for row in result.shares]))
     write("weights.csv", ["date"] + tickers,
-          zip(dates, *[map(fmt, result.weights[t].tolist()) for t in tickers]))
+          zip(dates, *[map(fmt, row.tolist()) for row in result.weights]))
     portfolio_cum = result.value / result.value[0] - 1.0
     write("cumulative.csv", ["date", "portfolio_cum", "benchmark_cum", "segment"],
           zip(dates, map(fmt, portfolio_cum.tolist()), map(fmt, benchmark_cum.tolist()),
               ["in_sample" if day < split_date else "out_of_sample"
-               for day in result.calendar]))
+               for day in calendar]))
     daily = simple_returns(result.calendar, result.value)
     rows = []
     for frequency in ("daily", "weekly", "monthly", "annual"):
@@ -225,10 +226,10 @@ class TestEmitPlotData:
         panel = make_panel({"A": walk(50.0), "BRK,B": walk(300.0),
                             'Q"T': walk(7.5), "ZZ": walk(1e7)})
         result = run_backtest(panel, CapitalPlan(100_000.0, 4), RebalancePolicy("monthly"))
-        assert not result.shares["ZZ"].any()
+        assert not result.shares[result.tickers.index("ZZ")].any()
         bench = panel.benchmark / panel.benchmark[0] - 1.0
         bench[7] = -0.0
-        split = panel.calendar[120]
+        split = panel.calendar[120].item()
         manifest = emit_plot_data(result, bench, split, tmp_path / "new")
         old_emit_plot_data(result, bench, split, tmp_path / "old")
         header = manifest["shares"].read_text().splitlines()[0]

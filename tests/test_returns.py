@@ -5,29 +5,30 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import calendar_oracle
 import oracles
 from rebal.errors import DomainError, WindowError
 from rebal.returns import (
     ReturnSeries,
     aggregate,
     cumulative_return,
-    cumulative_return_series,
-    log_returns,
     simple_returns,
     split_sample,
 )
 
-from conftest import daily_series, random_returns, trading_days
+from conftest import calendars, daily_series, random_returns, trading_days
 
 
 class TestSimpleReturns:
     def test_ten_percent_step(self):
         days = trading_days(2)
         series = simple_returns(days, [100.0, 110.0])
-        assert series.dates == days[1:]
+        assert series.dates.tolist() == days[1:].tolist()
         assert series.values.tolist() == pytest.approx([0.10])
-        assert series.kind == "simple" and series.frequency == "daily"
+        assert series.frequency == "daily"
 
     def test_constant_series_is_all_zeros(self):
         series = simple_returns(trading_days(5), [42.0] * 5)
@@ -44,24 +45,6 @@ class TestSimpleReturns:
             simple_returns(trading_days(1), [100.0])
 
 
-class TestLogReturns:
-    def test_e_step_gives_unit_log_return(self):
-        series = log_returns(trading_days(2), [100.0, 100.0 * math.e])
-        assert series.values.tolist() == pytest.approx([1.0])
-        assert series.kind == "log"
-
-    def test_constant_series_is_all_zeros(self):
-        series = log_returns(trading_days(4), [7.0] * 4)
-        assert np.all(series.values == 0.0)
-
-    def test_exp_cumsum_round_trip(self, rng):
-        values = 100.0 * np.cumprod(1.0 + random_returns(rng, 300))
-        series = log_returns(trading_days(301), np.concatenate(([100.0], values)))
-        rebuilt = np.exp(np.cumsum(series.values))
-        normalized = np.concatenate(([100.0], values)) / 100.0
-        np.testing.assert_allclose(rebuilt, normalized[1:], rtol=1e-12)
-
-
 class TestCumulativeReturn:
     def test_published_380_percent_example(self):
         assert cumulative_return(10_000.0, 48_000.0) == 3.80
@@ -76,28 +59,13 @@ class TestCumulativeReturn:
         with pytest.raises(DomainError):
             cumulative_return(0.0, 10.0)
 
-
-class TestCumulativeReturnSeries:
-    def test_two_ten_percent_steps(self):
-        series = daily_series([0.1, 0.1])
-        np.testing.assert_allclose(cumulative_return_series(series), [0.1, 0.21])
-
-    def test_zeros_stay_zero(self):
-        series = daily_series([0.0] * 6)
-        assert np.all(cumulative_return_series(series) == 0.0)
-
-    def test_matches_endpoint_cumulative_return(self, rng):
+    def test_matches_compounded_simple_returns(self, rng):
         values = 250.0 * np.cumprod(1.0 + random_returns(rng, 100))
         values = np.concatenate(([250.0], values))
         series = simple_returns(trading_days(101), values)
-        path_total = cumulative_return_series(series)[-1]
+        path_total = np.cumprod(1.0 + series.values)[-1] - 1.0
         endpoint = cumulative_return(values[0], values[-1])
         assert math.isclose(path_total, endpoint, rel_tol=1e-12, abs_tol=1e-12)
-
-    def test_rejects_log_kind(self):
-        series = log_returns(trading_days(3), [1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            cumulative_return_series(series)
 
 
 class TestAggregate:
@@ -119,7 +87,7 @@ class TestAggregate:
         days = (date(2021, 12, 31), date(2022, 1, 3))
         annual = aggregate(ReturnSeries(days, [0.02, 0.03]), "annual")
         assert len(annual) == 2
-        assert annual.dates == days
+        assert annual.dates.tolist() == list(days)
         assert annual.values.tolist() == pytest.approx([0.02, 0.03])
 
     def test_iso_week_boundary(self):
@@ -127,7 +95,7 @@ class TestAggregate:
         days = (date(2021, 1, 7), date(2021, 1, 8), date(2021, 1, 11))
         weekly = aggregate(ReturnSeries(days, [0.01, 0.01, 0.05]), "weekly")
         assert len(weekly) == 2
-        assert weekly.dates == (date(2021, 1, 8), date(2021, 1, 11))
+        assert weekly.dates.tolist() == [date(2021, 1, 8), date(2021, 1, 11)]
         assert weekly.values.tolist() == pytest.approx([1.01 * 1.01 - 1.0, 0.05])
 
     def test_buckets_compound_not_sum(self, rng):
@@ -150,21 +118,39 @@ class TestAggregate:
             aggregate(weekly, "monthly")
 
 
+class TestMatchesRunningProduct:
+    """aggregate gives the buckets, dates and bit-exact values of the
+    per-day running-product loop in ``tests/calendar_oracle.py``."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(days=calendars(), seed=st.integers(0, 2**32 - 1))
+    def test_random_calendars(self, days, seed):
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(len(days)) < 0.1, 0.0, random_returns(rng, len(days)))
+        series = ReturnSeries(days, values)
+        for target in ("weekly", "monthly", "annual"):
+            got = aggregate(series, target)
+            want_dates, want_values = calendar_oracle.aggregate(
+                days.tolist(), values.tolist(), target)
+            assert got.dates.tolist() == want_dates
+            assert got.values.tobytes() == np.array(want_values).tobytes()
+
+
 class TestSplitSample:
     def test_two_element_split(self):
         series = daily_series([0.01, 0.02])
-        split = split_sample(series, series.dates[1])
-        assert len(split.in_sample) == 1
-        assert len(split.out_of_sample) == 1
+        in_sample, out_of_sample = split_sample(series, series.dates[1])
+        assert len(in_sample) == 1
+        assert len(out_of_sample) == 1
 
     def test_study_window_split(self):
         # split at 2022-07-01 on a weekday calendar: last in-sample day is
         # Thursday 2022-06-30
         days = trading_days(500, start=date(2021, 1, 4))
         series = ReturnSeries(days, [0.001] * 500)
-        split = split_sample(series, date(2022, 7, 1))
-        assert split.in_sample.dates[-1] == date(2022, 6, 30)
-        assert split.out_of_sample.dates[0] == date(2022, 7, 1)
+        in_sample, out_of_sample = split_sample(series, date(2022, 7, 1))
+        assert in_sample.dates[-1] == date(2022, 6, 30)
+        assert out_of_sample.dates[0] == date(2022, 7, 1)
 
     def test_split_outside_range_rejected(self):
         series = daily_series([0.01, 0.02, 0.03])
@@ -175,9 +161,10 @@ class TestSplitSample:
 
     def test_halves_concatenate_back(self, rng):
         series = daily_series(random_returns(rng, 50))
-        split = split_sample(series, series.dates[20])
-        assert split.in_sample.dates + split.out_of_sample.dates == series.dates
-        rejoined = np.concatenate([split.in_sample.values, split.out_of_sample.values])
+        in_sample, out_of_sample = split_sample(series, series.dates[20])
+        rejoined_dates = np.concatenate([in_sample.dates, out_of_sample.dates])
+        np.testing.assert_array_equal(rejoined_dates, series.dates)
+        rejoined = np.concatenate([in_sample.values, out_of_sample.values])
         np.testing.assert_array_equal(rejoined, series.values)
 
 
