@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import market_data
 from .errors import ConfigError, DomainError, ParseError, RebalError
 from .market_data import (
     align_panel,
@@ -44,7 +46,7 @@ from .market_data import (
 from .metrics import METRIC_NAMES, MetricConfig, tear_sheet
 from .portfolio import REBALANCE_FREQUENCIES, CapitalPlan, RebalancePolicy
 from .portfolio import rebalance_dates, run_backtest
-from .report import emit_plot_data, export_tear_sheets, read_tear_sheets
+from .report import ROW_BLOCK, emit_plot_data, export_tear_sheets, read_tear_sheets
 from .returns import simple_returns, split_sample
 
 logger = logging.getLogger(__name__)
@@ -171,12 +173,37 @@ def _stage_error(sector: str, stage: str, exc: RebalError) -> RebalError:
     return RebalError(f"sector {sector!r} failed at stage {stage}: {exc}")
 
 
+def _preflight(config: RunConfig) -> None:
+    """Reject a manifest listed twice, or two sectors whose names give one
+    output directory, before any sector runs.  Each sector reads its manifest
+    again as its first stage, where a bad one fails it; this read goes through
+    ``market_data``, which perfbench's tracer of this module's names skips."""
+    if not config.manifests:
+        raise ConfigError("no sector manifests configured")
+    seen, slugs = set(), {}
+    for path in config.manifests:
+        if path.resolve() in seen:
+            raise ConfigError(f"manifest {path} is listed twice")
+        seen.add(path.resolve())
+        try:
+            sector = market_data.load_sector_manifest(path).sector
+        except RebalError:
+            continue
+        slug = _sector_slug(sector)
+        if slug in slugs:
+            raise ConfigError(f"sectors {slugs[slug]!r} and {sector!r} "
+                              f"share the output directory {slug!r}")
+        slugs[slug] = sector
+
+
 def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
     """Manifest -> load -> align -> clip for one sector.
 
-    Returns (manifest, raw series, clipped panel).  ``parsed`` is the run's
-    price-file cache (see ``load_price_series``).  Any RebalError is
-    re-raised annotated with the sector and the stage that failed.
+    Returns (manifest, coverage, clipped panel), where coverage lists each
+    ticker with its observation count before alignment; the raw series are
+    not kept.  ``parsed`` is the run's price-file cache (see
+    ``load_price_series``).  Any RebalError is re-raised annotated with the
+    sector and the stage that failed.
     """
     stage = "manifest"
     sector = manifest_path.stem
@@ -184,18 +211,15 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         manifest = load_sector_manifest(manifest_path)
         sector = manifest.sector
         stage = "load"
-        series = [
-            load_price_series(resolve_price_file(config.data_dir, t), t, parsed=parsed)
-            for t in manifest.tickers
-        ]
-        benchmark = load_price_series(
-            resolve_price_file(config.data_dir, manifest.benchmark), manifest.benchmark,
-            parsed=parsed, keep=True,
-        )
+        series = [load_price_series(resolve_price_file(config.data_dir, t), t, parsed=parsed)
+                  for t in manifest.tickers]
+        benchmark = load_price_series(resolve_price_file(config.data_dir, manifest.benchmark),
+                                      manifest.benchmark, parsed=parsed, keep=True)
         stage = "align"
         panel = align_panel(series, benchmark)
         stage = "clip"
-        return manifest, series, clip_panel(panel, config.start, config.end)
+        coverage = [(s.ticker, len(s)) for s in series]
+        return manifest, coverage, clip_panel(panel, config.start, config.end)
     except RebalError as exc:
         raise _stage_error(sector, stage, exc) from exc
 
@@ -211,34 +235,51 @@ _TEXT_COLUMNS = {
 
 def _reparse_table(kind: str, path: Path) -> None:
     """Re-read one plot dataset: every row has the header's column count and
-    every numeric cell parses as a finite float."""
+    every numeric cell parses as a finite float.
+
+    The body is parsed ``ROW_BLOCK`` lines at a time, with the errors of one
+    whole-body parse: a malformed row wins over a blank line, and a blank
+    line over a non-finite cell, wherever they are.
+    """
     head, tail = _TEXT_COLUMNS[kind]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        lines = fh.read().splitlines()
-    if header is None:
-        raise ParseError(f"{kind} file is empty", path)
-    numeric = len(header) - head - tail
-    if numeric < 1:
-        raise ParseError(f"{kind} header needs at least {head + tail + 1} columns", path, 1)
-    if not any(lines):
+        if header is None:
+            raise ParseError(f"{kind} file is empty", path)
+        numeric = len(header) - head - tail
+        if numeric < 1:
+            raise ParseError(f"{kind} header needs at least {head + tail + 1} columns", path, 1)
+        strings = [(f"text{i}", str) for i in range(head + tail)]
+        dtype = strings[:head] + [("numbers", np.float64, (numeric,))] + strings[head:]
+        options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        line, rows, blank, bad = reader.line_num + 1, 0, None, None
+        while block := list(itertools.islice(fh, ROW_BLOCK)):
+            empty = [not text.rstrip("\r\n") for text in block]
+            if blank is None and any(empty):
+                blank = ParseError(f"blank line in {kind} file", path, line + empty.index(True))
+            if not all(empty):
+                try:
+                    table = np.loadtxt(block, **options)
+                except ValueError:
+                    # np.loadtxt's message numbers the rows of its input: parse
+                    # again behind as many good rows as came before this block
+                    good = itertools.repeat(",".join(["0"] * len(header)), rows)
+                    try:
+                        np.loadtxt(itertools.chain(good, block), **options)
+                    except ValueError as exc:
+                        raise ParseError(f"malformed {kind} file: {exc}", path) from None
+                finite = np.isfinite(table["numbers"])
+                if bad is None and not finite.all():  # numbered as if no line is blank
+                    row, col = np.argwhere(~finite)[0]
+                    cell = str(float(table["numbers"][row, col]))
+                    bad = ParseError(f"not a finite number: {cell!r}", path, line + int(row))
+                rows += len(table)
+            line += len(block)
+    if not rows:
         raise ParseError(f"{kind} file has no data rows", path)
-    dtype = ([(f"head{i}", str) for i in range(head)]
-             + [("numbers", np.float64, (numeric,))]
-             + [(f"tail{i}", str) for i in range(tail)])
-    try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        raise ParseError(f"malformed {kind} file: {exc}", path) from None
-    first = reader.line_num + 1
-    if len(table) != len(lines):  # loadtxt skips blank lines
-        raise ParseError(f"blank line in {kind} file", path, first + lines.index(""))
-    finite = np.isfinite(table["numbers"])
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        cell = str(float(table["numbers"][row, col]))
-        raise ParseError(f"not a finite number: {cell!r}", path, first + int(row))
+    if blank or bad:
+        raise blank or bad
 
 
 def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) -> None:
@@ -253,17 +294,12 @@ def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) ->
         _reparse_table(kind, path)
 
 
-def _run_sector(
-    config: RunConfig, manifest_path: Path, parsed: dict, written: dict[str, str]
-) -> tuple[str, Path]:
-    """Backtest one sector manifest and write its artifacts.
+def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[str, Path]:
+    """Backtest one sector manifest and write its artifacts into a temporary
+    sibling of the output directory, which replaces it once they verify.
 
-    ``written`` maps each output slug already written in this run to its
-    sector; a sector whose slug is taken fails before touching the output
-    tree.  Artifacts are written into a temporary sibling of the output
-    directory, which replaces it only after they verify.  Returns (sector
-    name, output directory).  Any RebalError is re-raised annotated with the
-    pipeline stage that failed.
+    Returns (sector name, output directory).  Any RebalError is re-raised
+    annotated with the pipeline stage that failed.
     """
     manifest, _, panel = _load_sector(config, manifest_path, parsed)
     sector = manifest.sector
@@ -288,23 +324,16 @@ def _run_sector(
 
         stage = "report"
         slug = _sector_slug(sector)
-        if slug in written:
-            raise ConfigError(
-                f"output directory {slug!r} was already written by sector "
-                f"{written[slug]!r}"
-            )
         out_dir = config.out_dir / slug
         staging = config.out_dir / f".{slug}.partial-{os.getpid()}"
         shutil.rmtree(staging, ignore_errors=True)
         benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
         files = emit_plot_data(result, benchmark_cum, config.split, staging)
-        ts_path = export_tear_sheets(
-            sheets, staging / f"tear_sheets.{config.tear_sheet_format}",
-            config.tear_sheet_format,
-        )
+        fmt = config.tear_sheet_format
+        ts_path = export_tear_sheets(sheets, staging / f"tear_sheets.{fmt}", fmt)
 
         stage = "verify"
-        _reparse_outputs(files, ts_path, config.tear_sheet_format)
+        _reparse_outputs(files, ts_path, fmt)
         retired = staging.with_name(staging.name + "-old")
         if out_dir.exists():
             out_dir.rename(retired)
@@ -319,16 +348,12 @@ def _run_sector(
 
 
 def cmd_backtest(config: RunConfig) -> int:
-    if not config.manifests:
-        raise ConfigError("no sector manifests configured")
     config.out_dir.mkdir(parents=True, exist_ok=True)
     parsed: dict = {}
-    written: dict[str, str] = {}
     failures = 0
     for manifest_path in config.manifests:
         try:
-            sector, out_dir = _run_sector(config, manifest_path, parsed, written)
-            written[out_dir.name] = sector
+            sector, out_dir = _run_sector(config, manifest_path, parsed)
             print(f"ok: {sector} -> {out_dir}")
         except RebalError as exc:
             failures += 1
@@ -337,23 +362,19 @@ def cmd_backtest(config: RunConfig) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    if not config.manifests:
-        raise ConfigError("no sector manifests configured")
     parsed: dict = {}
     status = 0
     for manifest_path in config.manifests:
         try:
-            manifest, series, panel = _load_sector(config, manifest_path, parsed)
+            manifest, coverage, panel = _load_sector(config, manifest_path, parsed)
         except RebalError as exc:
             print(f"error: {manifest_path}: {exc}", file=sys.stderr)
             status = 1
             continue
         calendar = panel.calendar
-        print(
-            f"sector {manifest.sector}: calendar {calendar[0]}"
-            f"..{calendar[-1]} ({len(calendar)} trading days)"
-        )
-        coverage = ", ".join(f"{s.ticker}={len(s)}" for s in series)
+        print(f"sector {manifest.sector}: calendar {calendar[0]}..{calendar[-1]} "
+              f"({len(calendar)} trading days)")
+        coverage = ", ".join(f"{ticker}={n}" for ticker, n in coverage)
         print(f"  raw coverage: {coverage}")
         planned = rebalance_dates(calendar, config.frequency)
         print(f"  planned rebalances ({config.frequency}): {len(planned)}")
@@ -415,9 +436,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _apply_overrides(load_run_config(args.config), args)
-        if args.command == "backtest":
-            return cmd_backtest(config)
-        return cmd_validate(config)
+        _preflight(config)
+        return (cmd_backtest if args.command == "backtest" else cmd_validate)(config)
     except RebalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

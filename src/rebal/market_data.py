@@ -436,6 +436,9 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
     The calendar is the sorted intersection of every constituent's dates
     with the benchmark's.  Raises AlignmentError naming the tickers that
     destroy the overlap when fewer than 2 shared days remain.
+
+    Series are visited one at a time, adding their days into one count per
+    day, then filling their rows of the matrix: no concatenated copy.
     """
     if not series:
         raise AlignmentError("no price series to align")
@@ -445,16 +448,17 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
 
     all_series = sorted(series, key=lambda s: s.ticker) + [benchmark]
     n = len(all_series)
-    days = np.concatenate([s.dates for s in all_series]).view(np.int64)
-    first = days.min()
-    days -= first
-    # each series holds a day at most once, so a count of n means all hold it
-    counts = np.bincount(days)
-    calendar = (np.flatnonzero(counts == n) + first).astype(DAY)
+    first = min(s.dates[0] for s in all_series)
+    last = max(s.dates[-1] for s in all_series)
+    counts = np.zeros((last - first).astype(np.int64) + 1, dtype=np.intp)
+    for s in all_series:
+        # each series holds a day at most once, so a count of n means all hold it
+        counts[(s.dates - first).view(np.int64)] += 1
+    calendar = np.flatnonzero(counts == n) + first
     if len(calendar) < 2:
         # a series is an offender if the days all the others share number 2
         # or more: the shared days plus the days only it lacks
-        near = (np.flatnonzero(counts == n - 1) + first).astype(DAY)
+        near = np.flatnonzero(counts == n - 1) + first
         offenders = [s.ticker for s in all_series
                      if len(calendar) + len(np.setdiff1d(near, s.dates)) >= 2]
         names = sorted(offenders or {s.ticker for s in all_series})
@@ -463,8 +467,9 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
             f"{', '.join(names)})"
         )
     # every series is sorted, so its shared days come in calendar order
-    shared = counts[days] == n
-    prices = np.concatenate([s.prices for s in all_series])[shared].reshape(n, -1)
+    prices = np.empty((n, len(calendar)))
+    for row, s in zip(prices, all_series):
+        row[:] = s.prices[counts[(s.dates - first).view(np.int64)] == n]
     panel = PricePanel(calendar, tuple(s.ticker for s in all_series[:-1]),
                        prices[:-1], prices[-1])
     logger.debug(

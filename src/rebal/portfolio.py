@@ -144,6 +144,11 @@ def allocate(
     prices = np.asarray(prices, dtype=np.float64)
     if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
         raise AllocationError(f"non-positive price in {prices.tolist()}")
+    return _allocate(prices, target, total, held, cost_rate)
+
+
+def _allocate(prices, target, total, held=None, cost_rate=0.0):
+    # allocate without its price check, for a PricePanel's checked prices
     if total <= 0.0:
         raise InsolvencyError(f"portfolio value {total} is not positive")
     shares = np.floor(target / prices + 0.5).astype(np.int64)
@@ -203,13 +208,12 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
     shares = np.empty(prices.shape, dtype=np.int64)
     cash = np.empty(n_days, dtype=np.float64)
 
-    held, balance = allocate(prices[:, 0], plan.per_asset_capital, plan.total_capital)
+    held, balance = _allocate(prices[:, 0], plan.per_asset_capital, plan.total_capital)
     for lo, hi in zip(bounds, bounds[1:]):
         if lo > 0:
             total = _sum_left_to_right(held * prices[:, lo]) + balance
-            held, balance = allocate(
-                prices[:, lo], total / plan.n_assets, total, held, policy.cost_rate
-            )
+            held, balance = _allocate(prices[:, lo], total / plan.n_assets, total, held,
+                                      policy.cost_rate)
         shares[:, lo:hi] = held[:, None]
         cash[lo:hi] = balance
 

@@ -35,6 +35,7 @@ from .returns import aggregate, simple_returns
 logger = logging.getLogger(__name__)
 
 BOX_STATS = ("min", "q1", "median", "q3", "max")
+ROW_BLOCK = 128  # days per block in which shares and weights are written and re-read
 
 
 def format_number(x: float) -> str:
@@ -129,30 +130,28 @@ def emit_plot_data(
     """Write the four per-portfolio plot datasets and return the manifest.
 
     ``benchmark_cum`` must be the benchmark's cumulative return aligned to
-    ``result.calendar`` (0.0 on the first day).
+    ``result.calendar`` (0.0 on the first day).  Shares and weights are
+    formatted ``ROW_BLOCK`` days at a time, never as a whole-matrix copy.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     benchmark_cum = np.asarray(benchmark_cum, dtype=np.float64)
     if len(benchmark_cum) != len(result.calendar):
-        raise ValidationError(
-            f"benchmark series length {len(benchmark_cum)} != calendar length "
-            f"{len(result.calendar)}"
-        )
-    tickers = list(result.tickers)
+        raise ValidationError(f"benchmark series length {len(benchmark_cum)} != calendar "
+                              f"length {len(result.calendar)}")
+    header = ["date", *result.tickers]
     dates = np.datetime_as_string(result.calendar).tolist()
     manifest = {kind: out_dir / f"{kind}.csv"
                 for kind in ("shares", "weights", "cumulative", "distributions")}
 
     # %.12g is format_number's format, except that it prints -0.0 as "-0":
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
-    n = len(tickers)
-    for kind, cell, matrix in (
-        ("shares", ",%d", result.shares),
-        ("weights", ",%.12g", result.weights + 0.0),
-    ):
-        _write_table(manifest[kind], ["date"] + tickers, "%s" + cell * n + "\n",
-                     ((day, *row) for day, row in zip(dates, matrix.T.tolist())))
+    # adding 0 turns -0.0 into 0.0 and leaves every other value alone
+    for kind, cell, matrix in (("shares", ",%d", result.shares),
+                               ("weights", ",%.12g", result.weights)):
+        rows = ((day, *row) for lo in range(0, len(dates), ROW_BLOCK)
+                for day, row in zip(dates[lo:lo + ROW_BLOCK],
+                                    (matrix[:, lo:lo + ROW_BLOCK] + 0).T.tolist()))
+        _write_table(manifest[kind], header, "%s" + cell * len(result.tickers) + "\n", rows)
 
     portfolio_cum = result.value / result.value[0] - 1.0
     segments = np.where(result.calendar < np.datetime64(split_date, "D"),

@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rebal.cli
@@ -15,6 +17,11 @@ import rebal.report
 
 from rebal.cli import RunConfig, load_run_config, main, resolve_price_file
 from rebal.errors import ConfigError, ParseError
+from rebal.market_data import PricePanel
+from rebal.metrics import MetricConfig, tear_sheet
+from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
+from rebal.report import ROW_BLOCK, emit_plot_data, export_tear_sheets
+from rebal.returns import simple_returns
 from rebal.synthetic import generate_universe
 
 
@@ -256,6 +263,8 @@ class TestInputBoundary:
 
 
 class TestSectorSlugs:
+    """Every manifest is loaded before any sector runs; a clash is rc 2."""
+
     def test_colliding_slugs_fail_the_second_sector(self, small_universe, capsys):
         root, data_dir, manifests = small_universe
         payload = json.loads(manifests[0].read_text())
@@ -263,16 +272,44 @@ class TestSectorSlugs:
         first.write_text(json.dumps(dict(payload, sector="Auto Parts")))
         second.write_text(json.dumps(dict(payload, sector="auto-parts")))
         config = write_config(root, data_dir, [first, second])
-        assert main(["backtest", "--config", str(config)]) == 1
+        assert main(["backtest", "--config", str(config)]) == 2
         out, err = capsys.readouterr()
-        assert "ok: Auto Parts" in out
+        assert "ok:" not in out
         assert "'auto-parts'" in err and "'Auto Parts'" in err
-        kept = output_tree(root / "out" / "auto_parts")
-        assert len(kept) == 5
+        assert not (root / "out" / "auto_parts").exists()
         config = write_config(root, data_dir, [first])
         assert main(["backtest", "--config", str(config),
                      "--out-dir", str(root / "alone")]) == 0
-        assert output_tree(root / "alone" / "auto_parts") == kept
+        assert len(output_tree(root / "alone" / "auto_parts")) == 5
+
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    @pytest.mark.parametrize("clash", ["slug", "repeat"])
+    def test_clash_fails_before_any_sector_runs(self, small_universe, capsys,
+                                                 command, clash):
+        root, data_dir, manifests = small_universe
+        payload = json.loads(manifests[0].read_text())
+        other = root / "other.json"
+        other.write_text(json.dumps(dict(payload, sector=" AUTO ")))
+        listed = [manifests[0], other if clash == "slug" else manifests[0]]
+        config = write_config(root, data_dir, listed)
+        assert main([command, "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("listed twice" if clash == "repeat" else "share the output directory") in err
+        assert "Traceback" not in err
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_unloadable_manifest_fails_only_its_sector(self, small_universe, capsys,
+                                                       command):
+        root, data_dir, manifests = small_universe
+        broken = root / "broken.json"
+        broken.write_text("{not json")
+        config = write_config(root, data_dir, [broken, manifests[0]])
+        assert main([command, "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert "sector 'broken' failed at stage manifest" in err
+        assert ("ok: auto" if command == "backtest" else "sector auto:") in out
 
 
 class TestOverflowingStatistics:
@@ -348,18 +385,18 @@ class TestNeverHalfWrite:
         assert [p.name for p in (root / "out").iterdir()] == ["auto"]
 
 
-def damage(lines, col, how):
-    """Corrupt the CSV ``lines`` in place, at line 3 where a line is needed."""
+def damage(lines, col, how, at=2):
+    """Corrupt the CSV ``lines`` in place, at ``lines[at]`` where a line is needed."""
     if how in ("nan", "-inf", ""):
-        cells = lines[2].split(",")
+        cells = lines[at].split(",")
         cells[col] = how
-        lines[2] = ",".join(cells)
+        lines[at] = ",".join(cells)
     elif how == "short row":
-        lines[2] = lines[2].rsplit(",", 1)[0]
+        lines[at] = lines[at].rsplit(",", 1)[0]
     elif how == "long row":
-        lines[2] += ",0"
+        lines[at] += ",0"
     elif how == "blank line":
-        lines.insert(2, "")
+        lines.insert(at, "")
     else:  # no rows
         del lines[1:]
 
@@ -402,6 +439,76 @@ class TestReparseOutputs:
         files["weights"].write_text("")
         with pytest.raises(ParseError, match=re.escape(str(files["weights"]))):
             rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+
+    @pytest.fixture
+    def long_outputs(self, tmp_path):
+        """Plot files of 320 days, more than one block of rows."""
+        data_dir, manifests = generate_universe(
+            tmp_path / "fixture", start=date(2021, 1, 4), end=date(2022, 3, 31),
+            n_sectors=1, tickers_per_sector=2, seed=11,
+        )
+        config = write_config(tmp_path, data_dir, manifests, split="2021-07-01",
+                              end="2022-03-31")
+        assert main(["backtest", "--config", str(config)]) == 0
+        out = tmp_path / "out" / "auto"
+        files = {kind: out / f"{kind}.csv" for kind in self.NUMERIC_COLUMN}
+        assert len(files["weights"].read_text().splitlines()) > ROW_BLOCK + 30
+        return files, out / "tear_sheets.csv"
+
+    @pytest.mark.parametrize("kind", ["shares", "weights", "cumulative"])
+    @pytest.mark.parametrize("how", ["nan", "-inf", "blank line", "short row"])
+    def test_damage_past_the_first_block_names_its_line(self, long_outputs, kind, how):
+        files, tear_sheets = long_outputs
+        path = files[kind]
+        lines = path.read_text().splitlines()
+        at = ROW_BLOCK + 20  # data row ROW_BLOCK + 20, on line ROW_BLOCK + 21
+        damage(lines, self.NUMERIC_COLUMN[kind], how, at)
+        damage(lines, self.NUMERIC_COLUMN[kind], "nan", at + 5)  # a later fault loses
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
+            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+        if how == "short row":
+            assert caught.value.line is None
+            assert f"found at row {at};" in str(caught.value)
+        else:
+            assert caught.value.line == at + 1
+
+    @pytest.mark.parametrize("early", ["nan", "blank line"])
+    def test_malformed_row_in_a_later_block_wins(self, long_outputs, early):
+        # as in one whole-file parse, a malformed row anywhere is reported
+        # before a blank line or a non-finite cell in an earlier block
+        files, tear_sheets = long_outputs
+        lines = files["weights"].read_text().splitlines()
+        damage(lines, 1, "long row", ROW_BLOCK + 20)
+        damage(lines, 1, early, 5)
+        files["weights"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="malformed weights file"):
+            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+
+
+def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
+    """Writing and verifying the plot files of a 40 x 3000 result holds
+    less than twice its weight matrix at its peak, not whole-table copies."""
+    rng = np.random.default_rng(5)
+    n, days = 40, 3000
+    calendar = np.datetime64("2010-01-04") + np.arange(days)
+    # prices near 1000 buy about 100 shares, small ints that Python caches,
+    # which keeps the traced run short
+    prices = 1000.0 * np.cumprod(1.0 + rng.normal(0.0, 0.01, (n + 1, days)), axis=1)
+    panel = PricePanel(calendar, tuple(f"T{i:02d}" for i in range(n)), prices[:-1], prices[-1])
+    result = run_backtest(panel, CapitalPlan(100_000.0, n), RebalancePolicy("monthly"))
+    bench_cum = panel.benchmark / panel.benchmark[0] - 1.0
+    sheet = tear_sheet(simple_returns(calendar, result.value),
+                       simple_returns(calendar, panel.benchmark), MetricConfig(), "overall")
+    sheets = export_tear_sheets([sheet], tmp_path / "tear_sheets.csv")
+    tracemalloc.start()
+    try:
+        files = emit_plot_data(result, bench_cum, calendar[days // 2], tmp_path / "out")
+        rebal.cli._reparse_outputs(files, sheets, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * result.weights.nbytes, peak / result.weights.nbytes
 
 
 class TestValidateCommand:

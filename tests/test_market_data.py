@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -451,6 +452,23 @@ class TestAlignPanel:
         with pytest.raises(ValidationError, match="duplicate"):
             align_panel([make_series("A", days), make_series("A", days)],
                         make_series("IX", days))
+
+
+    def test_peak_memory_is_about_the_panel(self):
+        # 40 tickers over 4000 days, each missing 30 days of its own;
+        # concatenating the series and masking a copy peaks near 4x the matrix
+        rng = np.random.default_rng(3)
+        days = np.datetime64("2010-01-01") + np.arange(4000)
+        series = [PriceSeries(f"T{i:02d}", np.delete(days, rng.choice(4000, 30, replace=False)),
+                              rng.uniform(10.0, 20.0, 3970)) for i in range(41)]
+        tracemalloc.start()
+        try:
+            panel = align_panel(series[:-1], series[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(panel) > 2500
+        assert peak < 2 * panel.prices.nbytes, peak / panel.prices.nbytes
 
 
 class TestClipPanel:

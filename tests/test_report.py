@@ -1,6 +1,7 @@
 """Serialization and plot-data emission tests."""
 
 import csv
+import dataclasses
 import math
 from datetime import date
 
@@ -11,6 +12,7 @@ from rebal.errors import ValidationError
 from rebal.metrics import METRIC_NAMES, MetricConfig, box_plot_summary, tear_sheet
 from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
 from rebal.report import (
+    ROW_BLOCK,
     emit_plot_data,
     export_tear_sheets,
     format_number,
@@ -234,6 +236,19 @@ class TestEmitPlotData:
         old_emit_plot_data(result, bench, split, tmp_path / "old")
         header = manifest["shares"].read_text().splitlines()[0]
         assert header == 'date,A,"BRK,B","Q""T",ZZ'
+        for kind, path in manifest.items():
+            assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
+
+    @pytest.mark.parametrize("days", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      2 * ROW_BLOCK + 1])
+    def test_bytes_match_across_row_blocks(self, rng, tmp_path, days):
+        panel, result, bench = self.run_small_backtest(rng, n=days, tickers=("A", "B", "C"))
+        weights = result.weights.copy()
+        weights[1, -1] = -0.0  # in the last block: must print as 0
+        result = dataclasses.replace(result, weights=weights)
+        split = panel.calendar[days // 2].item()
+        manifest = emit_plot_data(result, bench, split, tmp_path / "new")
+        old_emit_plot_data(result, bench, split, tmp_path / "old")
         for kind, path in manifest.items():
             assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
 
