@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from rebal import (
-    CapitalPlan,
     RebalancePolicy,
     align_panel,
     load_price_series,
@@ -34,14 +33,14 @@ series = [load_price_series(data_dir / f"{t}.csv", t) for t in manifest.tickers]
 benchmark = load_price_series(data_dir / f"{manifest.benchmark}.csv",
                               manifest.benchmark)
 panel = align_panel(series, benchmark)
-plan = CapitalPlan(per_asset_capital=100_000.0, n_assets=len(manifest.tickers))
+capital = 100_000.0  # per stock; run_backtest sizes the portfolio from the panel
 
-print(f"{len(manifest.tickers)} stocks, {len(panel.calendar)} trading days, "
-      f"capital {plan.total_capital:,.0f}\n")
+print(f"{len(panel.tickers)} stocks, {len(panel.calendar)} trading days, "
+      f"capital {capital * len(panel.tickers):,.0f}\n")
 
 print(f"{'policy':>10} {'trades':>7} {'final value':>14} {'max |w - 1/n|':>14}")
 for frequency in ("never", "yearly", "monthly", "daily"):
-    result = run_backtest(panel, plan, RebalancePolicy(frequency))
+    result = run_backtest(panel, RebalancePolicy(frequency, per_asset_capital=capital))
     # worst equal-weight deviation across the run
     n = len(panel.tickers)
     drift = float(np.max(np.abs(result.weights - 1.0 / n)))
@@ -49,7 +48,7 @@ for frequency in ("never", "yearly", "monthly", "daily"):
           f"{result.value[-1]:>14,.2f} {drift:>14.4f}")
 
 print("\nvalue is continuous through a zero-cost rebalance:")
-result = run_backtest(panel, plan, RebalancePolicy("monthly"))
+result = run_backtest(panel, RebalancePolicy("monthly", per_asset_capital=capital))
 day = result.rebalance_dates[0]
 i = int(np.searchsorted(panel.calendar, day))
 pre = float(result.shares[:, i - 1] @ panel.prices[:, i]) + result.cash[i - 1]
@@ -64,5 +63,5 @@ print(f"  cash after trade: {result.cash[i]:,.2f}")
 
 print("\na cost rate drags on every trade (same monthly schedule):")
 for cost_rate in (0.0, 0.001, 0.005):
-    result = run_backtest(panel, plan, RebalancePolicy("monthly", cost_rate))
+    result = run_backtest(panel, RebalancePolicy("monthly", cost_rate, capital))
     print(f"  cost {cost_rate:.3f}: final value {result.value[-1]:,.2f}")

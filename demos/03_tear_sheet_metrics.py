@@ -14,7 +14,6 @@ from datetime import date
 from pathlib import Path
 
 from rebal import (
-    CapitalPlan,
     METRIC_NAMES,
     MetricConfig,
     RebalancePolicy,
@@ -40,7 +39,7 @@ benchmark = load_price_series(data_dir / f"{manifest.benchmark}.csv",
                               manifest.benchmark)
 panel = align_panel(series, benchmark)
 
-result = run_backtest(panel, CapitalPlan(100_000.0, 10), RebalancePolicy("yearly"))
+result = run_backtest(panel, RebalancePolicy("yearly", per_asset_capital=100_000.0))
 print(f"{manifest.sector}: {len(panel.calendar)} days, "
       f"rebalanced on {', '.join(str(d) for d in result.rebalance_dates)}")
 

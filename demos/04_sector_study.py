@@ -42,7 +42,7 @@ for path in sample:
 rows = []
 for sector_dir in sorted(out_dir.iterdir()):
     sheets = {s.window_label: s
-              for s in read_tear_sheets(sector_dir / "tear_sheets.csv", "csv")}
+              for s in read_tear_sheets(sector_dir / "tear_sheets.csv")}
     overall = sheets["overall"]
     rows.append((sector_dir.name, overall.cumulative_return,
                  overall.sharpe, overall.max_drawdown))

@@ -49,7 +49,6 @@ from .metrics import (
 )
 from .portfolio import (
     BacktestResult,
-    CapitalPlan,
     RebalancePolicy,
     allocate,
     rebalance_dates,
@@ -58,7 +57,6 @@ from .portfolio import (
 from .report import (
     emit_plot_data,
     export_tear_sheets,
-    format_number,
     read_tear_sheets,
 )
 from .returns import (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import itertools
 import json
 import logging
@@ -44,9 +45,8 @@ from .market_data import (
     load_sector_manifest,
 )
 from .metrics import METRIC_NAMES, MetricConfig, tear_sheet
-from .portfolio import REBALANCE_FREQUENCIES, CapitalPlan, RebalancePolicy
-from .portfolio import rebalance_dates, run_backtest
-from .report import ROW_BLOCK, emit_plot_data, export_tear_sheets, read_tear_sheets
+from .portfolio import REBALANCE_FREQUENCIES, RebalancePolicy, rebalance_dates, run_backtest
+from .report import PLOT_LAYOUT, ROW_BLOCK, emit_plot_data, export_tear_sheets, read_tear_sheets
 from .returns import simple_returns, split_sample
 
 logger = logging.getLogger(__name__)
@@ -100,8 +100,7 @@ class RunConfig:
         if isinstance(ppy, bool) or not isinstance(ppy, int) or ppy < 1:
             raise ConfigError(f"periods_per_year must be a positive integer, got {ppy!r}")
         try:
-            CapitalPlan(self.per_asset_capital, 1)
-            RebalancePolicy(self.frequency, self.cost_rate)
+            self.policy()
             self.metric_config()
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
@@ -112,6 +111,9 @@ class RunConfig:
             )
         if self.tear_sheet_format not in ("csv", "json"):
             raise ConfigError(f"unknown tear_sheet_format {self.tear_sheet_format!r}")
+
+    def policy(self) -> RebalancePolicy:
+        return RebalancePolicy(self.frequency, self.cost_rate, self.per_asset_capital)
 
     def metric_config(self) -> MetricConfig:
         return MetricConfig(
@@ -224,15 +226,6 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         raise _stage_error(sector, stage, exc) from exc
 
 
-# How many text columns lead and trail each plot dataset's numeric columns.
-_TEXT_COLUMNS = {
-    "shares": (1, 0),          # date | numbers...
-    "weights": (1, 0),
-    "cumulative": (1, 1),      # date | numbers... | segment
-    "distributions": (2, 0),   # frequency, stat | number
-}
-
-
 def _reparse_table(kind: str, path: Path) -> None:
     """Re-read one plot dataset: every row has the header's column count and
     every numeric cell parses as a finite float.
@@ -241,7 +234,7 @@ def _reparse_table(kind: str, path: Path) -> None:
     whole-body parse: a malformed row wins over a blank line, and a blank
     line over a non-finite cell, wherever they are.
     """
-    head, tail = _TEXT_COLUMNS[kind]
+    head, _, tail = PLOT_LAYOUT[kind]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -282,10 +275,10 @@ def _reparse_table(kind: str, path: Path) -> None:
         raise blank or bad
 
 
-def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path, fmt: str) -> None:
+def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path) -> None:
     """Re-read everything just written; raises if any artifact is unreadable
     or holds a non-finite number."""
-    for sheet in read_tear_sheets(tear_sheet_path, fmt):
+    for sheet in read_tear_sheets(tear_sheet_path):
         for name in METRIC_NAMES:
             value = getattr(sheet, name)
             if value is not None and not math.isfinite(value):
@@ -302,13 +295,13 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[s
     annotated with the pipeline stage that failed.
     """
     manifest, _, panel = _load_sector(config, manifest_path, parsed)
+    # glibc only: return the freed raw series' heap pages, so the peak does not hinge on layout
+    getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)(0)
     sector = manifest.sector
     staging = None
     stage = "backtest"
     try:
-        plan = CapitalPlan(config.per_asset_capital, len(manifest.tickers))
-        policy = RebalancePolicy(config.frequency, config.cost_rate)
-        result = run_backtest(panel, plan, policy)
+        result = run_backtest(panel, config.policy())
 
         stage = "metrics"
         cfg = config.metric_config()
@@ -329,11 +322,10 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[s
         shutil.rmtree(staging, ignore_errors=True)
         benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
         files = emit_plot_data(result, benchmark_cum, config.split, staging)
-        fmt = config.tear_sheet_format
-        ts_path = export_tear_sheets(sheets, staging / f"tear_sheets.{fmt}", fmt)
+        ts_path = export_tear_sheets(sheets, staging / f"tear_sheets.{config.tear_sheet_format}")
 
         stage = "verify"
-        _reparse_outputs(files, ts_path, fmt)
+        _reparse_outputs(files, ts_path)
         retired = staging.with_name(staging.name + "-old")
         if out_dir.exists():
             out_dir.rename(retired)

@@ -339,9 +339,7 @@ def _parse_price_file(path: Path) -> _PriceFile:
     good = date_ok & ~price_bad & positive
     # Good rows by ticker, day and line; ordinals are below 2**22.
     key = tid.astype(np.int64) << 22 | ordinal
-    order = np.flatnonzero(good)
-    if (np.diff(key[order]) <= 0).any():
-        order = order[np.argsort(key[order], kind="stable")]
+    order = np.flatnonzero(good)[np.argsort(key[good], kind="stable")]
     days = (ordinal - _EPOCH_ORDINAL).astype(DAY)
     bad = ~good
     bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # a repeated day
@@ -427,7 +425,10 @@ def load_sector_manifest(path) -> SectorManifest:
         isinstance(t, str) for t in raw["tickers"]
     ):
         raise ParseError("manifest 'tickers' must be a list of strings", path)
-    return SectorManifest(str(raw["sector"]), tuple(raw["tickers"]), str(raw["benchmark"]))
+    for key in ("sector", "benchmark"):
+        if not isinstance(raw[key], str):
+            raise ParseError(f"manifest {key!r} must be a string", path)
+    return SectorManifest(raw["sector"], tuple(raw["tickers"]), raw["benchmark"])
 
 
 def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel:

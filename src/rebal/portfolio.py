@@ -44,31 +44,17 @@ REBALANCE_FREQUENCIES = ("daily", "monthly", "yearly", "never")
 
 
 @dataclass(frozen=True)
-class CapitalPlan:
-    """Initial funding: a fixed amount of capital for each constituent."""
+class RebalancePolicy:
+    """Capital per constituent, how often to rebalance, and what fraction of
+    traded notional it costs."""
 
-    per_asset_capital: float
-    n_assets: int
+    frequency: str = "yearly"
+    cost_rate: float = 0.0
+    per_asset_capital: float = 100_000.0
 
     def __post_init__(self):
         if self.per_asset_capital <= 0.0:
             raise DomainError(f"per_asset_capital must be positive, got {self.per_asset_capital}")
-        if self.n_assets < 1:
-            raise DomainError(f"n_assets must be at least 1, got {self.n_assets}")
-
-    @property
-    def total_capital(self) -> float:
-        return self.per_asset_capital * self.n_assets
-
-
-@dataclass(frozen=True)
-class RebalancePolicy:
-    """How often to rebalance and what fraction of traded notional it costs."""
-
-    frequency: str = "yearly"
-    cost_rate: float = 0.0
-
-    def __post_init__(self):
         if self.frequency not in REBALANCE_FREQUENCIES:
             raise DomainError(
                 f"unknown frequency {self.frequency!r}, expected one of "
@@ -97,7 +83,6 @@ class BacktestResult:
     shares: np.ndarray
     cash: np.ndarray
     rebalance_dates: np.ndarray
-    initial_capital: float
 
 
 def _sum_left_to_right(v: np.ndarray) -> float:
@@ -187,20 +172,16 @@ def rebalance_dates(calendar, frequency: str) -> np.ndarray:
     return calendar[np.unique(np.searchsorted(calendar, anniversaries))]
 
 
-def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) -> BacktestResult:
+def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
     """Simulate the portfolio over a panel's full calendar.
 
     Day 0 is the initial allocation at day-0 prices; on each schedule date
     the holdings are rebalanced at that day's prices before marking to
     market.  Holdings only change on those trade dates, so each span
     between two of them is filled in one slice, and value and weights are
-    computed for the whole run at once.
+    computed for the whole run at once.  Each ticker starts with
+    ``policy.per_asset_capital``.
     """
-    if len(panel.tickers) != plan.n_assets:
-        raise AllocationError(
-            f"plan expects {plan.n_assets} assets, panel has {len(panel.tickers)}"
-        )
-
     n_days = len(panel.calendar)
     applied = rebalance_dates(panel.calendar, policy.frequency)
     bounds = [0, *np.searchsorted(panel.calendar, applied).tolist(), n_days]
@@ -208,11 +189,12 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
     shares = np.empty(prices.shape, dtype=np.int64)
     cash = np.empty(n_days, dtype=np.float64)
 
-    held, balance = _allocate(prices[:, 0], plan.per_asset_capital, plan.total_capital)
+    held, balance = _allocate(prices[:, 0], policy.per_asset_capital,
+                              policy.per_asset_capital * len(panel.tickers))
     for lo, hi in zip(bounds, bounds[1:]):
         if lo > 0:
             total = _sum_left_to_right(held * prices[:, lo]) + balance
-            held, balance = _allocate(prices[:, lo], total / plan.n_assets, total, held,
+            held, balance = _allocate(prices[:, lo], total / len(panel.tickers), total, held,
                                       policy.cost_rate)
         shares[:, lo:hi] = held[:, None]
         cash[lo:hi] = balance
@@ -235,5 +217,4 @@ def run_backtest(panel: PricePanel, plan: CapitalPlan, policy: RebalancePolicy) 
         shares=shares,
         cash=cash,
         rebalance_dates=applied,
-        initial_capital=plan.total_capital,
     )

@@ -46,7 +46,7 @@ class ReturnSeries(_ArrayRecord):
         return len(self.values)
 
 
-def simple_returns(dates, values, frequency: str = "daily") -> ReturnSeries:
+def simple_returns(dates, values) -> ReturnSeries:
     """Per-step fractional changes of a positive value series, dated at t."""
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
@@ -54,7 +54,7 @@ def simple_returns(dates, values, frequency: str = "daily") -> ReturnSeries:
     if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
         raise DomainError("values must be positive and finite")
     r = values[1:] / values[:-1] - 1.0
-    return ReturnSeries(dates[1:], r, frequency)
+    return ReturnSeries(dates[1:], r)
 
 
 def cumulative_return(initial: float, final: float) -> float:

@@ -33,7 +33,7 @@ from rebal.metrics import (
     tail_ratio,
     tear_sheet,
 )
-from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
+from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.returns import aggregate, cumulative_return
 from rebal.synthetic import business_days, generate_universe
 
@@ -152,9 +152,8 @@ def test_criterion_3_value_conservation():
     frequencies = ("daily", "monthly", "yearly", "never")
     for trial in range(1000):
         panel = _random_panel(rng)
-        plan = CapitalPlan(100_000.0, len(panel.tickers))
         policy = RebalancePolicy(frequencies[trial % 4], cost_rate=0.0)
-        result = run_backtest(panel, plan, policy)
+        result = run_backtest(panel, policy)
 
         day_index = {d: i for i, d in enumerate(panel.calendar.tolist())}
         assert np.all(result.cash >= 0.0)

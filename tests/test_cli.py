@@ -1,15 +1,20 @@
 """End-to-end command-line tests on generated synthetic data."""
 
+import ast
 import csv
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
+import types
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rebal.cli
 import rebal.market_data
@@ -19,7 +24,7 @@ from rebal.cli import RunConfig, load_run_config, main, resolve_price_file
 from rebal.errors import ConfigError, ParseError
 from rebal.market_data import PricePanel
 from rebal.metrics import MetricConfig, tear_sheet
-from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
+from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.report import ROW_BLOCK, emit_plot_data, export_tear_sheets
 from rebal.returns import simple_returns
 from rebal.synthetic import generate_universe
@@ -125,6 +130,21 @@ class TestBacktestCommand:
         lines = (alt_out / "auto" / "shares.csv").read_text().splitlines()[1:]
         counts = {tuple(line.split(",")[1:]) for line in lines}
         assert len(counts) == 1
+
+    def test_heap_is_trimmed_once_each_sector_has_loaded(self, tmp_path, monkeypatch):
+        data_dir, manifests = generate_universe(
+            tmp_path / "fixture", start=date(2021, 1, 4), end=date(2021, 2, 26),
+            n_sectors=2, tickers_per_sector=2, seed=11,
+        )
+        config = write_config(tmp_path, data_dir, manifests)
+        calls = []
+        glibc = types.SimpleNamespace(malloc_trim=calls.append)
+        monkeypatch.setattr(rebal.cli, "ctypes", types.SimpleNamespace(pythonapi=glibc))
+        assert main(["backtest", "--config", str(config)]) == 0
+        assert calls == [0, 0]
+        # a C library without malloc_trim runs the same
+        monkeypatch.setattr(rebal.cli, "ctypes", types.SimpleNamespace(pythonapi=object()))
+        assert main(["backtest", "--config", str(config)]) == 0
 
     def test_json_tear_sheet_format(self, small_universe):
         root, data_dir, manifests = small_universe
@@ -259,6 +279,20 @@ class TestInputBoundary:
         assert "failed at stage manifest" in err and "'../OUTSIDE'" in err
         assert opened and all(Path(p).resolve().parent == data_dir.resolve()
                               for p in opened if str(p).endswith(".csv"))
+        assert not (root / "out" / "auto").exists()
+
+    @pytest.mark.parametrize("names", [{"sector": ["x"]}, {"benchmark": None}])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_manifest_names_must_be_strings(self, small_universe, capsys, command, names):
+        root, data_dir, manifests = small_universe
+        payload = json.loads(manifests[0].read_text())
+        manifests[0].write_text(json.dumps(dict(payload, **names)))
+        config = write_config(root, data_dir, manifests)
+        assert main([command, "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "failed at stage manifest" in err and "must be a string" in err
+        assert "Traceback" not in err
         assert not (root / "out" / "auto").exists()
 
 
@@ -418,7 +452,7 @@ class TestReparseOutputs:
 
     def test_written_outputs_reparse(self, outputs):
         files, tear_sheets = outputs
-        rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+        rebal.cli._reparse_outputs(files, tear_sheets)
 
     @pytest.mark.parametrize("kind", ["shares", "weights", "cumulative", "distributions"])
     @pytest.mark.parametrize("how", ["nan", "-inf", "", "short row", "long row",
@@ -430,7 +464,7 @@ class TestReparseOutputs:
         damage(lines, self.NUMERIC_COLUMN[kind], how)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
-            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+            rebal.cli._reparse_outputs(files, tear_sheets)
         if how in ("nan", "-inf", "blank line"):
             assert caught.value.line == 3
 
@@ -438,7 +472,7 @@ class TestReparseOutputs:
         files, tear_sheets = outputs
         files["weights"].write_text("")
         with pytest.raises(ParseError, match=re.escape(str(files["weights"]))):
-            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+            rebal.cli._reparse_outputs(files, tear_sheets)
 
     @pytest.fixture
     def long_outputs(self, tmp_path):
@@ -466,7 +500,7 @@ class TestReparseOutputs:
         damage(lines, self.NUMERIC_COLUMN[kind], "nan", at + 5)  # a later fault loses
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
-            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+            rebal.cli._reparse_outputs(files, tear_sheets)
         if how == "short row":
             assert caught.value.line is None
             assert f"found at row {at};" in str(caught.value)
@@ -483,7 +517,7 @@ class TestReparseOutputs:
         damage(lines, 1, early, 5)
         files["weights"].write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="malformed weights file"):
-            rebal.cli._reparse_outputs(files, tear_sheets, "csv")
+            rebal.cli._reparse_outputs(files, tear_sheets)
 
 
 def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
@@ -496,7 +530,7 @@ def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
     # which keeps the traced run short
     prices = 1000.0 * np.cumprod(1.0 + rng.normal(0.0, 0.01, (n + 1, days)), axis=1)
     panel = PricePanel(calendar, tuple(f"T{i:02d}" for i in range(n)), prices[:-1], prices[-1])
-    result = run_backtest(panel, CapitalPlan(100_000.0, n), RebalancePolicy("monthly"))
+    result = run_backtest(panel, RebalancePolicy("monthly"))
     bench_cum = panel.benchmark / panel.benchmark[0] - 1.0
     sheet = tear_sheet(simple_returns(calendar, result.value),
                        simple_returns(calendar, panel.benchmark), MetricConfig(), "overall")
@@ -504,7 +538,7 @@ def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
     tracemalloc.start()
     try:
         files = emit_plot_data(result, bench_cum, calendar[days // 2], tmp_path / "out")
-        rebal.cli._reparse_outputs(files, sheets, "csv")
+        rebal.cli._reparse_outputs(files, sheets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -582,6 +616,30 @@ class TestRunConfig:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "nope.json")
+
+
+_EDGES = [0.0, -0.0, 5e-324, 0.05, 0.4999, 0.5, 0.999, 1.0, -1.0, -1.5, -3.0,
+          1e308, -1e308, math.nan, math.inf, -math.inf]
+_IN_RANGE = {
+    "per_asset_capital": st.floats(0.0, 1e308, exclude_min=True),
+    "cost_rate": st.floats(0.0, 1.0, exclude_max=True),
+    "risk_free": st.floats(-1.0, 1e308),
+    "var_cutoff": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "periods_per_year": st.integers(1, 10**6),
+}
+
+
+@st.composite
+def config_numbers(draw):
+    """Config numbers, each in its range except for up to two drawn from
+    anywhere: any float, or for periods_per_year any int or a bool."""
+    n_wild = draw(st.sampled_from([0, 1, 1, 2]))
+    wild = draw(st.sets(st.sampled_from(sorted(_IN_RANGE)), min_size=n_wild, max_size=n_wild))
+    anything = {name: st.one_of(st.sampled_from(_EDGES), st.floats()) for name in _IN_RANGE}
+    anything["periods_per_year"] = st.one_of(st.sampled_from([0, -1, -252, True, False]),
+                                             st.integers(-10**6, 10**6))
+    return {name: draw(anything[name] if name in wild else in_range)
+            for name, in_range in _IN_RANGE.items()}
 
 
 class TestConfigBoundary:
@@ -688,6 +746,29 @@ class TestConfigBoundary:
         assert "risk_free must be a finite number" in capsys.readouterr().err
         assert not (root / "out").exists()
 
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(numbers=config_numbers())
+    def test_fuzzed_numbers_pass_exactly_in_range(self, small_universe, capsys, numbers):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests, **numbers)
+        periods = numbers["periods_per_year"]
+        in_range = (  # the README's ranges; every number must also be finite
+            0.0 < numbers["per_asset_capital"] < math.inf
+            and 0.0 <= numbers["cost_rate"] < 1.0
+            and -1.0 <= numbers["risk_free"] < math.inf
+            and 0.0 < numbers["var_cutoff"] < 0.5
+            and not isinstance(periods, bool) and periods >= 1
+        )
+        rc = main(["validate", "--config", str(config)])
+        out, err = capsys.readouterr()
+        if in_range:
+            assert rc == 0 and err == "", err
+        else:
+            assert rc == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
     def test_numbers_are_stored_as_floats(self, tmp_path):
         config = RunConfig(tmp_path, [], per_asset_capital=5000, cost_rate=0)
         assert config.per_asset_capital == 5000.0
@@ -709,3 +790,14 @@ class TestResolvePriceFile:
     def test_missing_everything_names_ticker(self, tmp_path):
         with pytest.raises(ConfigError, match="CCC"):
             resolve_price_file(tmp_path, "CCC")
+
+
+def test_benchmark_tracer_names_exist_on_cli():
+    """perfbench/tracing.py times the run by wrapping rebal.cli attributes
+    by name; a renamed one would only read as missing in a traced run."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    wrapped = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED")
+    assert wrapped
+    for attr in wrapped:
+        assert callable(getattr(rebal.cli, attr, None)), attr

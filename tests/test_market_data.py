@@ -373,6 +373,18 @@ class TestSectorManifest:
         with pytest.raises(ParseError, match="missing keys"):
             load_sector_manifest(path)
 
+    @pytest.mark.parametrize("payload,match", [
+        ('{"sector": "x", "tickers": ["A", 1], "benchmark": "IX"}', "'tickers' must be a list"),
+        ('{"sector": ["x"], "tickers": ["A"], "benchmark": "IX"}', "'sector' must be a string"),
+        ('{"sector": "x", "tickers": ["A"], "benchmark": null}', "'benchmark' must be a string"),
+        ('{"sector": 7, "tickers": ["A"], "benchmark": 8}', "'sector' must be a string"),
+    ])
+    def test_names_must_be_json_strings(self, tmp_path, payload, match):
+        path = tmp_path / "m.json"
+        path.write_text(payload)
+        with pytest.raises(ParseError, match=match):
+            load_sector_manifest(path)
+
 
 class TestAlignPanel:
     def test_identical_dates_identity(self):

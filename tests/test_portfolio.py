@@ -13,7 +13,6 @@ from rebal.errors import AllocationError, DomainError, InsolvencyError
 from rebal.market_data import PricePanel
 from rebal.portfolio import (
     REBALANCE_FREQUENCIES,
-    CapitalPlan,
     RebalancePolicy,
     allocate,
     rebalance_dates,
@@ -93,26 +92,23 @@ class TestInitialAllocation:
 
     def test_lexicographic_tie_break(self):
         panel = make_panel({"B": [7_800.0] * 2, "A": [7_800.0] * 2})
-        result = run_backtest(panel, CapitalPlan(100_000.0, 2), RebalancePolicy("never"))
+        result = run_backtest(panel, RebalancePolicy("never"))
         assert dict(zip(result.tickers, result.shares[:, 0].tolist())) == {"B": 13, "A": 12}
 
     def test_value_is_conserved(self):
-        plan = CapitalPlan(100_000.0, 3)
         prices = np.array([77.7, 1234.5, 9.99])
         shares, cash = initial(prices)
         value = float(np.sum(shares * prices)) + cash
-        assert value == pytest.approx(plan.total_capital, rel=1e-12)
+        assert value == pytest.approx(3 * 100_000.0, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(AllocationError):
             initial([-5.0])
-        with pytest.raises(AllocationError):
-            run_backtest(make_panel({"A": [10.0, 10.0]}), CapitalPlan(100_000.0, 2),
-                         RebalancePolicy("never"))
         with pytest.raises(DomainError):
-            CapitalPlan(0.0, 1)
-        with pytest.raises(DomainError):
-            CapitalPlan(100.0, 0)
+            RebalancePolicy(per_asset_capital=0.0)
+        # capital is checked first, with the message RunConfig reports
+        with pytest.raises(DomainError, match="per_asset_capital must be positive, got -1.0"):
+            RebalancePolicy("weekly", 2.0, per_asset_capital=-1.0)
 
 
 class TestRebalanceDates:
@@ -256,10 +252,9 @@ class TestLedger:
 class TestRunBacktest:
     def test_constant_prices_hold_initial_capital(self):
         panel = make_panel({"A": [50.0] * 30, "B": [75.0] * 30})
-        plan = CapitalPlan(100_000.0, 2)
         for frequency in ("daily", "monthly", "yearly", "never"):
-            result = run_backtest(panel, plan, RebalancePolicy(frequency))
-            np.testing.assert_allclose(result.value, plan.total_capital, rtol=1e-12)
+            result = run_backtest(panel, RebalancePolicy(frequency))
+            np.testing.assert_allclose(result.value, 2 * 100_000.0, rtol=1e-12)
             for row in result.weights:
                 assert len(set(row.tolist())) == 1
 
@@ -269,8 +264,7 @@ class TestRunBacktest:
             "A": (100.0 * np.cumprod(1 + rng.normal(0.001, 0.02, n))).tolist(),
             "B": (200.0 * np.cumprod(1 + rng.normal(0.0, 0.01, n))).tolist(),
         })
-        result = run_backtest(panel, CapitalPlan(100_000.0, 2),
-                              RebalancePolicy("never"))
+        result = run_backtest(panel, RebalancePolicy("never"))
         assert result.rebalance_dates.tolist() == []
         for row in result.shares:
             assert np.all(row == row[0])
@@ -284,8 +278,7 @@ class TestRunBacktest:
         b = np.full(n, 100.0)
         panel = make_panel({"A": a.tolist(), "B": b.tolist()}, days=days,
                            benchmark=np.linspace(1000, 1100, n).tolist())
-        result = run_backtest(panel, CapitalPlan(100_000.0, 2),
-                              RebalancePolicy("yearly"))
+        result = run_backtest(panel, RebalancePolicy("yearly"))
         assert result.rebalance_dates.tolist() == [date(2022, 1, 4)]
         idx = int(np.searchsorted(days, np.datetime64("2022-01-04")))
         shares_a, shares_b = result.shares  # rows in ticker order: A, B
@@ -302,8 +295,7 @@ class TestRunBacktest:
             "A": (100.0 * np.cumprod(1 + rng.normal(0.0005, 0.02, n))).tolist(),
             "B": (500.0 * np.cumprod(1 + rng.normal(0.0005, 0.015, n))).tolist(),
         })
-        result = run_backtest(panel, CapitalPlan(100_000.0, 2),
-                              RebalancePolicy("monthly"))
+        result = run_backtest(panel, RebalancePolicy("monthly"))
         schedule = set(result.rebalance_dates.tolist())
         for i in range(1, n):
             changed = any(row[i] != row[i - 1] for row in result.shares)
@@ -317,8 +309,7 @@ class TestRunBacktest:
             "B": (8000.0 * np.cumprod(1 + rng.normal(0, 0.02, n))).tolist(),
             "C": (1.5 * np.cumprod(1 + rng.normal(0, 0.01, n))).tolist(),
         })
-        result = run_backtest(panel, CapitalPlan(100_000.0, 3),
-                              RebalancePolicy("monthly"))
+        result = run_backtest(panel, RebalancePolicy("monthly"))
         for i in range(n):
             marked = sum(result.shares[k][i] * panel.prices[k][i]
                          for k in range(len(panel.tickers))) + result.cash[i]
@@ -334,18 +325,18 @@ class TestRunBacktest:
             "A": (100.0 * np.cumprod(1 + rng.normal(0, 0.02, n))).tolist(),
             "B": (300.0 * np.cumprod(1 + rng.normal(0, 0.02, n))).tolist(),
         })
-        plan = CapitalPlan(100_000.0, 2)
-        r1 = run_backtest(panel, plan, RebalancePolicy("daily"))
-        r2 = run_backtest(panel, plan, RebalancePolicy("daily"))
+        r1 = run_backtest(panel, RebalancePolicy("daily"))
+        r2 = run_backtest(panel, RebalancePolicy("daily"))
         np.testing.assert_array_equal(r1.value, r2.value)
         np.testing.assert_array_equal(r1.cash, r2.cash)
         np.testing.assert_array_equal(r1.shares, r2.shares)
         np.testing.assert_array_equal(r1.weights, r2.weights)
 
-    def test_ticker_count_mismatch_rejected(self):
+    def test_portfolio_is_sized_from_the_panel(self):
         panel = make_panel({"A": [50.0] * 5, "B": [75.0] * 5})
-        with pytest.raises(AllocationError):
-            run_backtest(panel, CapitalPlan(100_000.0, 3), RebalancePolicy("never"))
+        result = run_backtest(panel, RebalancePolicy("never", per_asset_capital=30_000.0))
+        assert result.shares[:, 0].tolist() == [600, 400]
+        np.testing.assert_array_equal(result.value, 60_000.0)
 
     def test_concurrent_backtests_on_a_shared_panel(self, rng):
         from concurrent.futures import ThreadPoolExecutor
@@ -356,13 +347,12 @@ class TestRunBacktest:
             "B": (900.0 * np.cumprod(1 + rng.normal(0.0, 0.02, n))).tolist(),
             "C": (40.0 * np.cumprod(1 + rng.normal(0.0002, 0.01, n))).tolist(),
         })
-        plan = CapitalPlan(100_000.0, 3)
         frequencies = ("daily", "monthly", "yearly", "never") * 3
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(
-                lambda f: run_backtest(panel, plan, RebalancePolicy(f)), frequencies))
-        serial = {f: run_backtest(panel, plan, RebalancePolicy(f))
+                lambda f: run_backtest(panel, RebalancePolicy(f)), frequencies))
+        serial = {f: run_backtest(panel, RebalancePolicy(f))
                   for f in set(frequencies)}
         for frequency, result in zip(frequencies, parallel):
             np.testing.assert_array_equal(result.value, serial[frequency].value)
@@ -387,8 +377,7 @@ class TestMatchesDictEngine:
     bit for bit: same value, cash, shares, weights and schedule."""
 
     def assert_same(self, panel, capital, frequency, cost_rate):
-        result = run_backtest(panel, CapitalPlan(capital, len(panel.tickers)),
-                              RebalancePolicy(frequency, cost_rate))
+        result = run_backtest(panel, RebalancePolicy(frequency, cost_rate, capital))
         oracle = engine_oracle.run_backtest(panel, capital, frequency, cost_rate)
         np.testing.assert_array_equal(result.value, oracle.value)
         np.testing.assert_array_equal(result.cash, oracle.cash)
@@ -438,4 +427,4 @@ class TestMatchesDictEngine:
         with pytest.raises(InsolvencyError):
             engine_oracle.run_backtest(panel, 50.0, "daily", 0.9)
         with pytest.raises(InsolvencyError):
-            run_backtest(panel, CapitalPlan(50.0, 2), RebalancePolicy("daily", 0.9))
+            run_backtest(panel, RebalancePolicy("daily", 0.9, per_asset_capital=50.0))

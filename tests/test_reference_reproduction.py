@@ -32,7 +32,7 @@ from rebal.cli import resolve_price_file
 from rebal.errors import ConfigError
 from rebal.market_data import align_panel, clip_panel, load_price_series
 from rebal.metrics import METRIC_NAMES, MetricConfig, tear_sheet
-from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
+from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.returns import simple_returns, split_sample
 
 REFERENCE_PATH = Path(__file__).parent / "data" / "nse_sector_reference.json"
@@ -57,8 +57,7 @@ def compute_windows(data_dir: Path, tickers, benchmark: str, reference: dict):
     panel = align_panel(series, bench)
     panel = clip_panel(panel, date.fromisoformat(reference["start"]),
                        date.fromisoformat(reference["end"]))
-    result = run_backtest(panel, CapitalPlan(100_000.0, len(tickers)),
-                          RebalancePolicy("yearly"))
+    result = run_backtest(panel, RebalancePolicy("yearly"))
     cfg = MetricConfig()
     portfolio = simple_returns(panel.calendar, result.value)
     bench_returns = simple_returns(panel.calendar, panel.benchmark)

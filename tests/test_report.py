@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from rebal.errors import ValidationError
-from rebal.metrics import METRIC_NAMES, MetricConfig, box_plot_summary, tear_sheet
-from rebal.portfolio import CapitalPlan, RebalancePolicy, run_backtest
+from rebal.metrics import METRIC_NAMES, MetricConfig, TearSheet, box_plot_summary, tear_sheet
+from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.report import (
     ROW_BLOCK,
     emit_plot_data,
     export_tear_sheets,
-    format_number,
     read_tear_sheets,
 )
 from rebal.returns import aggregate, simple_returns
@@ -31,29 +30,43 @@ def make_sheet(rng, label, n=120):
     return tear_sheet(portfolio, bench, CFG, label)
 
 
-class TestFormatNumber:
-    def test_round_trips_within_1e_9(self, rng):
+def written_cells(tmp_path, values):
+    """The tear-sheet CSV cells of ``values``, one window each."""
+    sheets = [TearSheet(**dict.fromkeys(METRIC_NAMES, float(x)), window_label=f"w{i}")
+              for i, x in enumerate(values)]
+    path = export_tear_sheets(sheets, tmp_path / "ts.csv")
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1][1:]
+
+
+class TestNumberFormat:
+    """Tear-sheet cells use the plot tables' number format."""
+
+    def test_round_trips_within_1e_9(self, rng, tmp_path):
         values = np.concatenate([
             rng.normal(0, 1, 200),
             rng.normal(0, 1e-6, 50),
             rng.normal(0, 1e6, 50),
             [0.0, 1.0, -1.0, 0.1, 2.0 / 3.0],
         ])
-        for x in values:
-            back = float(format_number(float(x)))
-            assert math.isclose(back, float(x), rel_tol=1e-9, abs_tol=1e-15)
+        for x, cell in zip(values, written_cells(tmp_path, values)):
+            assert math.isclose(float(cell), float(x), rel_tol=1e-9, abs_tol=1e-15)
 
-    def test_short_values_stay_short(self):
-        assert format_number(0.1) == "0.1"
-        assert format_number(0.0) == "0"
-        assert format_number(-0.5) == "-0.5"
-        assert format_number(2.0) == "2"
+    def test_short_values_stay_short(self, tmp_path):
+        assert written_cells(tmp_path, [0.1, 0.0, -0.0, -0.5, 2.0]) == \
+            ["0.1", "0", "0", "-0.5", "2"]
+
+    def test_edge_values_match_the_shortest_12_digit_form(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                  1e-300, -1e-300, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+                  123456789012345.0, 1.0000000000005]
+        assert written_cells(tmp_path, values) == \
+            ["0" if x == 0.0 else format(x, ".12g") for x in values]
 
 
 class TestExportTearSheets:
     def test_csv_one_sheet_has_sixteen_lines(self, rng, tmp_path):
-        path = export_tear_sheets([make_sheet(rng, "overall")],
-                                  tmp_path / "ts.csv", "csv")
+        path = export_tear_sheets([make_sheet(rng, "overall")], tmp_path / "ts.csv")
         lines = path.read_text().splitlines()
         assert len(lines) == 16
         assert lines[0] == "metric,overall"
@@ -61,7 +74,7 @@ class TestExportTearSheets:
     def test_csv_three_windows_have_four_columns(self, rng, tmp_path):
         sheets = [make_sheet(rng, label)
                   for label in ("in_sample", "out_of_sample", "overall")]
-        path = export_tear_sheets(sheets, tmp_path / "ts.csv", "csv")
+        path = export_tear_sheets(sheets, tmp_path / "ts.csv")
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert all(len(row) == 4 for row in rows)
@@ -74,22 +87,22 @@ class TestExportTearSheets:
             make_sheet(rng, "noisy"),
             tear_sheet(zeros, zeros, CFG, "flat"),  # carries None markers
         ]
-        path = export_tear_sheets(sheets, tmp_path / "ts.json", "json")
-        back = read_tear_sheets(path, "json")
+        path = export_tear_sheets(sheets, tmp_path / "ts.json")
+        back = read_tear_sheets(path)
         assert back == sheets
 
     def test_csv_round_trip_preserves_none_markers(self, rng, tmp_path):
         zeros = daily_series([0.0] * 20)
         sheets = [tear_sheet(zeros, zeros, CFG, "flat")]
-        path = export_tear_sheets(sheets, tmp_path / "ts.csv", "csv")
-        back = read_tear_sheets(path, "csv")
+        path = export_tear_sheets(sheets, tmp_path / "ts.csv")
+        back = read_tear_sheets(path)
         assert back[0].sharpe is None
         assert back[0].cumulative_return == 0.0
 
     def test_csv_reparses_within_1e_9(self, rng, tmp_path):
         sheets = [make_sheet(rng, "w")]
-        path = export_tear_sheets(sheets, tmp_path / "ts.csv", "csv")
-        back = read_tear_sheets(path, "csv")[0]
+        path = export_tear_sheets(sheets, tmp_path / "ts.csv")
+        back = read_tear_sheets(path)[0]
         for name in METRIC_NAMES:
             want = getattr(sheets[0], name)
             got = getattr(back, name)
@@ -99,8 +112,20 @@ class TestExportTearSheets:
                 assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-15)
 
     def test_unknown_format_rejected(self, rng, tmp_path):
-        with pytest.raises(ValidationError):
-            export_tear_sheets([make_sheet(rng, "w")], tmp_path / "ts.xml", "xml")
+        for name in ("ts.xml", "ts", "ts.csv.bak"):
+            with pytest.raises(ValidationError, match="unknown tear-sheet format"):
+                export_tear_sheets([make_sheet(rng, "w")], tmp_path / name)
+            assert not (tmp_path / name).exists()
+        (tmp_path / "ts.xml").write_text("metric,w\n")
+        with pytest.raises(ValidationError, match="unknown tear-sheet format 'xml'"):
+            read_tear_sheets(tmp_path / "ts.xml")
+
+    def test_suffix_chooses_the_format(self, rng, tmp_path):
+        sheets = [make_sheet(rng, "w")]
+        as_json = export_tear_sheets(sheets, tmp_path / "ts.json").read_text()
+        as_csv = export_tear_sheets(sheets, tmp_path / "ts.csv").read_text()
+        assert as_json.startswith("[") and as_csv.startswith("metric,w\n")
+        assert read_tear_sheets(tmp_path / "ts.json") == sheets
 
 
 def old_emit_plot_data(result, benchmark_cum, split_date, out_dir):
@@ -148,8 +173,7 @@ class TestEmitPlotData:
             for k, t in enumerate(tickers)
         }
         panel = make_panel(columns)
-        result = run_backtest(panel, CapitalPlan(100_000.0, len(tickers)),
-                              RebalancePolicy("daily"))
+        result = run_backtest(panel, RebalancePolicy("daily"))
         benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
         return panel, result, benchmark_cum
 
@@ -227,7 +251,7 @@ class TestEmitPlotData:
 
         panel = make_panel({"A": walk(50.0), "BRK,B": walk(300.0),
                             'Q"T': walk(7.5), "ZZ": walk(1e7)})
-        result = run_backtest(panel, CapitalPlan(100_000.0, 4), RebalancePolicy("monthly"))
+        result = run_backtest(panel, RebalancePolicy("monthly"))
         assert not result.shares[result.tickers.index("ZZ")].any()
         bench = panel.benchmark / panel.benchmark[0] - 1.0
         bench[7] = -0.0
