@@ -65,13 +65,13 @@ class RunConfig:
     start: np.datetime64 = np.datetime64("2021-01-04")
     split: np.datetime64 = np.datetime64("2022-07-01")
     end: np.datetime64 = np.datetime64("2023-09-20")
-    frequency: str = "yearly"
-    per_asset_capital: float = 100_000.0
-    cost_rate: float = 0.0
-    periods_per_year: int = 252
-    risk_free: float = 0.0
-    omega_threshold: float = 0.0
-    var_cutoff: float = 0.05
+    frequency: str = RebalancePolicy.frequency
+    per_asset_capital: float = RebalancePolicy.per_asset_capital
+    cost_rate: float = RebalancePolicy.cost_rate
+    periods_per_year: int = MetricConfig.periods_per_year
+    risk_free: float = MetricConfig.risk_free_rate_annual
+    omega_threshold: float = MetricConfig.omega_threshold_daily
+    var_cutoff: float = MetricConfig.var_cutoff
     tear_sheet_format: str = "csv"
 
     def __post_init__(self):

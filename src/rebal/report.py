@@ -4,7 +4,8 @@ This package emits plot *data*, not rendered charts; any plotting tool
 can consume the files.  All output is deterministic: fixed column order
 (sorted tickers), one decimal format (``%.12g``, shortest representation
 capped at 12 significant digits, with -0 written as 0), LF line endings.
-The same inputs always produce byte-identical files.
+The same inputs always produce byte-identical files.  Shares and weights
+are encoded by array kernels that write those same bytes.
 
 Output schemas:
 
@@ -36,7 +37,7 @@ from .returns import aggregate, simple_returns
 logger = logging.getLogger(__name__)
 
 BOX_STATS = ("min", "q1", "median", "q3", "max")
-ROW_BLOCK = 128  # days per block in which shares and weights are written and re-read
+ROW_BLOCK = 128  # lines per block in which a plot file is re-read, and at most written
 NUMBER = "%.12g"  # every float cell, of x + 0.0 so that -0.0 prints as 0
 
 PLOT_LAYOUT = {
@@ -84,20 +85,27 @@ def export_tear_sheets(sheets, path) -> Path:
     return path
 
 
+def _metric(cell) -> float | None:
+    """A tear-sheet value; an empty cell or null is not computable."""
+    return None if cell is None or cell == "" else float(cell)
+
+
 def read_tear_sheets(path) -> list[TearSheet]:
     """Parse a tear-sheet file, CSV or JSON by its suffix, back into
-    TearSheet objects."""
+    TearSheet objects.  A malformed file is a ParseError naming the path,
+    and the line where there is one."""
     path = Path(path)
-    if _tear_sheet_format(path) == "json":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return [
-            TearSheet(**{n: entry["metrics"][n] for n in METRIC_NAMES},
-                      window_label=entry["window"])
-            for entry in payload
-        ]
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    as_json = _tear_sheet_format(path) == "json"
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if as_json:
+                return [TearSheet(**{n: _metric(entry["metrics"][n]) for n in METRIC_NAMES},
+                                  window_label=entry["window"]) for entry in json.load(fh)]
+            rows = list(csv.reader(fh))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", path, exc.lineno) from None
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise ParseError(f"not a tear sheet: {exc!r}", path) from None
     if not rows or rows[0][:1] != ["metric"]:
         raise ParseError("bad tear-sheet header", path, 1)
     labels = rows[0][1:]
@@ -105,7 +113,10 @@ def read_tear_sheets(path) -> list[TearSheet]:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(labels) + 1:
             raise ParseError(f"expected {len(labels) + 1} columns", path, lineno)
-        table[row[0]] = [float(c) if c != "" else None for c in row[1:]]
+        try:
+            table[row[0]] = [_metric(c) for c in row[1:]]
+        except ValueError as exc:
+            raise ParseError(str(exc), path, lineno) from None
     missing = [n for n in METRIC_NAMES if n not in table]
     if missing:
         raise ParseError(f"missing metric rows: {missing}", path)
@@ -120,13 +131,91 @@ def _write_table(path: Path, header: list[str], rows) -> None:
     ``PLOT_LAYOUT`` for the file ``path`` names.
 
     The header goes through ``csv`` so that names needing quotes get them;
-    each body line is one ``%``-template, never a per-cell call.
+    each body line is one ``%``-template, never a per-cell call.  Shares and
+    weights, the large tables, go through ``_write_matrix`` instead.
     """
     head, cell, tail = PLOT_LAYOUT[path.stem]
     line = ",".join(["%s"] * head + [cell] * (len(header) - head - tail) + ["%s"] * tail) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(line % row for row in rows)
+
+
+def _digit_words() -> np.ndarray:
+    """The four digits of 0..9999 as uint32 words of text, spelt three ways in
+    turn: zero-padded, trailing zeros as NUL, leading zeros but the last as NUL."""
+    n = np.arange(10_000, dtype=np.int32)
+    digits = np.stack([n // p % 10 + 48 for p in (1000, 100, 10, 1)], axis=1).astype(np.uint8)
+    trail = np.stack([n % p != 0 for p in (10_000, 1000, 100, 10)], axis=1)
+    lead = np.stack([n >= p for p in (1000, 100, 10, 0)], axis=1)
+    return np.concatenate([digits, digits * trail, digits * lead]).view(np.uint32)[:, 0]
+
+
+_WORDS = _digit_words()
+_TRAIL, _LEAD = 10_000, 20_000  # where _WORDS's second and third spellings start
+_POW10 = np.array([float(10 ** k) for k in range(17)])  # exact doubles
+CHUNK_CELLS = 8192  # most cells of shares or weights encoded at a time
+
+
+def _count_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Write "," and ``"%d"`` of each value in [0, 10**8) into its cell of
+    ``words`` (uint32 text, NUL-padded); return the mask of those cells."""
+    fast = (values >= 0) & (values < 10 ** 8)
+    high = values * fast // 10 ** 4
+    words[..., 0] = np.frombuffer(b",\0\0\0", np.uint32)
+    words[..., 1] = _WORDS[np.where(high > 0, high + _LEAD, _TRAIL)]  # _TRAIL: no digits
+    words[..., 2] = _WORDS[values * fast - high * 10 ** 4 + _LEAD * (high == 0)]
+    return fast
+
+
+def _fraction_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """As ``_count_cells``, for ``NUMBER`` of the values in [1e-4, 1) that array
+    arithmetic gets exactly.  There ``%.12g`` is "0.", -e - 1 zeros and the
+    digits of ``rint(x * 10**(11 - e))`` less trailing zeros, at the decade
+    e = floor(log10(x)) in [-4, -1].  The power of ten is exact and the product
+    rounds once, by under 6.2e-5, so a cell leaves the fast path only within
+    2.5e-4 of a tie, outside [1e11, 1e12) (log10 a decade off) or at 1."""
+    fast = (values >= 1e-4) & (values < 1.0)
+    x = np.where(fast, values, 0.5)
+    decade = np.floor(np.log10(x)).astype(np.int64)
+    y = x * _POW10[11 - decade]
+    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 2.5e-4)
+    # the fifteen fraction digits, 0 off the fast path (where decade + 4 may be
+    # -1); digits of 10**12 carry into the next decade, and to 1 at 10**15
+    fraction = (np.rint(y) * fast * _POW10[decade + 4]).astype(np.int64)
+    fast &= fraction < 10 ** 15
+    words[..., 0] = np.frombuffer(b",0.\0", np.uint32)
+    zeros_after = True
+    for k in (4, 3, 2, 1):  # four words of four digits, the first a 0
+        fraction, group = np.divmod(fraction, 10 ** 4)
+        words[..., k] = _WORDS[group + _TRAIL * zeros_after]
+        zeros_after = zeros_after & (group == 0)
+    words[..., 1] &= np.frombuffer(b"\0\xff\xff\xff", np.uint32)  # drop that 0
+    return fast
+
+
+def _write_matrix(path: Path, header: list[str], days: np.ndarray, matrix: np.ndarray) -> None:
+    """Write the bytes ``_write_table`` would for ``days`` (``S10``) and the
+    tickers x days ``matrix``: cells padded with NUL, which ``bytes.translate``
+    drops, filled by the file's array kernel at most ``ROW_BLOCK`` days and
+    ``CHUNK_CELLS`` cells at a time, and one at a time off its fast path."""
+    cell = PLOT_LAYOUT[path.stem][1]
+    encode = _count_cells if cell == "%d" else _fraction_cells
+    step = max(1, min(ROW_BLOCK, CHUNK_CELLS // len(matrix)))  # days per chunk
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.flush()
+        for lo in range(0, len(days), step):
+            block = np.ascontiguousarray(matrix[:, lo:lo + step].T)
+            # 24-byte cells: a comma, the longest "%d" of an int64 or NUMBER text, NUL
+            lines = np.zeros((len(block), len(matrix) + 1, 6), np.uint32)
+            lines[:, 0].view(np.uint8)[:, :10] = days[lo:lo + step, None].view(np.uint8)
+            slow = ~encode(block, lines[:, 1:])
+            # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0
+            text = [("," + cell % x).encode() for x in (block[slow] + 0).tolist()]
+            lines[:, 1:].view("S24")[..., 0][slow] = text
+            lines[:, -1].view(np.uint8)[:, -1] = ord("\n")
+            fh.buffer.write(lines.tobytes().translate(None, b"\0"))
 
 
 def emit_plot_data(
@@ -139,7 +228,7 @@ def emit_plot_data(
 
     ``benchmark_cum`` must be the benchmark's cumulative return aligned to
     ``result.calendar`` (0.0 on the first day).  Shares and weights are
-    formatted ``ROW_BLOCK`` days at a time, never as a whole-matrix copy.
+    encoded a few thousand cells at a time, never as a whole-matrix copy.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -147,17 +236,11 @@ def emit_plot_data(
     if len(benchmark_cum) != len(result.calendar):
         raise ValidationError(f"benchmark series length {len(benchmark_cum)} != calendar "
                               f"length {len(result.calendar)}")
-    header = ["date", *result.tickers]
     dates = np.datetime_as_string(result.calendar).tolist()
     manifest = {kind: out_dir / f"{kind}.csv" for kind in PLOT_LAYOUT}
-
-    # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0, and leaves
-    # every other value alone
-    for kind, matrix in (("shares", result.shares), ("weights", result.weights)):
-        rows = ((day, *row) for lo in range(0, len(dates), ROW_BLOCK)
-                for day, row in zip(dates[lo:lo + ROW_BLOCK],
-                                    (matrix[:, lo:lo + ROW_BLOCK] + 0).T.tolist()))
-        _write_table(manifest[kind], header, rows)
+    for kind in ("shares", "weights"):
+        _write_matrix(manifest[kind], ["date", *result.tickers], np.array(dates, "S10"),
+                      getattr(result, kind))
 
     portfolio_cum = result.value / result.value[0] - 1.0
     segments = np.where(result.calendar < np.datetime64(split_date, "D"),

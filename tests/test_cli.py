@@ -398,6 +398,36 @@ class TestNeverHalfWrite:
         assert "stage verify" in err and "Traceback" not in err
         assert list((root / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("fmt, damaged", [
+        ("json", '[{"window": "x"}]'),
+        ("json", '{"window": "x"}'),
+        ("json", "not json"),
+        ("csv", "abc"),
+    ])
+    def test_tear_sheet_damaged_before_verify_fails_verify(self, small_universe, monkeypatch,
+                                                           capsys, fmt, damaged):
+        root, data_dir, manifests = small_universe
+        real = rebal.cli.export_tear_sheets
+
+        def export_then_damage(sheets, path):
+            path = real(sheets, path)
+            if fmt == "csv":  # one number cell on line 2
+                lines = path.read_text().splitlines()
+                lines[1] = lines[1].split(",")[0] + "," + damaged + ",0,0"
+                damaged_text = "\n".join(lines) + "\n"
+            else:
+                damaged_text = damaged
+            path.write_text(damaged_text)
+            return path
+
+        monkeypatch.setattr(rebal.cli, "export_tear_sheets", export_then_damage)
+        config = write_config(root, data_dir, manifests, tear_sheet_format=fmt)
+        assert main(["backtest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage verify" in err and "Traceback" not in err
+        assert f"tear_sheets.{fmt}" + (":2: could not convert" if fmt == "csv" else "") in err
+        assert list((root / "out").iterdir()) == []
+
     def test_failed_rerun_keeps_previous_output(self, small_universe, monkeypatch):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
@@ -593,6 +623,11 @@ class TestRunConfig:
         assert config.frequency == "yearly"
         assert config.per_asset_capital == 100_000.0
         assert config.cost_rate == 0.0
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        config = RunConfig(tmp_path, [tmp_path / "m.json"])
+        assert config.policy() == RebalancePolicy()
+        assert config.metric_config() == MetricConfig()
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "run.json"

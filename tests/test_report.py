@@ -3,16 +3,23 @@
 import csv
 import dataclasses
 import math
+import re
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rebal.errors import ValidationError
+from rebal.errors import ParseError, ValidationError
 from rebal.metrics import METRIC_NAMES, MetricConfig, TearSheet, box_plot_summary, tear_sheet
 from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.report import (
+    CHUNK_CELLS,
+    NUMBER,
     ROW_BLOCK,
+    _count_cells,
+    _fraction_cells,
     emit_plot_data,
     export_tear_sheets,
     read_tear_sheets,
@@ -126,6 +133,97 @@ class TestExportTearSheets:
         as_csv = export_tear_sheets(sheets, tmp_path / "ts.csv").read_text()
         assert as_json.startswith("[") and as_csv.startswith("metric,w\n")
         assert read_tear_sheets(tmp_path / "ts.json") == sheets
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("ts.json", '[{"window": "x"}]', None),
+        ("ts.json", '{"window": "x"}', None),
+        ("ts.json", "not json", 1),
+        ("ts.json", '[{"window": "x", "metrics": {"sharpe": "abc"}}]', None),
+        ("ts.json", "[1]", None),
+        ("ts.csv", "metric,w\ncumulative_return,abc\n", 2),
+        ("ts.csv", b"metric,w\n\xff\n", None),
+    ])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
+            read_tear_sheets(path)
+        assert caught.value.line == line
+
+
+def encoded(encode, values):
+    """(fast-path mask, text of each fast cell) that ``encode`` writes for ``values``."""
+    words = np.zeros(values.shape + (6,), np.uint32)
+    fast = encode(values, words)
+    return fast, [bytes(cell).replace(b"\0", b"").decode() for cell in words[fast]]
+
+
+def decade_ties():
+    """Doubles whose twelve-digit rounding is an exact tie, the odd multiples
+    of 2**-(13 + j) at the decade 10**-(j + 1), with both their neighbours."""
+    ties = []
+    for j in range(4):
+        x = np.arange(1, 2 ** (13 + j), 2) / 2 ** (13 + j)
+        ties.append(x[(x >= 10.0 ** -(j + 1)) & (x < 10.0 ** -j)])
+    ties = np.concatenate(ties)
+    assert all(("%.13g" % x).endswith("5") for x in ties)
+    return np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1)])
+
+
+def near_tie(digits, decade):
+    """The double nearest the decimal tie of the twelve ``digits`` and a 5 at
+    ``decade``; its product with a power of ten can round onto the tie."""
+    return float(f"{digits}5e{decade - 12}")
+
+
+_POWERS = 10.0 ** np.arange(-6, 1)
+FRACTION_EDGES = np.concatenate([
+    _POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, 2),
+    [0.00099999999999995, 0.0099999999999999995, 0.9999999999995, 0.0999999999999995,
+     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+     -0.25, -1e-3, 1.0, 2.5, 1e300],
+    decade_ties(),
+    [near_tie(m, e) for m, e in zip(np.random.default_rng(3).integers(10**11, 10**12, 4000),
+                                    [-4, -3, -2, -1] * 1000)],
+])
+COUNT_EDGES = np.array([0, 1, 9, 10, 99, 100, 9999, 10**4, 10**4 + 1, 10**7, 10**8 - 1,
+                        10**8, -1, -(2**63), 2**63 - 1], dtype=np.int64)
+
+
+class TestCellKernels:
+    """The shares and weights kernels write NUMBER % (x + 0.0) and "%d" exactly."""
+
+    def check(self, encode, cell, values):
+        fast, text = encoded(encode, values)
+        assert text == ["," + cell % (x + 0) for x in values[fast].tolist()]
+        return fast
+
+    def test_fraction_edges(self):
+        fast = self.check(_fraction_cells, NUMBER, FRACTION_EDGES)
+        assert fast[np.isin(FRACTION_EDGES, [0.5, 0.125, 0.1, 0.0001])].all()
+        assert not fast[np.isin(FRACTION_EDGES, [0.9999999999995, 1.0, -0.25, 0.0])].any()
+
+    def test_count_edges(self):
+        fast = self.check(_count_cells, "%d", COUNT_EDGES)
+        assert fast.tolist() == [True] * 11 + [False] * 4
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(1e-7, 1e3), st.floats(-7.0, 3.0).map(lambda e: 10.0 ** e),
+                              st.builds(near_tie, st.integers(10**11, 10**12 - 1),
+                                        st.integers(-4, -1))),
+                    min_size=1, max_size=400),
+           st.lists(st.integers(-10, 2 * 10**8), min_size=1, max_size=50))
+    def test_matches_the_cell_format(self, floats, ints):
+        self.check(_fraction_cells, NUMBER, np.array(floats))
+        self.check(_count_cells, "%d", np.array(ints, dtype=np.int64))
+
+    def test_typical_cells_take_the_fast_path(self, rng):
+        weights = rng.uniform(1e-4, 1.0, (40, 500))
+        assert self.check(_fraction_cells, NUMBER, weights).mean() > 0.99
+        assert self.check(_count_cells, "%d", rng.integers(0, 10**8, (40, 500))).all()
 
 
 def old_emit_plot_data(result, benchmark_cum, split_date, out_dir):
@@ -271,6 +369,29 @@ class TestEmitPlotData:
         weights[1, -1] = -0.0  # in the last block: must print as 0
         result = dataclasses.replace(result, weights=weights)
         split = panel.calendar[days // 2].item()
+        manifest = emit_plot_data(result, bench, split, tmp_path / "new")
+        old_emit_plot_data(result, bench, split, tmp_path / "old")
+        for kind, path in manifest.items():
+            assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
+
+    @pytest.mark.parametrize("n_tickers, days", [(5, 300), (100, 250)])
+    def test_bytes_match_across_chunks(self, rng, tmp_path, n_tickers, days):
+        # chunks of ROW_BLOCK days (5 tickers) or of CHUNK_CELLS cells (100),
+        # with cells off the fast paths at chunk edges: -0.0, 1, a weight
+        # that rounds to 1, nan, a subnormal, share counts past 10**8 and
+        # below 0
+        tickers = tuple(f"T{i:03d}" for i in range(n_tickers))
+        panel, result, bench = self.run_small_backtest(rng, n=days, tickers=tickers)
+        step = min(ROW_BLOCK, CHUNK_CELLS // n_tickers)
+        assert days > 2 * step + 1
+        weights, shares = result.weights.copy(), result.shares.copy()
+        for (i, day), w, n in zip([(0, step - 1), (1, step), (2, 2 * step), (3, 2 * step + 1),
+                                   (4, days - 1), (0, 0)],
+                                  [-0.0, 1.0, 0.99999999999999, math.nan, 5e-324, 0.5],
+                                  [10**8, -1, 2**63 - 1, 0, 10**8 - 1, 10**9]):
+            weights[i, day], shares[i, day] = w, n
+        result = dataclasses.replace(result, weights=weights, shares=shares)
+        split = panel.calendar[days // 3].item()
         manifest = emit_plot_data(result, bench, split, tmp_path / "new")
         old_emit_plot_data(result, bench, split, tmp_path / "old")
         for kind, path in manifest.items():
