@@ -44,7 +44,7 @@ from .market_data import (
     load_price_series,
     load_sector_manifest,
 )
-from .metrics import METRIC_NAMES, MetricConfig, tear_sheet
+from .metrics import MetricConfig, tear_sheet
 from .portfolio import REBALANCE_FREQUENCIES, RebalancePolicy, rebalance_dates, run_backtest
 from .report import PLOT_LAYOUT, ROW_BLOCK, emit_plot_data, export_tear_sheets, read_tear_sheets
 from .returns import simple_returns, split_sample
@@ -53,6 +53,7 @@ logger = logging.getLogger(__name__)
 
 _FLOAT_FIELDS = ("per_asset_capital", "cost_rate", "risk_free", "omega_threshold", "var_cutoff")
 _CONFIG_DATES = ("start", "split", "end")
+WINDOWS = ("in_sample", "out_of_sample", "overall")  # the tear sheets' windows, in order
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,10 @@ def _reparse_table(kind: str, path: Path) -> None:
     """Re-read one plot dataset: every row has the header's column count and
     every numeric cell parses as a finite float.
 
-    The body is parsed ``ROW_BLOCK`` lines at a time, with the errors of one
-    whole-body parse: a malformed row wins over a blank line, and a blank
-    line over a non-finite cell, wherever they are.
+    The body is parsed ``ROW_BLOCK`` lines at a time.  A block with a blank
+    line, a malformed row or a non-finite cell is checked again a line at a
+    time, by the same rule, and its first faulty line is the error, named
+    path:line; so the first faulty line of the file wins, whatever its fault.
     """
     head, _, tail = PLOT_LAYOUT[kind]
     with open(path, newline="", encoding="utf-8") as fh:
@@ -246,43 +248,37 @@ def _reparse_table(kind: str, path: Path) -> None:
         strings = [(f"text{i}", str) for i in range(head + tail)]
         dtype = strings[:head] + [("numbers", np.float64, (numeric,))] + strings[head:]
         options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        line, rows, blank, bad = reader.line_num + 1, 0, None, None
+
+        def fault(lines: list[str]) -> str | None:
+            """What is wrong with ``lines``, if anything."""
+            if not all(text.rstrip("\r\n") for text in lines):
+                return f"blank line in {kind} file"
+            try:
+                numbers = np.loadtxt(lines, **options)["numbers"]
+            except ValueError as exc:  # np.loadtxt's "at row N" counts ``lines``, not the file
+                return f"malformed {kind} file: {str(exc).split(' at row ')[0]}"
+            bad = numbers[~np.isfinite(numbers)]  # in file order
+            return f"not a finite number: {str(bad[0])!r}" if bad.size else None
+
+        first = line = reader.line_num + 1
         while block := list(itertools.islice(fh, ROW_BLOCK)):
-            empty = [not text.rstrip("\r\n") for text in block]
-            if blank is None and any(empty):
-                blank = ParseError(f"blank line in {kind} file", path, line + empty.index(True))
-            if not all(empty):
-                try:
-                    table = np.loadtxt(block, **options)
-                except ValueError:
-                    # np.loadtxt's message numbers the rows of its input: parse
-                    # again behind as many good rows as came before this block
-                    good = itertools.repeat(",".join(["0"] * len(header)), rows)
-                    try:
-                        np.loadtxt(itertools.chain(good, block), **options)
-                    except ValueError as exc:
-                        raise ParseError(f"malformed {kind} file: {exc}", path) from None
-                finite = np.isfinite(table["numbers"])
-                if bad is None and not finite.all():  # numbered as if no line is blank
-                    row, col = np.argwhere(~finite)[0]
-                    cell = str(float(table["numbers"][row, col]))
-                    bad = ParseError(f"not a finite number: {cell!r}", path, line + int(row))
-                rows += len(table)
+            if fault(block):
+                for i, text in enumerate(block):
+                    if message := fault([text]):
+                        raise ParseError(message, path, line + i)
             line += len(block)
-    if not rows:
+    if line == first:
         raise ParseError(f"{kind} file has no data rows", path)
-    if blank or bad:
-        raise blank or bad
 
 
 def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path) -> None:
-    """Re-read everything just written; raises if any artifact is unreadable
-    or holds a non-finite number."""
-    for sheet in read_tear_sheets(tear_sheet_path):
-        for name in METRIC_NAMES:
-            value = getattr(sheet, name)
-            if value is not None and not math.isfinite(value):
-                raise ParseError(f"non-finite {name} in {sheet.window_label}", tear_sheet_path)
+    """Re-read everything just written; raises a ParseError if an artifact is
+    unreadable or holds a non-finite number, or if the tear sheet does not
+    hold exactly the run's ``WINDOWS``, in order."""
+    windows = tuple(sheet.window_label for sheet in read_tear_sheets(tear_sheet_path))
+    if windows != WINDOWS:
+        raise ParseError(f"expected windows {WINDOWS}, got {windows}", tear_sheet_path,
+                         1 if tear_sheet_path.suffix == ".csv" else None)
     for kind, path in files.items():
         _reparse_table(kind, path)
 
@@ -309,11 +305,8 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[s
         benchmark_daily = simple_returns(panel.calendar, panel.benchmark)
         p_in, p_out = split_sample(portfolio_daily, config.split)
         b_in, b_out = split_sample(benchmark_daily, config.split)
-        sheets = [
-            tear_sheet(p_in, b_in, cfg, "in_sample"),
-            tear_sheet(p_out, b_out, cfg, "out_of_sample"),
-            tear_sheet(portfolio_daily, benchmark_daily, cfg, "overall"),
-        ]
+        samples = [(p_in, b_in), (p_out, b_out), (portfolio_daily, benchmark_daily)]
+        sheets = [tear_sheet(p, b, cfg, label) for (p, b), label in zip(samples, WINDOWS)]
 
         stage = "report"
         slug = _sector_slug(sector)

@@ -13,11 +13,7 @@ class ParseError(RebalError):
     """A file could not be parsed (malformed row, bad header, bad number)."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc += f"{path}"
-        if line is not None:
-            loc += f":{line}"
+        loc = ("" if path is None else f"{path}") + ("" if line is None else f":{line}")
         super().__init__(f"{loc}: {message}" if loc else message)
         self.path = path
         self.line = line

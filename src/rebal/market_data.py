@@ -242,11 +242,7 @@ def _float(cell: bytes) -> float | None:
 
 
 def _lines(text: str):
-    """The lines of text: a list, which np.loadtxt reads fastest, or for a
-    text over 128 KiB an iterator that splits 64 KiB at a time, to bound
-    memory."""
-    if len(text) <= 1 << 17:
-        return text.split("\n")
+    """The lines of text, split 64 KiB at a time to bound memory."""
     ends = [0]
     while ends[-1] < len(text):
         ends.append(text.find("\n", ends[-1] + (1 << 16)) + 1 or len(text))

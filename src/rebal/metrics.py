@@ -218,30 +218,29 @@ def tail_ratio(returns: ReturnSeries) -> float:
     return abs(p95) / abs(p05)
 
 
-def skewness(returns: ReturnSeries) -> float:
-    """Adjusted Fisher-Pearson sample skewness."""
+def _deviations(returns: ReturnSeries, name: str, least: int):
+    """n, the deviations from the mean and their mean square m2, of at least
+    ``least`` returns that are not all equal."""
     r = _values(returns)
     n = len(r)
-    if n < 3:
-        raise DomainError(f"skewness needs at least 3 observations, got {n}")
+    if n < least:
+        raise DomainError(f"{name} needs at least {least} observations, got {n}")
     if np.all(r == r[0]):
         raise UndefinedMetricError("zero variance")
     d = r - np.mean(r)
-    m2 = float(np.mean(d * d))
+    return n, d, float(np.mean(d * d))
+
+
+def skewness(returns: ReturnSeries) -> float:
+    """Adjusted Fisher-Pearson sample skewness."""
+    n, d, m2 = _deviations(returns, "skewness", 3)
     g1 = float(np.mean(d ** 3)) / m2 ** 1.5
     return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
 def kurtosis(returns: ReturnSeries) -> float:
     """Sample-adjusted excess kurtosis (normal data scores 0)."""
-    r = _values(returns)
-    n = len(r)
-    if n < 4:
-        raise DomainError(f"kurtosis needs at least 4 observations, got {n}")
-    if np.all(r == r[0]):
-        raise UndefinedMetricError("zero variance")
-    d = r - np.mean(r)
-    m2 = float(np.mean(d * d))
+    n, d, m2 = _deviations(returns, "kurtosis", 4)
     g2 = float(np.mean(d ** 4)) / (m2 * m2) - 3.0
     return ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
 

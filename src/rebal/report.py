@@ -86,14 +86,18 @@ def export_tear_sheets(sheets, path) -> Path:
 
 
 def _metric(cell) -> float | None:
-    """A tear-sheet value; an empty cell or null is not computable."""
-    return None if cell is None or cell == "" else float(cell)
+    """A finite tear-sheet value; an empty cell or null is not computable."""
+    value = None if cell is None or cell == "" else float(cell)
+    if value is not None and not np.isfinite(value):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
 
 
 def read_tear_sheets(path) -> list[TearSheet]:
     """Parse a tear-sheet file, CSV or JSON by its suffix, back into
-    TearSheet objects.  A malformed file is a ParseError naming the path,
-    and the line where there is one."""
+    TearSheet objects.  Every value must be a finite number or not
+    computable, and a CSV must hold each metric row once.  A malformed file
+    is a ParseError naming the path, and in a CSV the first faulty line."""
     path = Path(path)
     as_json = _tear_sheet_format(path) == "json"
     try:
@@ -113,6 +117,8 @@ def read_tear_sheets(path) -> list[TearSheet]:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(labels) + 1:
             raise ParseError(f"expected {len(labels) + 1} columns", path, lineno)
+        if row[0] not in METRIC_NAMES or row[0] in table:
+            raise ParseError(f"unknown or repeated metric {row[0]!r}", path, lineno)
         try:
             table[row[0]] = [_metric(c) for c in row[1:]]
         except ValueError as exc:

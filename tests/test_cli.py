@@ -23,7 +23,7 @@ import rebal.report
 from rebal.cli import RunConfig, load_run_config, main, resolve_price_file
 from rebal.errors import ConfigError, ParseError
 from rebal.market_data import PricePanel
-from rebal.metrics import MetricConfig, tear_sheet
+from rebal.metrics import METRIC_NAMES, MetricConfig, tear_sheet
 from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.report import ROW_BLOCK, emit_plot_data, export_tear_sheets
 from rebal.returns import simple_returns
@@ -428,6 +428,30 @@ class TestNeverHalfWrite:
         assert f"tear_sheets.{fmt}" + (":2: could not convert" if fmt == "csv" else "") in err
         assert list((root / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("fmt, emptied", [
+        ("json", "[]\n"),
+        ("csv", "metric\n" + "".join(f"{name}\n" for name in METRIC_NAMES)),
+    ])
+    def test_emptied_tear_sheet_fails_verify(self, small_universe, monkeypatch, capsys,
+                                             fmt, emptied):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests, tear_sheet_format=fmt)
+        assert main(["backtest", "--config", str(config)]) == 0
+        first = output_tree(root / "out")
+        real = rebal.cli.export_tear_sheets
+
+        def export_then_empty(sheets, path):
+            path = real(sheets, path)
+            path.write_text(emptied)
+            return path
+
+        monkeypatch.setattr(rebal.cli, "export_tear_sheets", export_then_empty)
+        assert main(["backtest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage verify" in err and "expected windows" in err
+        assert "Traceback" not in err
+        assert output_tree(root / "out") == first
+
     def test_failed_rerun_keeps_previous_output(self, small_universe, monkeypatch):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
@@ -495,8 +519,7 @@ class TestReparseOutputs:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
             rebal.cli._reparse_outputs(files, tear_sheets)
-        if how in ("nan", "-inf", "blank line"):
-            assert caught.value.line == 3
+        assert caught.value.line == (None if how == "no rows" else 3)
 
     def test_empty_file_is_a_parse_error(self, outputs):
         files, tear_sheets = outputs
@@ -529,24 +552,49 @@ class TestReparseOutputs:
         damage(lines, self.NUMERIC_COLUMN[kind], how, at)
         damage(lines, self.NUMERIC_COLUMN[kind], "nan", at + 5)  # a later fault loses
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{at + 1}: ")) as caught:
             rebal.cli._reparse_outputs(files, tear_sheets)
-        if how == "short row":
-            assert caught.value.line is None
-            assert f"found at row {at};" in str(caught.value)
-        else:
-            assert caught.value.line == at + 1
+        assert caught.value.line == at + 1
+        assert " row " not in str(caught.value)  # the line is the only position given
 
-    @pytest.mark.parametrize("early", ["nan", "blank line"])
-    def test_malformed_row_in_a_later_block_wins(self, long_outputs, early):
-        # as in one whole-file parse, a malformed row anywhere is reported
-        # before a blank line or a non-finite cell in an earlier block
+    @pytest.mark.parametrize("how", ["nan", "blank line", "short row"])
+    def test_faults_either_side_of_a_block_boundary_name_their_lines(self, long_outputs, how):
+        files, tear_sheets = long_outputs
+        path = files["weights"]
+        clean = path.read_text().splitlines()
+        # line ROW_BLOCK + 1 ends the first block of rows, line ROW_BLOCK + 2 starts the next
+        for rows in ([ROW_BLOCK, ROW_BLOCK + 1], [ROW_BLOCK + 1]):
+            lines = list(clean)
+            for at in reversed(rows):  # the later first, so an inserted line moves neither
+                damage(lines, 1, how, at)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ParseError, match=re.escape(f"{path}:{rows[0] + 1}: ")) as caught:
+                rebal.cli._reparse_outputs(files, tear_sheets)
+            assert caught.value.line == rows[0] + 1
+
+    @pytest.mark.parametrize("early, late", [
+        ("nan", "long row"), ("blank line", "long row"), ("long row", "nan"),
+    ])
+    def test_earliest_fault_wins(self, long_outputs, early, late):
+        # whatever its kind, the first faulty line in file order is the error
         files, tear_sheets = long_outputs
         lines = files["weights"].read_text().splitlines()
-        damage(lines, 1, "long row", ROW_BLOCK + 20)
+        damage(lines, 1, late, ROW_BLOCK + 20)
         damage(lines, 1, early, 5)
         files["weights"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="malformed weights file"):
+        message = {"nan": "not a finite number", "blank line": "blank line in weights file",
+                   "long row": "malformed weights file"}[early]
+        with pytest.raises(ParseError, match=f":6: {message}") as caught:
+            rebal.cli._reparse_outputs(files, tear_sheets)
+        assert caught.value.line == 6
+
+    def test_tear_sheet_must_hold_the_run_windows_in_order(self, outputs):
+        files, tear_sheets = outputs
+        lines = tear_sheets.read_text().splitlines()
+        assert lines[0] == "metric," + ",".join(rebal.cli.WINDOWS)
+        lines[0] = "metric,out_of_sample,in_sample,overall"
+        tear_sheets.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{tear_sheets}:1: expected windows")):
             rebal.cli._reparse_outputs(files, tear_sheets)
 
 
@@ -564,7 +612,8 @@ def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
     bench_cum = panel.benchmark / panel.benchmark[0] - 1.0
     sheet = tear_sheet(simple_returns(calendar, result.value),
                        simple_returns(calendar, panel.benchmark), MetricConfig(), "overall")
-    sheets = export_tear_sheets([sheet], tmp_path / "tear_sheets.csv")
+    sheets = export_tear_sheets([dataclasses.replace(sheet, window_label=label)
+                                 for label in rebal.cli.WINDOWS], tmp_path / "tear_sheets.csv")
     tracemalloc.start()
     try:
         files = emit_plot_data(result, bench_cum, calendar[days // 2], tmp_path / "out")

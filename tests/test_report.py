@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import math
 import re
 from datetime import date
@@ -140,8 +141,15 @@ class TestExportTearSheets:
         ("ts.json", "not json", 1),
         ("ts.json", '[{"window": "x", "metrics": {"sharpe": "abc"}}]', None),
         ("ts.json", "[1]", None),
+        ("ts.json", json.dumps([{"window": "x", "metrics": dict.fromkeys(METRIC_NAMES, 0.0)
+                                 | {"sharpe": math.nan}}]), None),
         ("ts.csv", "metric,w\ncumulative_return,abc\n", 2),
         ("ts.csv", b"metric,w\n\xff\n", None),
+        ("ts.csv", "metric,w\ncumulative_return,nan\n", 2),
+        ("ts.csv", "metric,w\ncumulative_return,0\nsharpe,-inf\n", 3),
+        ("ts.csv", "metric,w\ncumulative_return,0\nbogus,1\n", 3),
+        ("ts.csv", "metric,w\n" + "".join(f"{n},1\n" for n in METRIC_NAMES) + "alpha,2\n",
+         len(METRIC_NAMES) + 2),
     ])
     def test_malformed_file_is_a_parse_error(self, tmp_path, name, text, line):
         path = tmp_path / name
