@@ -228,16 +228,16 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
 
 
 def _reparse_table(kind: str, path: Path) -> None:
-    """Re-read one plot dataset: every row has the header's column count and
-    every numeric cell parses as a finite float.
+    """Re-read one plot dataset: every row is ASCII, has the header's column
+    count and every numeric cell parses as a finite float.
 
     The body is parsed ``ROW_BLOCK`` lines at a time.  A block with a blank
-    line, a malformed row or a non-finite cell is checked again a line at a
-    time, by the same rule, and its first faulty line is the error, named
-    path:line; so the first faulty line of the file wins, whatever its fault.
+    or non-ASCII line, a malformed row or a non-finite cell is checked again
+    line by line, by the same rule, and its first faulty line is the error,
+    named path:line; so the file's first faulty line wins, whatever its fault.
     """
     head, _, tail = PLOT_LAYOUT[kind]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -253,6 +253,8 @@ def _reparse_table(kind: str, path: Path) -> None:
             """What is wrong with ``lines``, if anything."""
             if not all(text.rstrip("\r\n") for text in lines):
                 return f"blank line in {kind} file"
+            if not all(map(str.isascii, lines)):  # bytes that are not UTF-8 read as surrogates
+                return f"non-ASCII text in {kind} file"
             try:
                 numbers = np.loadtxt(lines, **options)["numbers"]
             except ValueError as exc:  # np.loadtxt's "at row N" counts ``lines``, not the file

@@ -12,7 +12,9 @@ date is exactly YYYY-MM-DD in ASCII digits and names a real day; a price
 is a positive, finite ASCII decimal as float() reads it, without "_".
 UTF-8 with LF, CRLF or CR line ends; bytes that are not UTF-8 make a bad
 date or price, or in a ticker cell stop the file like a ragged row, as a
-NUL character does.  Manifest tickers must be plain file names.
+NUL character does.  Manifest tickers must be plain file names.  One
+np.loadtxt call reads a clean file (ASCII, unquoted, every row good); any
+other file is read again, a csv row at a time, to the same result.
 
 Sector manifest schema (JSON):
 
@@ -33,10 +35,10 @@ threads.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import logging
+import re
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
@@ -182,10 +184,8 @@ class _PriceFile(NamedTuple):
     error: ParseError | None
 
 
-# The ASCII characters that str.strip() removes.
-_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-# Fields of the whole-file read.  A cell that fills its field may have been
-# cut short, so the csv module then splits the file instead.
+# Fields of the array read.  A cell that fills its field may have been cut
+# short, so the row loop then reads the file instead.
 _CELLS = np.dtype([("date", "S16"), ("ticker", "S16"), ("price", np.float64)])
 _CELL_ENDS = [_CELLS.fields[f][1] + _CELLS[f].itemsize - 1 for f in ("date", "ticker")]
 # Less its lowest allowed byte, each byte of a YYYY-MM-DD cell padded to 16
@@ -196,11 +196,8 @@ _DATE_SPAN = np.frombuffer(b"\t\t\t\t\0\t\t\0\t\t".ljust(16, b"\0"), dtype=np.ui
 # for any month out of range.
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], dtype=np.int32)
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, dtype=np.int32) - _MONTH_DAYS
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64
-
-
-def _text(cell: bytes) -> str:
-    return cell.decode("utf-8", "surrogatepass")
+_EPOCH = date(1970, 1, 1)  # day 0 of datetime64
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _iso_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,24 +218,22 @@ def _iso_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, ordinal + (leap & (month > 2)), 1), ok
 
 
+def _day_number(text) -> int | None:
+    """Days from 1970-01-01 to the day one YYYY-MM-DD string names, or None."""
+    try:
+        return (date.fromisoformat(text) - _EPOCH).days if _ISO_DAY.fullmatch(text) else None
+    except (TypeError, ValueError):  # not a string, or no such day
+        return None
+
+
 def iso_day(text) -> np.datetime64:
     """The day a YYYY-MM-DD string names, by the price-file date grammar.
 
     Raises ValueError for any other value.
     """
-    plain = isinstance(text, str) and len(text) == 10 and text.isascii()
-    ordinal, ok = _iso_ordinals(np.array([text.encode() if plain else b""]))
-    if not ok[0]:
+    if (number := _day_number(text)) is None:
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    return np.datetime64(int(ordinal[0]) - _EPOCH_ORDINAL, "D")
-
-
-def _float(cell: bytes) -> float | None:
-    """The value of an ASCII decimal cell, or None if it is not one."""
-    try:
-        return float(cell) if cell.isascii() and b"_" not in cell else None
-    except ValueError:
-        return None
+    return np.datetime64(number, "D")
 
 
 def _lines(text: str):
@@ -249,55 +244,90 @@ def _lines(text: str):
     return itertools.chain.from_iterable(text[i:j].split("\n") for i, j in zip(ends, ends[1:]))
 
 
-def _split_rows(fh, path: Path):
-    """Date, ticker and price columns of the rows after the header, their
-    line numbers, and the structural error that stops the split, if any.
+def _series(ticker: str, days, prices) -> tuple[str, PriceSeries | RebalError]:
+    """A ticker and its series, or why it has none."""
+    try:
+        return ticker, PriceSeries(ticker, days, prices)
+    except ValidationError as exc:  # too few observations
+        return ticker, exc
 
-    One np.loadtxt call reads an ASCII file whose lines are rows with a
-    positive price, or empty.  The csv module splits any other file into
-    stripped UTF-8 cells, the prices still text.
+
+def _read_cells(fh) -> dict[str, PriceSeries | RebalError]:
+    """Each ticker's series from one np.loadtxt call over the clean body in ``fh``.
+
+    A clean body is ASCII with no quote or NUL, and each of its lines is
+    empty or a row with no cut cell, a valid date, a positive finite price
+    and a (ticker, day) of its own, so no row has an error to report.
+    Raises ValueError for any other body.
     """
     text = fh.read()
-    if text.isascii() and "\0" not in text and "," in text:
-        n = text.count("\n") + (not text.endswith("\n"))
+    if not text.isascii() or '"' in text or "\0" in text or "," not in text:
+        raise ValueError("not an ASCII body of unquoted rows")
+    # a ragged row, a bad price or a line of spaces raises ValueError here
+    cells = np.loadtxt(_lines(text), dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
+    del text  # before the temporaries below: it is as large as a long file
+    ordinal, date_ok = _iso_ordinals(cells["date"])
+    tickers, prices = cells["ticker"], cells["price"]
+    if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any() or not date_ok.all()
+            or not ((prices > 0.0) & (prices < np.inf)).all()):
+        raise ValueError("a cut cell, a bad date or a price that is not positive and finite")
+    if (tickers == tickers[:1]).all():  # one ticker per file, the usual layout
+        distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)
+    else:
+        distinct, group = np.unique(tickers, return_inverse=True)
+    ids: dict[str, int] = {}  # cells that differ only in padding name one ticker
+    tid = np.array([ids.setdefault(c.decode().strip(), len(ids)) for c in distinct])[group]
+    # Rows by ticker and day; ordinals are below 2**22.
+    key = tid.astype(np.int64) << 22 | ordinal
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if not np.diff(key).all():
+        raise ValueError("a repeated (ticker, day)")
+    groups = np.split(order, np.flatnonzero(np.diff(key >> 22)) + 1)  # one per id, in order
+    days = (ordinal - _EPOCH.toordinal()).astype(DAY)
+    return dict(_series(name, days[rows], prices[rows]) for name, rows in zip(ids, groups))
+
+
+def _read_rows(fh, path: Path) -> _PriceFile:
+    """Read the body left in ``fh`` one csv row at a time, its cells stripped.
+
+    A ticker's first bad row is its error, and its later rows are skipped.
+    The first ragged row, or row holding a NUL or a ticker that is not
+    UTF-8, stops the read.
+    """
+    by_ticker: dict[str, dict[int, float]] = {}  # each ticker's prices by day number
+    bad: dict[str, RebalError] = {}  # each failed ticker's first error
+    for line, row in enumerate(csv.reader(fh), start=2):
+        if len(row) < 2 and not "".join(row).strip():
+            continue  # a blank line
+        if len(row) != 3:
+            return _PriceFile(bad, ParseError(f"expected 3 columns, got {len(row)}", path, line))
+        day, ticker, price = map(str.strip, row)
+        if "\0" in day + ticker + price:
+            return _PriceFile(bad, ParseError("NUL character in row", path, line))
+        if ticker in bad:
+            continue
+        if ticker not in by_ticker and re.search("[\udc80-\udcff]", ticker):  # a non-UTF-8 byte
+            return _PriceFile(bad, ParseError("ticker is not valid UTF-8", path, line))
+        prices = by_ticker.setdefault(ticker, {})
         try:
-            cells = np.loadtxt(_lines(text), dtype=_CELLS, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1)
-        except ValueError:  # a ragged row, a bad price or a line of spaces
-            cells = np.zeros(0, dtype=_CELLS)
-        numbers = np.arange(2, n + 2)
-        if len(cells) < n and '"' not in text:  # np.loadtxt skipped empty lines
-            numbers = 2 + np.flatnonzero([line not in ("", "\r") for line in text.split("\n")])
-        if (len(cells) == len(numbers)  # and no line break in quotes
-                and not cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
-                and ((cells["price"] > 0.0) & (cells["price"] < np.inf)).all()):
-            return cells["date"], cells["ticker"], cells["price"], numbers, None
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    size = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    blank = size == 0
-    ones = np.flatnonzero(size == 1)
-    blank[ones] = [not rows[i][0].strip() for i in ones.tolist()]
-    # The first row that is ragged, holds a NUL or has a ticker that is not
-    # UTF-8 stops the split; the last two are looked for only if present.
-    faults = [((size != 3) & ~blank, "expected 3 columns, got {}")]
-    if "\0" in text:
-        faults.append(([len(r) == 3 and "\0" in "".join(r) for r in rows], "NUL character in row"))
-    if text.encode("utf-8", "replace") != text.encode("utf-8", "surrogatepass"):
-        faults.append(([len(r) == 3 and r[1].encode("utf-8", "replace")
-                        != r[1].encode("utf-8", "surrogatepass") for r in rows],
-                       "ticker is not valid UTF-8"))
-    stop, error = len(rows), None
-    for wrong, message in faults:
-        first = np.flatnonzero(wrong)[:1].tolist()
-        if first and first[0] < stop:
-            stop = first[0]
-            error = ParseError(message.format(size[stop]), path, stop + 2)
-    numbers = np.flatnonzero(~blank[:stop])
-    rows = [rows[i] for i in numbers.tolist()]
-    numbers += 2
-    cells = np.char.strip(np.array(rows, dtype=str).reshape(-1, 3))  # as str.strip() strips
-    cells = cells.astype(bytes) if text.isascii() else np.char.encode(cells, "utf-8", "surrogatepass")
-    return *cells.T, numbers, error
+            value = float(price) if price.isascii() and "_" not in price else None
+        except ValueError:
+            value = None
+        if (number := _day_number(day)) is None:
+            bad[ticker] = ParseError(f"bad date {day!r}", path, line)
+        elif value is None:
+            bad[ticker] = ParseError(f"bad price {price!r}", path, line)
+        elif not 0.0 < value < np.inf:
+            bad[ticker] = ValidationError(
+                f"{path}:{line}: non-positive price {price} for {ticker}")
+        elif number in prices:
+            bad[ticker] = ValidationError(f"{path}:{line}: duplicate date {day} for {ticker}")
+        else:
+            prices[number] = value
+    # each good ticker's day numbers and prices, in day order
+    good = [_series(t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad]
+    return _PriceFile({**bad, **dict(good)}, None)
 
 
 def _parse_price_file(path: Path) -> _PriceFile:
@@ -310,62 +340,12 @@ def _parse_price_file(path: Path) -> _PriceFile:
         if tuple(h.strip() for h in header) != PRICE_CSV_HEADER:
             return _PriceFile({}, ParseError(
                 f"bad header {header!r}, expected date,ticker,adj_close", path, 1))
-        dates, tickers, prices, lines, error = _split_rows(fh, path)
-
-    if (tickers == tickers[:1]).all():  # one ticker per file, the usual layout
-        distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)
-    else:
-        distinct, group = np.unique(tickers, return_inverse=True)
-    ids: dict[str, int] = {}  # cells that differ only in padding name one ticker
-    tid = np.array([ids.setdefault(c.decode().strip(), len(ids)) for c in distinct.tolist()],
-                   dtype=np.intp)[group]
-    names = list(ids)
-    ordinal, date_ok = _iso_ordinals(dates)
-    if not date_ok.all():  # padded or bad cells
-        dates = np.char.strip(dates, _ASCII_SPACE)
-        ordinal, date_ok = _iso_ordinals(dates)
-    value, price_bad = prices, np.zeros(len(prices), dtype=bool)
-    if prices.dtype.kind == "S":  # split by the csv module: still text
-        try:  # one cast when every cell reads as float() reads it; "_" is not allowed
-            value, price_bad = prices.astype(np.float64), np.char.find(prices, b"_") >= 0
-        except ValueError:
-            parsed = [_float(c) for c in prices.tolist()]
-            value, price_bad = np.array(parsed, dtype=np.float64), np.equal(parsed, None)
-    positive = (value > 0.0) & (value < np.inf)
-    good = date_ok & ~price_bad & positive
-    # Good rows by ticker, day and line; ordinals are below 2**22.
-    key = tid.astype(np.int64) << 22 | ordinal
-    order = np.flatnonzero(good)[np.argsort(key[good], kind="stable")]
-    days = (ordinal - _EPOCH_ORDINAL).astype(DAY)
-    bad = ~good
-    bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # a repeated day
-    series: dict[str, PriceSeries | RebalError] = {}
-    for row in np.flatnonzero(bad).tolist():  # a ticker's first bad row is its error
-        ticker, line = names[tid[row]], int(lines[row])
-        if ticker in series:
-            continue
-        if not date_ok[row]:
-            exc = ParseError(f"bad date {_text(dates[row])!r}", path, line)
-        elif price_bad[row]:
-            exc = ParseError(f"bad price {_text(prices[row])!r}", path, line)
-        elif not positive[row]:
-            exc = ValidationError(
-                f"{path}:{line}: non-positive price {_text(prices[row])} for {ticker}")
-        else:
-            exc = ValidationError(f"{path}:{line}: duplicate date {days[row]} for {ticker}")
-        series[ticker] = exc
-    if error is not None:
-        return _PriceFile(series, error)
-    starts = [0, *(np.flatnonzero(np.diff(tid[order])) + 1).tolist()]
-    for lo, hi in zip(starts, starts[1:] + [len(order)]) if len(order) else ():
-        rows = order[lo:hi]
-        ticker = names[tid[rows[0]]]
-        if ticker not in series:
-            try:
-                series[ticker] = PriceSeries(ticker, days[rows], value[rows])
-            except ValidationError as exc:
-                series[ticker] = exc
-    return _PriceFile(series, None)
+        try:
+            return _PriceFile(_read_cells(fh), None)
+        except ValueError:  # not a clean body: read it again, a row at a time
+            fh.seek(0)
+            next(csv.reader(fh))  # the header
+            return _read_rows(fh, path)
 
 
 def load_price_series(

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import rebal.cli
 import rebal.market_data
 import rebal.report
+import rebal.synthetic
 
 from rebal.cli import RunConfig, load_run_config, main, resolve_price_file
 from rebal.errors import ConfigError, ParseError
@@ -145,6 +146,20 @@ class TestBacktestCommand:
         # a C library without malloc_trim runs the same
         monkeypatch.setattr(rebal.cli, "ctypes", types.SimpleNamespace(pythonapi=object()))
         assert main(["backtest", "--config", str(config)]) == 0
+
+    def test_readme_quick_start(self, tmp_path, capsys):
+        root = tmp_path / "demo_universe"
+        assert rebal.synthetic.main([str(root)]) == 0
+        assert capsys.readouterr().out.count("wrote manifest ") == 10
+        (root / "run.json").write_text(json.dumps({
+            "data_dir": "data",
+            "manifests": ["manifests/auto.json", "manifests/banking.json"],
+            "out_dir": "out",
+            "frequency": "yearly",
+        }))
+        assert main(["validate", "--config", str(root / "run.json")]) == 0
+        assert main(["backtest", "--config", str(root / "run.json")]) == 0
+        assert sorted(p.name for p in (root / "out").iterdir()) == ["auto", "banking"]
 
     def test_json_tear_sheet_format(self, small_universe):
         root, data_dir, manifests = small_universe
@@ -339,10 +354,14 @@ class TestSectorSlugs:
         root, data_dir, manifests = small_universe
         broken = root / "broken.json"
         broken.write_text("{not json")
-        config = write_config(root, data_dir, [broken, manifests[0]])
+        listed = root / "listed.json"
+        listed.write_text(json.dumps([json.loads(manifests[0].read_text())]))
+        config = write_config(root, data_dir, [broken, listed, manifests[0]])
         assert main([command, "--config", str(config)]) == 1
         out, err = capsys.readouterr()
         assert "sector 'broken' failed at stage manifest" in err
+        assert "sector 'listed' failed at stage manifest" in err
+        assert "manifest must be a JSON object" in err
         assert ("ok: auto" if command == "backtest" else "sector auto:") in out
 
 
@@ -452,6 +471,27 @@ class TestNeverHalfWrite:
         assert "Traceback" not in err
         assert output_tree(root / "out") == first
 
+    def test_non_utf8_plot_table_fails_verify(self, small_universe, monkeypatch, capsys):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        first = output_tree(root / "out")
+        real = rebal.cli.emit_plot_data
+
+        def emit_then_damage(*args):
+            files = real(*args)
+            data = bytearray(files["weights"].read_bytes())
+            data[data.index(b"\n", data.index(b"\n") + 1) + 3] = 0xFF  # on line 3
+            files["weights"].write_bytes(bytes(data))
+            return files
+
+        monkeypatch.setattr(rebal.cli, "emit_plot_data", emit_then_damage)
+        assert main(["backtest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage verify" in err and "Traceback" not in err
+        assert "weights.csv:3: non-ASCII text in weights file" in err
+        assert output_tree(root / "out") == first
+
     def test_failed_rerun_keeps_previous_output(self, small_universe, monkeypatch):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
@@ -485,6 +525,8 @@ def damage(lines, col, how, at=2):
         lines[at] += ",0"
     elif how == "blank line":
         lines.insert(at, "")
+    elif how == "short header":
+        lines[0] = lines[0].split(",")[0]
     else:  # no rows
         del lines[1:]
 
@@ -507,10 +549,13 @@ class TestReparseOutputs:
     def test_written_outputs_reparse(self, outputs):
         files, tear_sheets = outputs
         rebal.cli._reparse_outputs(files, tear_sheets)
+        text = files["weights"].read_text()  # header names need not be ASCII
+        files["weights"].write_text(text.replace("AUTO01", "\u682a\u5f0f", 1), encoding="utf-8")
+        rebal.cli._reparse_outputs(files, tear_sheets)
 
     @pytest.mark.parametrize("kind", ["shares", "weights", "cumulative", "distributions"])
     @pytest.mark.parametrize("how", ["nan", "-inf", "", "short row", "long row",
-                                     "blank line", "no rows"])
+                                     "blank line", "no rows", "short header"])
     def test_damaged_file_is_a_parse_error(self, outputs, kind, how):
         files, tear_sheets = outputs
         path = files[kind]
@@ -519,7 +564,7 @@ class TestReparseOutputs:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
             rebal.cli._reparse_outputs(files, tear_sheets)
-        assert caught.value.line == (None if how == "no rows" else 3)
+        assert caught.value.line == {"no rows": None, "short header": 1}.get(how, 3)
 
     def test_empty_file_is_a_parse_error(self, outputs):
         files, tear_sheets = outputs
@@ -742,11 +787,21 @@ class TestConfigBoundary:
         ({"manifests": "manifests/auto.json"}, "manifests must be a list of paths"),
         ({"manifests": ["a.json", 3]}, "manifests must be a list of paths"),
         ({"frequency": "weekly"}, "unknown frequency 'weekly'"),
+        ({"data_dir": 5}, "not int"),
+        ({"tear_sheet_format": "xml"}, "unknown tear_sheet_format 'xml'"),
+        ({"manifests": []}, "no sector manifests configured"),
+        # a whole file rather than keys over a good one
+        ('{"data_dir": "data",', "bad JSON"),
+        ('["data", "manifests"]', "config must be a JSON object"),
+        ('{"manifests": []}', "config needs 'data_dir' and 'manifests'"),
+        ('{"data_dir": "data"}', "config needs 'data_dir' and 'manifests'"),
     ])
     def test_bad_config_value_exits_2(self, small_universe, capsys, overrides, match):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
-        config.write_text(json.dumps({**json.loads(config.read_text()), **overrides}))
+        if isinstance(overrides, dict):
+            overrides = json.dumps({**json.loads(config.read_text()), **overrides})
+        config.write_text(overrides)
         assert main(["backtest", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert match in err

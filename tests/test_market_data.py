@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import parse_oracle
+import rebal.market_data
 from rebal.errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
 from rebal.market_data import (
     PricePanel,
@@ -22,6 +23,7 @@ from rebal.market_data import (
     load_price_series,
     load_sector_manifest,
 )
+from rebal.synthetic import business_days, generate_universe
 
 from conftest import trading_days
 
@@ -334,11 +336,39 @@ class TestMatchesRowParser:
         b"2021-01-04,AAA,1\n2021-01-05,AAA,\xff\xfe\n",             # price not UTF-8
         b"2021-01-04,AAA,1\n2021-01-05,\xc2\xa0AAA\xe3\x80\x80,2\n",  # Unicode padding
         b"2021-01-04,AAA,1\n" + b"2021-01-05,AAA," + b"9" * 40 + b"\n",  # over-wide price
+        # clean ASCII but for one thing that the array read leaves to the row loop
+        b"2021-01-04,AAA,1\n 2021-01-05,AAA,2\n",                   # padded date
+        b"2021-01-04,AAA,1\n2021-01-05,BBB,1\n2021-01-04,AAA,2\n",  # repeated day
+        b'2021-01-04,AAA,1\n2021-01-05,"AAA",2\n',                  # quoted cell
+        b"2021-01-04,AAA,1\n2021-01-05,BBB" + b" " * 13 + b",2\n2021-01-06,BBB,3\n",  # 16 bytes
+        b"2021-01-04,BBB,1\n2021-01-05,BBB" + b" " * 13 + b"X,2\n2021-01-06,BBB,3\n",  # cut at 16
+        b"2021-01-04,AAA,1\n2021-02-30,AAA,2\n2021-01-05,BBB,1\n",  # bad date
     ])
     def test_edge_files(self, tmp_path, body):
         path = tmp_path / "prices.csv"
         path.write_bytes(b"date,ticker,adj_close\n" + body)
         self.assert_same(path, ["AAA", "BBB", "A\nA", "MISSING"])
+
+
+def test_synthetic_files_take_the_array_read(tmp_path, monkeypatch):
+    """Price files as ``rebal.synthetic`` writes them, per ticker or merged
+    into one date-interleaved prices.csv, never reach the row loop."""
+    data_dir, _ = generate_universe(tmp_path, start=date(2021, 1, 4), end=date(2021, 6, 30),
+                                   n_sectors=2, tickers_per_sector=3, seed=5)
+    tickers = sorted(path.stem for path in data_dir.glob("*.csv"))
+    rows = [row for t in tickers for row in (data_dir / f"{t}.csv").read_text().splitlines()[1:]]
+    long_format = tmp_path / "prices.csv"
+    write_csv(long_format, sorted(rows, key=lambda row: row[:10]))
+
+    def row_loop(text, path):
+        raise AssertionError(f"{path} went to the row loop")
+
+    monkeypatch.setattr(rebal.market_data, "_read_rows", row_loop)
+    parsed = {}
+    for ticker in tickers:
+        series = load_price_series(data_dir / f"{ticker}.csv", ticker)
+        assert len(series) == len(business_days(date(2021, 1, 4), date(2021, 6, 30)))
+        assert load_price_series(long_format, ticker, parsed=parsed) == series
 
 
 class TestSectorManifest:

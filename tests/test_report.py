@@ -150,6 +150,10 @@ class TestExportTearSheets:
         ("ts.csv", "metric,w\ncumulative_return,0\nbogus,1\n", 3),
         ("ts.csv", "metric,w\n" + "".join(f"{n},1\n" for n in METRIC_NAMES) + "alpha,2\n",
          len(METRIC_NAMES) + 2),
+        ("ts.csv", "window,w\ncumulative_return,0\n", 1),
+        ("ts.csv", "", 1),
+        ("ts.csv", "metric,w\ncumulative_return,0,1\n", 2),
+        ("ts.csv", "metric,w\ncumulative_return,0\n", None),
     ])
     def test_malformed_file_is_a_parse_error(self, tmp_path, name, text, line):
         path = tmp_path / name
