@@ -20,9 +20,7 @@ environment variable (error, info, debug) controls log verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
-import itertools
 import json
 import logging
 import math
@@ -37,16 +35,11 @@ import numpy as np
 
 from . import market_data
 from .errors import ConfigError, DomainError, ParseError, RebalError
-from .market_data import (
-    align_panel,
-    clip_panel,
-    iso_day,
-    load_price_series,
-    load_sector_manifest,
-)
+from .market_data import (align_panel, clip_panel, iso_day, load_price_series,
+                          load_sector_manifest, resolve_price_file)
 from .metrics import MetricConfig, tear_sheet
 from .portfolio import REBALANCE_FREQUENCIES, RebalancePolicy, rebalance_dates, run_backtest
-from .report import PLOT_LAYOUT, ROW_BLOCK, emit_plot_data, export_tear_sheets, read_tear_sheets
+from .report import emit_plot_data, export_tear_sheets, read_tear_sheets, reparse_table
 from .returns import simple_returns, split_sample
 
 logger = logging.getLogger(__name__)
@@ -157,17 +150,6 @@ def load_run_config(path) -> RunConfig:
     return replace(config, **paths)
 
 
-def resolve_price_file(data_dir: Path, ticker: str) -> Path:
-    """Locate a ticker's price file: <ticker>.csv, else a long-format prices.csv."""
-    per_ticker = data_dir / f"{ticker}.csv"
-    if per_ticker.is_file():
-        return per_ticker
-    long_format = data_dir / "prices.csv"
-    if long_format.is_file():
-        return long_format
-    raise ConfigError(f"no price file for ticker {ticker!r} under {data_dir}")
-
-
 def _sector_slug(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name.strip().lower()) or "sector"
 
@@ -227,52 +209,6 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         raise _stage_error(sector, stage, exc) from exc
 
 
-def _reparse_table(kind: str, path: Path) -> None:
-    """Re-read one plot dataset: every row is ASCII, has the header's column
-    count and every numeric cell parses as a finite float.
-
-    The body is parsed ``ROW_BLOCK`` lines at a time.  A block with a blank
-    or non-ASCII line, a malformed row or a non-finite cell is checked again
-    line by line, by the same rule, and its first faulty line is the error,
-    named path:line; so the file's first faulty line wins, whatever its fault.
-    """
-    head, _, tail = PLOT_LAYOUT[kind]
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{kind} file is empty", path)
-        numeric = len(header) - head - tail
-        if numeric < 1:
-            raise ParseError(f"{kind} header needs at least {head + tail + 1} columns", path, 1)
-        strings = [(f"text{i}", str) for i in range(head + tail)]
-        dtype = strings[:head] + [("numbers", np.float64, (numeric,))] + strings[head:]
-        options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
-
-        def fault(lines: list[str]) -> str | None:
-            """What is wrong with ``lines``, if anything."""
-            if not all(text.rstrip("\r\n") for text in lines):
-                return f"blank line in {kind} file"
-            if not all(map(str.isascii, lines)):  # bytes that are not UTF-8 read as surrogates
-                return f"non-ASCII text in {kind} file"
-            try:
-                numbers = np.loadtxt(lines, **options)["numbers"]
-            except ValueError as exc:  # np.loadtxt's "at row N" counts ``lines``, not the file
-                return f"malformed {kind} file: {str(exc).split(' at row ')[0]}"
-            bad = numbers[~np.isfinite(numbers)]  # in file order
-            return f"not a finite number: {str(bad[0])!r}" if bad.size else None
-
-        first = line = reader.line_num + 1
-        while block := list(itertools.islice(fh, ROW_BLOCK)):
-            if fault(block):
-                for i, text in enumerate(block):
-                    if message := fault([text]):
-                        raise ParseError(message, path, line + i)
-            line += len(block)
-    if line == first:
-        raise ParseError(f"{kind} file has no data rows", path)
-
-
 def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path) -> None:
     """Re-read everything just written; raises a ParseError if an artifact is
     unreadable or holds a non-finite number, or if the tear sheet does not
@@ -282,15 +218,15 @@ def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path) -> None:
         raise ParseError(f"expected windows {WINDOWS}, got {windows}", tear_sheet_path,
                          1 if tear_sheet_path.suffix == ".csv" else None)
     for kind, path in files.items():
-        _reparse_table(kind, path)
+        reparse_table(kind, path)
 
 
-def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[str, Path]:
+def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
     """Backtest one sector manifest and write its artifacts into a temporary
     sibling of the output directory, which replaces it once they verify.
 
-    Returns (sector name, output directory).  Any RebalError is re-raised
-    annotated with the pipeline stage that failed.
+    Returns the line ``ok: <sector> -> <output directory>``.  Any RebalError
+    is re-raised annotated with the pipeline stage that failed.
     """
     manifest, _, panel = _load_sector(config, manifest_path, parsed)
     # glibc only: return the freed raw series' heap pages, so the peak does not hinge on layout
@@ -326,7 +262,7 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[s
             out_dir.rename(retired)
         staging.rename(out_dir)
         shutil.rmtree(retired, ignore_errors=True)
-        return sector, out_dir
+        return f"ok: {sector} -> {out_dir}"
     except RebalError as exc:
         raise _stage_error(sector, stage, exc) from exc
     finally:
@@ -334,39 +270,31 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> tuple[s
             shutil.rmtree(staging)
 
 
-def cmd_backtest(config: RunConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    parsed: dict = {}
-    failures = 0
-    for manifest_path in config.manifests:
-        try:
-            sector, out_dir = _run_sector(config, manifest_path, parsed)
-            print(f"ok: {sector} -> {out_dir}")
-        except RebalError as exc:
-            failures += 1
-            print(f"error: {exc}", file=sys.stderr)
-    return 0 if failures == 0 else 1
+def _validate_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
+    """The dry run's report on one sector: span, coverage, planned rebalances."""
+    manifest, coverage, panel = _load_sector(config, manifest_path, parsed)
+    planned = np.datetime_as_string(rebalance_dates(panel.calendar, config.frequency)).tolist()
+    return "\n".join([
+        f"sector {manifest.sector}: calendar {panel.calendar[0]}..{panel.calendar[-1]} "
+        f"({len(panel)} trading days)",
+        "  raw coverage: " + ", ".join(f"{ticker}={n}" for ticker, n in coverage),
+        f"  planned rebalances ({config.frequency}): {len(planned)}",
+        *(f"    {day}" for day in planned),
+    ])
 
 
-def cmd_validate(config: RunConfig) -> int:
+def _each_sector(config: RunConfig, step) -> int:
+    """Print ``step(config, manifest_path, parsed)`` for each manifest, with one
+    price-file cache; a failed sector prints ``error: <exception>``, naming it
+    and its stage, and the rest still run.  Returns 1 if any failed, else 0."""
     parsed: dict = {}
     status = 0
     for manifest_path in config.manifests:
         try:
-            manifest, coverage, panel = _load_sector(config, manifest_path, parsed)
+            print(step(config, manifest_path, parsed))
         except RebalError as exc:
-            print(f"error: {manifest_path}: {exc}", file=sys.stderr)
             status = 1
-            continue
-        calendar = panel.calendar
-        print(f"sector {manifest.sector}: calendar {calendar[0]}..{calendar[-1]} "
-              f"({len(calendar)} trading days)")
-        coverage = ", ".join(f"{ticker}={n}" for ticker, n in coverage)
-        print(f"  raw coverage: {coverage}")
-        planned = rebalance_dates(calendar, config.frequency)
-        print(f"  planned rebalances ({config.frequency}): {len(planned)}")
-        for day in np.datetime_as_string(planned).tolist():
-            print(f"    {day}")
+            print(f"error: {exc}", file=sys.stderr)
     return status
 
 
@@ -424,7 +352,10 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_run_config(args.config), args)
         _preflight(config)
-        return (cmd_backtest if args.command == "backtest" else cmd_validate)(config)
+        if args.command == "validate":
+            return _each_sector(config, _validate_sector)
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        return _each_sector(config, _run_sector)
     except RebalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Price-series ingestion, validation, and calendar alignment.
 
 Price CSV schema (one file per ticker, or long format with several tickers
-in one file):
+in one file).  A ticker's prices are read from ``<ticker>.csv`` in the data
+directory if it exists, else from the long-format ``prices.csv`` there:
 
     date,ticker,adj_close
     2021-01-04,TCS,2928.60
@@ -46,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
+from .errors import (AlignmentError, ConfigError, ParseError, RebalError, ValidationError,
+                     WindowError)
 
 logger = logging.getLogger(__name__)
 
@@ -288,16 +290,18 @@ def _read_cells(fh) -> dict[str, PriceSeries | RebalError]:
     return dict(_series(name, days[rows], prices[rows]) for name, rows in zip(ids, groups))
 
 
-def _read_rows(fh, path: Path) -> _PriceFile:
-    """Read the body left in ``fh`` one csv row at a time, its cells stripped.
+def _read_rows(rows, path: Path) -> _PriceFile:
+    """Read the body left in the csv reader ``rows``, its cells stripped.
 
     A ticker's first bad row is its error, and its later rows are skipped.
     The first ragged row, or row holding a NUL or a ticker that is not
-    UTF-8, stops the read.
+    UTF-8, stops the read.  An error names the line its row starts on.
     """
     by_ticker: dict[str, dict[int, float]] = {}  # each ticker's prices by day number
     bad: dict[str, RebalError] = {}  # each failed ticker's first error
-    for line, row in enumerate(csv.reader(fh), start=2):
+    last = rows.line_num  # the last line of the header
+    for row in rows:
+        line, last = last + 1, rows.line_num  # the lines the row starts and ends on
         if len(row) < 2 and not "".join(row).strip():
             continue  # a blank line
         if len(row) != 3:
@@ -344,8 +348,19 @@ def _parse_price_file(path: Path) -> _PriceFile:
             return _PriceFile(_read_cells(fh), None)
         except ValueError:  # not a clean body: read it again, a row at a time
             fh.seek(0)
-            next(csv.reader(fh))  # the header
-            return _read_rows(fh, path)
+            next(rows := csv.reader(fh))  # the header
+            return _read_rows(rows, path)
+
+
+def resolve_price_file(data_dir: Path, ticker: str) -> Path:
+    """Locate a ticker's price file: <ticker>.csv, else a long-format prices.csv."""
+    per_ticker = data_dir / f"{ticker}.csv"
+    if per_ticker.is_file():
+        return per_ticker
+    long_format = data_dir / "prices.csv"
+    if long_format.is_file():
+        return long_format
+    raise ConfigError(f"no price file for ticker {ticker!r} under {data_dir}")
 
 
 def load_price_series(

@@ -15,8 +15,8 @@ Conventions, fixed here so every number in a report is reproducible:
   fraction.
 * A statistic whose definition divides by zero on the given input
   (zero variance, zero drawdown, no downside mass, zero 5th percentile),
-  or whose annualization, compounded wealth or Sharpe or Sortino
-  denominator overflows, raises UndefinedMetricError; tear
+  or whose annualization, compounded wealth or ratio denominator
+  overflows, raises UndefinedMetricError (ratios through ``_ratio``); tear
   sheets record it, and any other non-finite value, as not-computable
   rather than emitting infinities.
 
@@ -47,12 +47,17 @@ class MetricConfig:
     var_cutoff: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.periods_per_year, (int, np.integer)):
+            raise DomainError(f"periods_per_year must be an int, got {self.periods_per_year!r}")
         if self.periods_per_year < 1:
             raise DomainError(f"periods_per_year must be >= 1, got {self.periods_per_year}")
         if not 0.0 < self.var_cutoff < 0.5:
             raise DomainError(f"var_cutoff must lie in (0, 0.5), got {self.var_cutoff}")
         if self.risk_free_rate_annual < -1.0:
             raise DomainError("risk_free_rate_annual must be >= -1")
+        for name in ("risk_free_rate_annual", "omega_threshold_daily"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def risk_free_daily(self) -> float:
@@ -155,6 +160,13 @@ def max_drawdown(wealth) -> float:
     return float(np.min(w / peaks - 1.0))
 
 
+def _ratio(numerator: float, denominator: float, what: str) -> float:
+    """``numerator / denominator``; undefined if ``what``, the denominator, is 0 or not finite."""
+    if denominator == 0.0 or not math.isfinite(denominator):
+        raise UndefinedMetricError(f"zero {what}" if denominator == 0.0 else f"{what} overflows")
+    return numerator / denominator
+
+
 def _wealth(r: np.ndarray) -> np.ndarray:
     wealth = np.concatenate(([1.0], np.cumprod(1.0 + r)))
     if not np.all(np.isfinite(wealth)):
@@ -166,11 +178,7 @@ def sharpe(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Annualized mean excess return over its sample standard deviation."""
     r = _values(returns) - cfg.risk_free_daily
     sd = _sample_std(r)
-    if sd == 0.0:
-        raise UndefinedMetricError("zero standard deviation")
-    if not math.isfinite(sd):
-        raise UndefinedMetricError("standard deviation overflows")
-    return float(np.mean(r)) / sd * math.sqrt(cfg.periods_per_year)
+    return _ratio(float(np.mean(r)), sd, "standard deviation") * math.sqrt(cfg.periods_per_year)
 
 
 def sortino(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
@@ -183,19 +191,13 @@ def sortino(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     r = _values(returns) - cfg.risk_free_daily
     downside = np.minimum(r, 0.0)
     dd = math.sqrt(float(np.mean(downside * downside)))
-    if dd == 0.0:
-        raise UndefinedMetricError("zero downside deviation")
-    if not math.isfinite(dd):
-        raise UndefinedMetricError("downside deviation overflows")
-    return float(np.mean(r)) / dd * math.sqrt(cfg.periods_per_year)
+    return _ratio(float(np.mean(r)), dd, "downside deviation") * math.sqrt(cfg.periods_per_year)
 
 
 def calmar(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Annual return relative to the magnitude of the maximum drawdown."""
     mdd = max_drawdown(_wealth(_values(returns)))
-    if mdd == 0.0:
-        raise UndefinedMetricError("zero drawdown")
-    return annual_return(returns, cfg) / abs(mdd)
+    return _ratio(annual_return(returns, cfg), abs(mdd), "drawdown")
 
 
 def omega(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
@@ -203,9 +205,7 @@ def omega(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     r = _values(returns)
     gains = float(np.sum(np.maximum(r - cfg.omega_threshold_daily, 0.0)))
     losses = float(np.sum(np.maximum(cfg.omega_threshold_daily - r, 0.0)))
-    if losses == 0.0:
-        raise UndefinedMetricError("no downside mass below the threshold")
-    return gains / losses
+    return _ratio(gains, losses, "downside mass below the threshold")
 
 
 def tail_ratio(returns: ReturnSeries) -> float:
@@ -213,9 +213,7 @@ def tail_ratio(returns: ReturnSeries) -> float:
     r = _values(returns)
     p95 = float(np.percentile(r, 95.0))
     p05 = float(np.percentile(r, 5.0))
-    if p05 == 0.0:
-        raise UndefinedMetricError("zero 5th percentile")
-    return abs(p95) / abs(p05)
+    return _ratio(abs(p95), abs(p05), "5th percentile")
 
 
 def _deviations(returns: ReturnSeries, name: str, least: int):
@@ -327,8 +325,10 @@ def tear_sheet(
     drawdown, overflow, ...) or not finite come back as None; domain
     errors (too few observations, misaligned benchmark) propagate.
     """
-    if not np.array_equal(portfolio.dates, benchmark.dates):
-        raise AlignmentError("portfolio and benchmark dates differ")
+    try:  # first, for its check that the dates match
+        alpha, beta = alpha_beta(portfolio, benchmark, cfg)
+    except UndefinedMetricError:
+        alpha, beta = None, None
     r = _values(portfolio)
 
     def guarded(fn):
@@ -337,11 +337,6 @@ def tear_sheet(
         except UndefinedMetricError:
             return None
         return value if math.isfinite(value) else None
-
-    try:
-        alpha, beta = alpha_beta(portfolio, benchmark, cfg)
-    except UndefinedMetricError:
-        alpha, beta = None, None
 
     return TearSheet(
         annual_return=guarded(lambda: annual_return(portfolio, cfg)),

@@ -55,6 +55,8 @@ class RebalancePolicy:
     def __post_init__(self):
         if self.per_asset_capital <= 0.0:
             raise DomainError(f"per_asset_capital must be positive, got {self.per_asset_capital}")
+        if not np.isfinite(self.per_asset_capital):
+            raise DomainError(f"per_asset_capital must be finite, got {self.per_asset_capital}")
         if self.frequency not in REBALANCE_FREQUENCIES:
             raise DomainError(
                 f"unknown frequency {self.frequency!r}, expected one of "
@@ -136,6 +138,8 @@ def _allocate(prices, target, total, held=None, cost_rate=0.0):
     # allocate without its price check, for a PricePanel's checked prices
     if total <= 0.0:
         raise InsolvencyError(f"portfolio value {total} is not positive")
+    if not target / prices.min() + 0.5 < 2.0 ** 63:  # the most shares, before the int64 cast
+        raise AllocationError(f"{target / prices.min():.6g} shares do not fit in int64")
     shares = np.floor(target / prices + 0.5).astype(np.int64)
     cash = _clamp_to_solvency(shares, prices, target, total - _sum_left_to_right(shares * prices))
     if held is not None and cost_rate > 0.0:

@@ -6,6 +6,7 @@ can consume the files.  All output is deterministic: fixed column order
 capped at 12 significant digits, with -0 written as 0), LF line endings.
 The same inputs always produce byte-identical files.  Shares and weights
 are encoded by array kernels that write those same bytes.
+``read_tear_sheets`` and ``reparse_table`` read the files back.
 
 Output schemas:
 
@@ -23,6 +24,7 @@ Output schemas:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -85,30 +87,39 @@ def export_tear_sheets(sheets, path) -> Path:
     return path
 
 
-def _metric(cell) -> float | None:
-    """A finite tear-sheet value; an empty cell or null is not computable."""
-    value = None if cell is None or cell == "" else float(cell)
+def _metric(cell: str) -> float | None:
+    """A tear-sheet value from its cell: None if empty (not computable), else a
+    finite ASCII decimal as float() reads it without "_", as a price is read."""
+    value = None if cell == "" else (float(cell) if cell.isascii() and "_" not in cell else np.nan)
     if value is not None and not np.isfinite(value):
         raise ValueError(f"not a finite number: {cell!r}")
     return value
 
 
+def _json_sheet(entry) -> TearSheet:
+    """One JSON tear-sheet entry; each value is read as the cell of its JSON text."""
+    if not isinstance(entry["window"], str) or entry["metrics"].keys() != set(METRIC_NAMES):
+        raise ValueError("expected a string window and exactly the fifteen metrics")
+    return TearSheet(**{n: _metric("" if v is None else json.dumps(v))
+                        for n, v in entry["metrics"].items()}, window_label=entry["window"])
+
+
 def read_tear_sheets(path) -> list[TearSheet]:
     """Parse a tear-sheet file, CSV or JSON by its suffix, back into
-    TearSheet objects.  Every value must be a finite number or not
-    computable, and a CSV must hold each metric row once.  A malformed file
-    is a ParseError naming the path, and in a CSV the first faulty line."""
+    TearSheet objects, each CSV cell or JSON value's JSON text by ``_metric``.
+    A CSV must hold each metric row once, a JSON entry a string window and
+    exactly the fifteen metrics.  A malformed file is a ParseError naming
+    the path, and in a CSV the first faulty line."""
     path = Path(path)
     as_json = _tear_sheet_format(path) == "json"
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if as_json:
-                return [TearSheet(**{n: _metric(entry["metrics"][n]) for n in METRIC_NAMES},
-                                  window_label=entry["window"]) for entry in json.load(fh)]
+                return [_json_sheet(entry) for entry in json.load(fh)]
             rows = list(csv.reader(fh))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", path, exc.lineno) from None
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, csv.Error) as exc:
         raise ParseError(f"not a tear sheet: {exc!r}", path) from None
     if not rows or rows[0][:1] != ["metric"]:
         raise ParseError("bad tear-sheet header", path, 1)
@@ -222,6 +233,53 @@ def _write_matrix(path: Path, header: list[str], days: np.ndarray, matrix: np.nd
             lines[:, 1:].view("S24")[..., 0][slow] = text
             lines[:, -1].view(np.uint8)[:, -1] = ord("\n")
             fh.buffer.write(lines.tobytes().translate(None, b"\0"))
+
+
+def reparse_table(kind: str, path: Path) -> None:
+    """Re-read one plot dataset that ``emit_plot_data`` wrote: every row is
+    ASCII, has the header's column count and every numeric cell parses as a
+    finite float.
+
+    The body is parsed ``ROW_BLOCK`` lines at a time.  A block with a blank
+    or non-ASCII line, a malformed row or a non-finite cell is checked again
+    line by line, by the same rule, and its first faulty line is the error,
+    named path:line; so the file's first faulty line wins, whatever its fault.
+    """
+    head, _, tail = PLOT_LAYOUT[kind]
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{kind} file is empty", path)
+        numeric = len(header) - head - tail
+        if numeric < 1:
+            raise ParseError(f"{kind} header needs at least {head + tail + 1} columns", path, 1)
+        strings = [(f"text{i}", str) for i in range(head + tail)]
+        dtype = strings[:head] + [("numbers", np.float64, (numeric,))] + strings[head:]
+        options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+        def fault(lines: list[str]) -> str | None:
+            """What is wrong with ``lines``, if anything."""
+            if not all(text.rstrip("\r\n") for text in lines):
+                return f"blank line in {kind} file"
+            if not all(map(str.isascii, lines)):  # bytes that are not UTF-8 read as surrogates
+                return f"non-ASCII text in {kind} file"
+            try:
+                numbers = np.loadtxt(lines, **options)["numbers"]
+            except ValueError as exc:  # np.loadtxt's "at row N" counts ``lines``, not the file
+                return f"malformed {kind} file: {str(exc).split(' at row ')[0]}"
+            bad = numbers[~np.isfinite(numbers)]  # in file order
+            return f"not a finite number: {str(bad[0])!r}" if bad.size else None
+
+        first = line = reader.line_num + 1
+        while block := list(itertools.islice(fh, ROW_BLOCK)):
+            if fault(block):
+                for i, text in enumerate(block):
+                    if message := fault([text]):
+                        raise ParseError(message, path, line + i)
+            line += len(block)
+    if line == first:
+        raise ParseError(f"{kind} file has no data rows", path)
 
 
 def emit_plot_data(

@@ -13,7 +13,9 @@ was tightened to be the same on every supported Python version:
   fails like any other bad row, and one whose ticker holds them stops the
   parse like a ragged row;
 * a NUL character stops the parse like a ragged row (the csv module
-  rejects it outright before Python 3.11).
+  rejects it outright before Python 3.11);
+* an error names the line its row starts on, not the row's record number,
+  which a quoted line break in an earlier row makes smaller.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ def parse_price_file(path):
         if tuple(h.strip() for h in header) != PRICE_CSV_HEADER:
             return {}, ParseError(
                 f"bad header {header!r}, expected date,ticker,adj_close", path, 1)
-        for lineno, row in enumerate(reader, start=2):
+        last = reader.line_num
+        for row in reader:
+            lineno, last = last + 1, reader.line_num
             if len(row) != 3:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue

@@ -512,6 +512,18 @@ class TestNeverHalfWrite:
         assert output_tree(root / "out") != first
         assert [p.name for p in (root / "out").iterdir()] == ["auto"]
 
+    def test_share_count_beyond_int64_fails_the_sector(self, small_universe, capsys):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        first = output_tree(root / "out")
+        assert main(["backtest", "--config", str(config), "--capital", "1e30"]) == 1
+        err = capsys.readouterr().err
+        assert "sector 'auto' failed at stage backtest" in err
+        assert "shares do not fit in int64" in err and "Traceback" not in err
+        assert output_tree(root / "out") == first
+        assert [p.name for p in (root / "out").iterdir()] == ["auto"]
+
 
 def damage(lines, col, how, at=2):
     """Corrupt the CSV ``lines`` in place, at ``lines[at]`` where a line is needed."""
@@ -931,12 +943,44 @@ class TestResolvePriceFile:
             resolve_price_file(tmp_path, "CCC")
 
 
+def tracer_names():
+    """The rebal.cli attributes that perfbench/tracing.py wraps, from its WRAPPED."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED")
+
+
 def test_benchmark_tracer_names_exist_on_cli():
     """perfbench/tracing.py times the run by wrapping rebal.cli attributes
     by name; a renamed one would only read as missing in a traced run."""
-    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
-    wrapped = next(ast.literal_eval(node.value) for node in ast.parse(source).body
-                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED")
+    wrapped = tracer_names()
     assert wrapped
     for attr in wrapped:
         assert callable(getattr(rebal.cli, attr, None)), attr
+
+
+def test_benchmark_tracer_names_are_called_only_inside_run_sector(two_sector_long,
+                                                                   monkeypatch):
+    """The tracer makes each ``_run_sector`` call a root span and every other
+    wrapped call a span inside one: a wrapped name called outside
+    ``_run_sector``, such as a pre-flight read through the ``rebal.cli``
+    global, would fail the benchmark's own tests."""
+    root, data_dir, manifests = two_sector_long
+    calls, inside = [], [0]
+
+    def wrap(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((attr, inside[0]))
+            inside[0] += attr == "_run_sector"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= attr == "_run_sector"
+        return wrapper
+
+    for attr in tracer_names():
+        monkeypatch.setattr(rebal.cli, attr, wrap(attr, getattr(rebal.cli, attr)))
+    assert main(["backtest", "--config", str(write_config(root, data_dir, manifests))]) == 0
+    assert {attr for attr, _ in calls} == set(tracer_names())
+    assert [attr for attr, depth in calls if depth == 0] == ["_run_sector"] * 2
+    assert all(depth == 1 for attr, depth in calls if attr != "_run_sector"), calls

@@ -218,6 +218,16 @@ class TestOnePassParsing:
             with pytest.raises(ParseError, match=r"prices\.csv:7: expected 3 columns"):
                 load_price_series(path, ticker, parsed=parsed)
 
+    def test_errors_name_the_line_their_row_starts_on(self, tmp_path):
+        # the row on lines 2-3 is record 2, so the row on line 4 is record 3
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b'date,ticker,adj_close\n2021-01-04,"A\nB",-1\n2021-01-05,AAA,-1\n')
+        parsed = {}
+        with pytest.raises(ValidationError, match=r"prices\.csv:4: non-positive price -1 for AAA"):
+            load_price_series(path, "AAA", parsed=parsed)
+        with pytest.raises(ValidationError, match=r"prices\.csv:2: non-positive price -1 for A"):
+            load_price_series(path, "A\nB", parsed=parsed)
+
     def test_bad_header_fails_every_ticker(self, tmp_path):
         path = write_csv(tmp_path / "prices.csv", self.LONG, header="day,symbol,close")
         parsed = {}
@@ -343,6 +353,7 @@ class TestMatchesRowParser:
         b"2021-01-04,AAA,1\n2021-01-05,BBB" + b" " * 13 + b",2\n2021-01-06,BBB,3\n",  # 16 bytes
         b"2021-01-04,BBB,1\n2021-01-05,BBB" + b" " * 13 + b"X,2\n2021-01-06,BBB,3\n",  # cut at 16
         b"2021-01-04,AAA,1\n2021-02-30,AAA,2\n2021-01-05,BBB,1\n",  # bad date
+        b'2021-01-04,"A\nB",1\n2021-01-05,AAA,-1\n',                # bad row after a break
     ])
     def test_edge_files(self, tmp_path, body):
         path = tmp_path / "prices.csv"

@@ -512,3 +512,20 @@ class TestMetricConfig:
             MetricConfig(var_cutoff=0.0)
         with pytest.raises(DomainError):
             MetricConfig(risk_free_rate_annual=-1.5)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("risk_free_rate_annual", math.nan, "risk_free_rate_annual must be finite"),
+        ("risk_free_rate_annual", math.inf, "risk_free_rate_annual must be finite"),
+        ("risk_free_rate_annual", -math.inf, "risk_free_rate_annual must be >= -1"),
+        ("omega_threshold_daily", math.nan, "omega_threshold_daily must be finite"),
+        ("periods_per_year", 2.5, "periods_per_year must be an int,"),
+        ("periods_per_year", 252.0, "periods_per_year must be an int,"),
+        ("periods_per_year", "12", "periods_per_year must be an int,"),
+        ("periods_per_year", 0, "periods_per_year must be >= 1"),
+    ])
+    def test_unusable_numbers_rejected(self, field, value, match):
+        with pytest.raises(DomainError, match=match):
+            MetricConfig(**{field: value})
+
+    def test_numpy_integer_periods_accepted(self):
+        assert MetricConfig(periods_per_year=np.int64(12)).periods_per_year == 12

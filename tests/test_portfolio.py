@@ -109,6 +109,20 @@ class TestInitialAllocation:
         # capital is checked first, with the message RunConfig reports
         with pytest.raises(DomainError, match="per_asset_capital must be positive, got -1.0"):
             RebalancePolicy("weekly", 2.0, per_asset_capital=-1.0)
+        for capital in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="per_asset_capital must be finite"):
+                RebalancePolicy(per_asset_capital=capital)
+
+    def test_share_count_beyond_int64_is_an_allocation_error(self):
+        # 1e30 buys 1e28 shares at 100, which an int64 cast would wrap negative
+        with pytest.raises(AllocationError, match="shares do not fit in int64"):
+            allocate([100.0, 50.0], 1e30, 2e30)
+        panel = make_panel({"A": [100.0, 101.0], "B": [50.0, 49.0]})
+        with pytest.raises(AllocationError, match="shares do not fit in int64"):
+            run_backtest(panel, RebalancePolicy("daily", per_asset_capital=1e30))
+        # the largest count below 2**63 is kept exactly
+        shares, _ = allocate([1.0], 2.0 ** 62, 2.0 ** 62)
+        assert shares.tolist() == [2 ** 62]
 
 
 class TestRebalanceDates:

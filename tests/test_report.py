@@ -38,6 +38,11 @@ def make_sheet(rng, label, n=120):
     return tear_sheet(portfolio, bench, CFG, label)
 
 
+def json_sheet(window="x", **metrics):
+    """A JSON tear sheet of one entry whose metrics are 0.0 but for ``metrics``."""
+    return json.dumps([{"window": window, "metrics": dict.fromkeys(METRIC_NAMES, 0.0) | metrics}])
+
+
 def written_cells(tmp_path, values):
     """The tear-sheet CSV cells of ``values``, one window each."""
     sheets = [TearSheet(**dict.fromkeys(METRIC_NAMES, float(x)), window_label=f"w{i}")
@@ -141,11 +146,22 @@ class TestExportTearSheets:
         ("ts.json", "not json", 1),
         ("ts.json", '[{"window": "x", "metrics": {"sharpe": "abc"}}]', None),
         ("ts.json", "[1]", None),
-        ("ts.json", json.dumps([{"window": "x", "metrics": dict.fromkeys(METRIC_NAMES, 0.0)
-                                 | {"sharpe": math.nan}}]), None),
+        ("ts.json", json_sheet(sharpe=math.nan), None),
+        # a JSON value is read as the CSV cell of its JSON text
+        ("ts.json", json_sheet(sharpe=True), None),
+        ("ts.json", json_sheet(sharpe="0.5"), None),
+        ("ts.json", json_sheet(sharpe=10 ** 400), None),
+        ("ts.json", json_sheet(sharpe=[1.0]), None),
+        ("ts.json", json_sheet(bogus=1.0), None),
+        ("ts.json", json_sheet(window=3), None),
+        ("ts.json", json_sheet(window=None), None),
+        ("ts.json", json.dumps([{"window": "x", "metrics": list(METRIC_NAMES)}]), None),
         ("ts.csv", "metric,w\ncumulative_return,abc\n", 2),
         ("ts.csv", b"metric,w\n\xff\n", None),
         ("ts.csv", "metric,w\ncumulative_return,nan\n", 2),
+        ("ts.csv", "metric,w\ncumulative_return,1_0\n", 2),
+        ("ts.csv", "metric,w\ncumulative_return,\u0661\n".encode(), 2),
+        ("ts.csv", "metric,w\ncumulative_return,1e400\n", 2),
         ("ts.csv", "metric,w\ncumulative_return,0\nsharpe,-inf\n", 3),
         ("ts.csv", "metric,w\ncumulative_return,0\nbogus,1\n", 3),
         ("ts.csv", "metric,w\n" + "".join(f"{n},1\n" for n in METRIC_NAMES) + "alpha,2\n",
