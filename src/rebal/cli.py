@@ -125,8 +125,7 @@ def load_run_config(path) -> RunConfig:
     """Parse a run-config JSON file."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -196,10 +195,13 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         manifest = load_sector_manifest(manifest_path)
         sector = manifest.sector
         stage = "load"
-        series = [load_price_series(resolve_price_file(config.data_dir, t), t, parsed=parsed)
-                  for t in manifest.tickers]
-        benchmark = load_price_series(resolve_price_file(config.data_dir, manifest.benchmark),
-                                      manifest.benchmark, parsed=parsed, keep=True)
+        loaded, dates = [], None  # a series on the last one's dates shares their array
+        for ticker in (*manifest.tickers, manifest.benchmark):
+            path = resolve_price_file(config.data_dir, ticker)
+            loaded.append(load_price_series(path, ticker, parsed=parsed, calendar=dates,
+                                            keep=ticker == manifest.benchmark))
+            dates = loaded[-1].dates
+        *series, benchmark = loaded
         stage = "align"
         panel = align_panel(series, benchmark)
         stage = "clip"

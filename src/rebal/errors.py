@@ -4,6 +4,8 @@ Every error raised by the library derives from RebalError so callers can
 catch one type at the pipeline boundary.
 """
 
+import numbers
+
 
 class RebalError(Exception):
     """Base class for all rebal errors."""
@@ -51,3 +53,9 @@ class UndefinedMetricError(RebalError):
 
 class ConfigError(RebalError):
     """Run configuration is invalid or inconsistent."""
+
+
+def require_number(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")

@@ -246,15 +246,22 @@ def _lines(text: str):
     return itertools.chain.from_iterable(text[i:j].split("\n") for i, j in zip(ends, ends[1:]))
 
 
-def _series(ticker: str, days, prices) -> tuple[str, PriceSeries | RebalError]:
-    """A ticker and its series, or why it has none."""
-    try:
-        return ticker, PriceSeries(ticker, days, prices)
-    except ValidationError as exc:  # too few observations
-        return ticker, exc
+def _build(groups, calendar) -> dict[str, PriceSeries | RebalError]:
+    """Each ``(ticker, days, prices)`` of ``groups`` as its series, or why it has none.
+    A series on the last one's days, or the first on ``calendar``'s, takes that array."""
+    built: dict[str, PriceSeries | RebalError] = {}
+    for ticker, days, prices in groups:
+        days = np.asarray(days, DAY)
+        days = calendar if np.array_equal(days, calendar) else days
+        try:
+            built[ticker] = PriceSeries(ticker, days, prices)
+            calendar = built[ticker].dates
+        except ValidationError as exc:  # too few observations
+            built[ticker] = exc
+    return built
 
 
-def _read_cells(fh) -> dict[str, PriceSeries | RebalError]:
+def _read_cells(fh, calendar) -> dict[str, PriceSeries | RebalError]:
     """Each ticker's series from one np.loadtxt call over the clean body in ``fh``.
 
     A clean body is ASCII with no quote or NUL, and each of its lines is
@@ -287,10 +294,10 @@ def _read_cells(fh) -> dict[str, PriceSeries | RebalError]:
         raise ValueError("a repeated (ticker, day)")
     groups = np.split(order, np.flatnonzero(np.diff(key >> 22)) + 1)  # one per id, in order
     days = (ordinal - _EPOCH.toordinal()).astype(DAY)
-    return dict(_series(name, days[rows], prices[rows]) for name, rows in zip(ids, groups))
+    return _build(((name, days[rows], prices[rows]) for name, rows in zip(ids, groups)), calendar)
 
 
-def _read_rows(rows, path: Path) -> _PriceFile:
+def _read_rows(rows, path: Path, calendar) -> _PriceFile:
     """Read the body left in the csv reader ``rows``, its cells stripped.
 
     A ticker's first bad row is its error, and its later rows are skipped.
@@ -330,11 +337,12 @@ def _read_rows(rows, path: Path) -> _PriceFile:
         else:
             prices[number] = value
     # each good ticker's day numbers and prices, in day order
-    good = [_series(t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad]
-    return _PriceFile({**bad, **dict(good)}, None)
+    good = _build(((t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad),
+                  calendar)
+    return _PriceFile({**bad, **good}, None)
 
 
-def _parse_price_file(path: Path) -> _PriceFile:
+def _parse_price_file(path: Path, calendar) -> _PriceFile:
     # Bytes that are not UTF-8 become lone surrogates, which no cell check accepts.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -345,11 +353,11 @@ def _parse_price_file(path: Path) -> _PriceFile:
             return _PriceFile({}, ParseError(
                 f"bad header {header!r}, expected date,ticker,adj_close", path, 1))
         try:
-            return _PriceFile(_read_cells(fh), None)
+            return _PriceFile(_read_cells(fh, calendar), None)
         except ValueError:  # not a clean body: read it again, a row at a time
             fh.seek(0)
             next(rows := csv.reader(fh))  # the header
-            return _read_rows(rows, path)
+            return _read_rows(rows, path, calendar)
 
 
 def resolve_price_file(data_dir: Path, ticker: str) -> Path:
@@ -364,7 +372,7 @@ def resolve_price_file(data_dir: Path, ticker: str) -> Path:
 
 
 def load_price_series(
-    path, ticker: str, parsed: dict | None = None, keep: bool = False
+    path, ticker: str, parsed: dict | None = None, keep: bool = False, calendar=None
 ) -> PriceSeries:
     """Read one ticker's rows from a price CSV and validate them.
 
@@ -381,11 +389,14 @@ def load_price_series(
     for the whole run: they are read once per call, unless ``keep`` is set
     for a series the caller reads again, such as a benchmark every sector
     shares.
+
+    A series parsed here whose dates equal ``calendar``, a read-only array
+    such as the last series' dates, takes it instead of its own array.
     """
     path = Path(path)
     parsed_file = parsed.get(path) if parsed is not None else None
     if parsed_file is None:
-        parsed_file = _parse_price_file(path)
+        parsed_file = _parse_price_file(path, calendar)
         if parsed is not None and (keep or len(parsed_file.series) > 1):
             parsed[path] = parsed_file
     series = parsed_file.series.get(ticker)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, UndefinedMetricError
+from .errors import AlignmentError, DomainError, UndefinedMetricError, require_number
 from .returns import ReturnSeries
 
 TRADING_DAYS_PER_YEAR = 252
@@ -47,8 +47,11 @@ class MetricConfig:
     var_cutoff: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.periods_per_year, (int, np.integer)):
-            raise DomainError(f"periods_per_year must be an int, got {self.periods_per_year!r}")
+        ppy = self.periods_per_year
+        if isinstance(ppy, bool) or not isinstance(ppy, (int, np.integer)):
+            raise DomainError(f"periods_per_year must be an int, got {ppy!r}")
+        for name in ("risk_free_rate_annual", "omega_threshold_daily", "var_cutoff"):
+            require_number(name, getattr(self, name))
         if self.periods_per_year < 1:
             raise DomainError(f"periods_per_year must be >= 1, got {self.periods_per_year}")
         if not 0.0 < self.var_cutoff < 0.5:
@@ -140,8 +143,7 @@ def annual_return(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> 
 
 def annual_volatility(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Sample standard deviation of returns scaled by sqrt(periods)."""
-    r = _values(returns)
-    return _sample_std(r) * math.sqrt(cfg.periods_per_year)
+    return _sample_std(_values(returns)) * math.sqrt(cfg.periods_per_year)
 
 
 def max_drawdown(wealth) -> float:
@@ -210,9 +212,7 @@ def omega(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
 
 def tail_ratio(returns: ReturnSeries) -> float:
     """|95th percentile| / |5th percentile| of the return distribution."""
-    r = _values(returns)
-    p95 = float(np.percentile(r, 95.0))
-    p05 = float(np.percentile(r, 5.0))
+    p05, p95 = np.percentile(_values(returns), [5.0, 95.0]).tolist()
     return _ratio(abs(p95), abs(p05), "5th percentile")
 
 
@@ -269,8 +269,7 @@ def stability(returns: ReturnSeries) -> float:
 
 def daily_var(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Historical one-day value at risk: the cutoff percentile of returns."""
-    r = _values(returns)
-    return float(np.percentile(r, 100.0 * cfg.var_cutoff))
+    return float(np.percentile(_values(returns), 100.0 * cfg.var_cutoff))
 
 
 def alpha_beta(
@@ -303,14 +302,7 @@ def alpha_beta(
 
 def box_plot_summary(returns: ReturnSeries) -> tuple[float, float, float, float, float]:
     """Five-number summary (min, Q1, median, Q3, max) of a return series."""
-    r = _values(returns)
-    return (
-        float(np.min(r)),
-        float(np.percentile(r, 25.0)),
-        float(np.percentile(r, 50.0)),
-        float(np.percentile(r, 75.0)),
-        float(np.max(r)),
-    )
+    return tuple(np.percentile(_values(returns), [0.0, 25.0, 50.0, 75.0, 100.0]).tolist())
 
 
 def tear_sheet(

@@ -35,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllocationError, DomainError, InsolvencyError
+from .errors import AllocationError, DomainError, InsolvencyError, require_number
 from .market_data import DAY, PricePanel
 
 logger = logging.getLogger(__name__)
 
 REBALANCE_FREQUENCIES = ("daily", "monthly", "yearly", "never")
+BLOCK_CELLS = 8192  # most holdings marked to market at a time
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class RebalancePolicy:
     per_asset_capital: float = 100_000.0
 
     def __post_init__(self):
+        require_number("per_asset_capital", self.per_asset_capital)
+        require_number("cost_rate", self.cost_rate)
         if self.per_asset_capital <= 0.0:
             raise DomainError(f"per_asset_capital must be positive, got {self.per_asset_capital}")
         if not np.isfinite(self.per_asset_capital):
@@ -70,21 +73,30 @@ class RebalancePolicy:
 class BacktestResult:
     """Full daily state of one backtest.
 
-    ``value[t] = sum_i shares[i, t] * price[i, t] + cash[t]`` on every day;
+    ``value[t] = sum_i shares[i, t] * prices[i, t] + cash[t]`` on every day;
     share vectors are piecewise constant and change only on
-    ``rebalance_dates``.  ``shares`` (``int64``) and ``weights``
-    (``float64``) are (tickers x days) matrices whose row i is
-    ``tickers[i]``; ``calendar`` and ``rebalance_dates`` are
-    ``datetime64[D]`` arrays.
+    ``rebalance_dates``.  ``shares`` (``int64``) and ``prices`` (the
+    panel's read-only ``float64`` matrix, not a copy) are (tickers x days)
+    matrices whose row i is ``tickers[i]``; ``calendar`` and
+    ``rebalance_dates`` are ``datetime64[D]`` arrays.
     """
 
     calendar: np.ndarray
     tickers: tuple[str, ...]
     value: np.ndarray
-    weights: np.ndarray
     shares: np.ndarray
+    prices: np.ndarray
     cash: np.ndarray
     rebalance_dates: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """``shares * prices / value``, each holding's fraction of its day's value."""
+        return self.weights_between(0, len(self.calendar))
+
+    def weights_between(self, lo: int, hi: int) -> np.ndarray:
+        """``weights[:, lo:hi]``, computed for those days alone."""
+        return self.shares[:, lo:hi] * self.prices[:, lo:hi] / self.value[lo:hi]
 
 
 def _sum_left_to_right(v: np.ndarray) -> float:
@@ -182,8 +194,8 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
     Day 0 is the initial allocation at day-0 prices; on each schedule date
     the holdings are rebalanced at that day's prices before marking to
     market.  Holdings only change on those trade dates, so each span
-    between two of them is filled in one slice, and value and weights are
-    computed for the whole run at once.  Each ticker starts with
+    between two of them is filled in one slice.  Value is then summed
+    ``BLOCK_CELLS`` holdings at a time.  Each ticker starts with
     ``policy.per_asset_capital``.
     """
     n_days = len(panel.calendar)
@@ -204,10 +216,13 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
         cash[lo:hi] = balance
 
     # the axis-0 reduction adds ticker rows one after another, in the same
-    # order as _sum_left_to_right
-    weights = shares * prices
-    value = np.add.reduce(weights, axis=0) + cash
-    weights /= value
+    # order as _sum_left_to_right, but over a single day it sums pairwise:
+    # so no block is one day long, the last taking in a lone last day
+    value = np.empty(n_days)
+    edges = [*range(0, n_days - 1, max(2, BLOCK_CELLS // len(panel.tickers))), n_days]
+    for lo, hi in zip(edges, edges[1:]):
+        value[lo:hi] = np.add.reduce(shares[:, lo:hi] * prices[:, lo:hi], axis=0)
+    value += cash
 
     logger.debug(
         "backtest over %d days, %d tickers, %d rebalances (%s)",
@@ -217,8 +232,8 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
         calendar=panel.calendar,
         tickers=panel.tickers,
         value=value,
-        weights=weights,
         shares=shares,
+        prices=prices,
         cash=cash,
         rebalance_dates=applied,
     )

@@ -80,9 +80,7 @@ def export_tear_sheets(sheets, path) -> Path:
             {"window": s.window_label, "metrics": {n: getattr(s, n) for n in METRIC_NAMES}}
             for s in sheets
         ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     logger.debug("wrote %d tear sheets to %s", len(sheets), path)
     return path
 
@@ -116,16 +114,18 @@ def read_tear_sheets(path) -> list[TearSheet]:
         with open(path, newline="", encoding="utf-8") as fh:
             if as_json:
                 return [_json_sheet(entry) for entry in json.load(fh)]
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = [(row, reader.line_num) for row in reader]  # each row and its last line
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", path, exc.lineno) from None
     except (AttributeError, KeyError, TypeError, ValueError, csv.Error) as exc:
         raise ParseError(f"not a tear sheet: {exc!r}", path) from None
-    if not rows or rows[0][:1] != ["metric"]:
+    if not rows or rows[0][0][:1] != ["metric"]:
         raise ParseError("bad tear-sheet header", path, 1)
-    labels = rows[0][1:]
+    labels = rows[0][0][1:]
     table: dict[str, list[float | None]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for (_, above), (row, _) in zip(rows, rows[1:]):
+        lineno = above + 1  # the line the row starts on
         if len(row) != len(labels) + 1:
             raise ParseError(f"expected {len(labels) + 1} columns", path, lineno)
         if row[0] not in METRIC_NAMES or row[0] in table:
@@ -211,21 +211,23 @@ def _fraction_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     return fast
 
 
-def _write_matrix(path: Path, header: list[str], days: np.ndarray, matrix: np.ndarray) -> None:
-    """Write the bytes ``_write_table`` would for ``days`` (``S10``) and the
-    tickers x days ``matrix``: cells padded with NUL, which ``bytes.translate``
-    drops, filled by the file's array kernel at most ``ROW_BLOCK`` days and
-    ``CHUNK_CELLS`` cells at a time, and one at a time off its fast path."""
+def _write_matrix(path: Path, header: list[str], days: np.ndarray, columns) -> None:
+    """Write the bytes ``_write_table`` would for ``days`` (``S10``) and a
+    tickers x days matrix whose days lo..hi-1 are ``columns(lo, hi)``: cells
+    padded with NUL, which ``bytes.translate`` drops, filled by the file's
+    array kernel at most ``ROW_BLOCK`` days and ``CHUNK_CELLS`` cells at a
+    time, and one at a time off its fast path."""
     cell = PLOT_LAYOUT[path.stem][1]
     encode = _count_cells if cell == "%d" else _fraction_cells
-    step = max(1, min(ROW_BLOCK, CHUNK_CELLS // len(matrix)))  # days per chunk
+    width = len(header) - 1  # tickers
+    step = max(1, min(ROW_BLOCK, CHUNK_CELLS // width))  # days per chunk
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.flush()
         for lo in range(0, len(days), step):
-            block = np.ascontiguousarray(matrix[:, lo:lo + step].T)
+            block = np.ascontiguousarray(columns(lo, lo + step).T)
             # 24-byte cells: a comma, the longest "%d" of an int64 or NUMBER text, NUL
-            lines = np.zeros((len(block), len(matrix) + 1, 6), np.uint32)
+            lines = np.zeros((len(block), width + 1, 6), np.uint32)
             lines[:, 0].view(np.uint8)[:, :10] = days[lo:lo + step, None].view(np.uint8)
             slow = ~encode(block, lines[:, 1:])
             # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0
@@ -292,7 +294,8 @@ def emit_plot_data(
 
     ``benchmark_cum`` must be the benchmark's cumulative return aligned to
     ``result.calendar`` (0.0 on the first day).  Shares and weights are
-    encoded a few thousand cells at a time, never as a whole-matrix copy.
+    encoded a few thousand cells at a time, each chunk of weights derived
+    on its own: never a whole-matrix copy.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,9 +305,9 @@ def emit_plot_data(
                               f"length {len(result.calendar)}")
     dates = np.datetime_as_string(result.calendar).tolist()
     manifest = {kind: out_dir / f"{kind}.csv" for kind in PLOT_LAYOUT}
-    for kind in ("shares", "weights"):
-        _write_matrix(manifest[kind], ["date", *result.tickers], np.array(dates, "S10"),
-                      getattr(result, kind))
+    header, days = ["date", *result.tickers], np.array(dates, "S10")
+    _write_matrix(manifest["shares"], header, days, lambda lo, hi: result.shares[:, lo:hi])
+    _write_matrix(manifest["weights"], header, days, result.weights_between)
 
     portfolio_cum = result.value / result.value[0] - 1.0
     segments = np.where(result.calendar < np.datetime64(split_date, "D"),

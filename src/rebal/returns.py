@@ -98,7 +98,5 @@ def split_sample(returns: ReturnSeries, split_date) -> tuple[ReturnSeries, Retur
             f"split {split_date} outside series range "
             f"{returns.dates[0]}..{returns.dates[-1]}"
         )
-    return (
-        ReturnSeries(returns.dates[:n_before], returns.values[:n_before], returns.frequency),
-        ReturnSeries(returns.dates[n_before:], returns.values[n_before:], returns.frequency),
-    )
+    return tuple(ReturnSeries(returns.dates[part], returns.values[part], returns.frequency)
+                 for part in (slice(n_before), slice(n_before, None)))

@@ -103,9 +103,7 @@ def generate_universe(
             write_price_csv(data_dir / f"{ticker}.csv", ticker, days, prices)
         manifest = {"sector": sector, "tickers": tickers, "benchmark": BENCHMARK_TICKER}
         path = manifest_dir / f"{sector}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         manifest_paths.append(path)
     return data_dir, manifest_paths
 

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -25,6 +26,31 @@ def random_returns(rng: np.random.Generator, n: int,
                    mu: float = 0.0005, sigma: float = 0.02) -> np.ndarray:
     """Plausible daily stock returns, guaranteed above -1."""
     return np.maximum(rng.normal(mu, sigma, size=n), -0.95)
+
+
+def with_weight_cells(result, cells):
+    """A copy of a BacktestResult whose ``weights[i, day]`` is exactly ``w``
+    for each ``(i, day, w)`` in ``cells``.
+
+    Weights are derived as ``shares * prices / value``, so the cells are
+    made through prices: each such day's value becomes 2**30, its prices
+    scale with it, and the cell's price is ``w * 2**30 / shares[i, day]``
+    (``w`` itself where no shares are held).  Raises AssertionError if a
+    cell comes out other than ``w``, sign of zero included.
+    """
+    prices, value = result.prices.copy(), result.value.copy()
+    for _, day, _ in cells:
+        prices[:, day] *= 2.0 ** 30 / value[day]
+        value[day] = 2.0 ** 30
+    for i, day, w in cells:
+        held = float(result.shares[i, day])
+        prices[i, day] = w * 2.0 ** 30 / held if held else w
+    new = dataclasses.replace(result, prices=prices, value=value)
+    rows, days, want = (np.array(column) for column in zip(*cells))
+    got = new.weights[rows, days]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    return new
 
 
 # Starts where calendar arithmetic has edges: Feb 29, year and month ends,

@@ -29,6 +29,7 @@ from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.report import ROW_BLOCK, emit_plot_data, export_tear_sheets
 from rebal.returns import simple_returns
 from rebal.synthetic import generate_universe
+from conftest import with_weight_cells
 
 
 def write_config(root, data_dir, manifests, **overrides):
@@ -401,10 +402,7 @@ class TestNeverHalfWrite:
             real = rebal.cli.run_backtest
 
             def nan_weight(*args):
-                result = real(*args)
-                weights = result.weights.copy()
-                weights[-1, -1] = float("nan")
-                return dataclasses.replace(result, weights=weights)
+                return with_weight_cells(real(*args), [(-1, -1, float("nan"))])
 
             monkeypatch.setattr(rebal.cli, "run_backtest", nan_weight)
         else:
@@ -655,9 +653,24 @@ class TestReparseOutputs:
             rebal.cli._reparse_outputs(files, tear_sheets)
 
 
+def test_a_sector_on_one_calendar_holds_one_dates_array(small_universe, monkeypatch):
+    root, data_dir, manifests = small_universe
+    aligned = []
+    real = rebal.cli.align_panel
+
+    def recording(series, benchmark):
+        aligned.append((series, benchmark))
+        return real(series, benchmark)
+
+    monkeypatch.setattr(rebal.cli, "align_panel", recording)
+    assert main(["validate", "--config", str(write_config(root, data_dir, manifests))]) == 0
+    [(series, benchmark)] = aligned
+    assert len(series) == 2 and all(s.dates is benchmark.dates for s in series)
+
+
 def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
     """Writing and verifying the plot files of a 40 x 3000 result holds
-    less than twice its weight matrix at its peak, not whole-table copies."""
+    less than its weight matrix at its peak, not whole-table copies."""
     rng = np.random.default_rng(5)
     n, days = 40, 3000
     calendar = np.datetime64("2010-01-04") + np.arange(days)
@@ -678,7 +691,7 @@ def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * result.weights.nbytes, peak / result.weights.nbytes
+    assert peak < result.weights.nbytes, peak / result.weights.nbytes
 
 
 class TestValidateCommand:

@@ -382,6 +382,40 @@ def test_synthetic_files_take_the_array_read(tmp_path, monkeypatch):
         assert load_price_series(long_format, ticker, parsed=parsed) == series
 
 
+class TestSharedCalendar:
+    """A series whose dates equal ``calendar`` takes that array as its own."""
+
+    DAYS = ["2021-01-04", "2021-01-05", "2021-01-06", "2021-01-07"]
+
+    def rows(self, ticker, days=DAYS):
+        return [f"{day},{ticker},{100 + i}" for i, day in enumerate(days)]
+
+    def test_per_ticker_files_on_one_calendar(self, tmp_path):
+        rows = {t: self.rows(t) for t in ("AAA", "BBB", "GAP", "DDD")}
+        rows["BBB"].reverse()  # rows in any order
+        del rows["GAP"][1]
+        series, dates = [], None  # each series loaded on the last one's dates
+        for ticker, body in rows.items():
+            path = write_csv(tmp_path / f"{ticker}.csv", body)
+            series.append(load_price_series(path, ticker, calendar=dates))
+            dates = series[-1].dates
+        first, same, gap, after = series
+        assert same.dates is first.dates and not first.dates.flags.writeable
+        assert gap.dates is not first.dates and len(gap) == 3
+        assert after.dates is not gap.dates and np.array_equal(after.dates, first.dates)
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_series_of_one_file_share_their_days(self, tmp_path, bad):
+        # a bad price for ZZZ sends the file to the row loop, which shares alike
+        rows = self.rows("AAA") + self.rows("BBB") + self.rows("ZZZ")[:2 if bad else 4]
+        if bad:
+            rows.append("2021-01-06,ZZZ,-1")
+        path = write_csv(tmp_path / "prices.csv", sorted(rows))
+        parsed = {}
+        a, b = (load_price_series(path, t, parsed=parsed) for t in ("AAA", "BBB"))
+        assert b.dates is a.dates
+
+
 class TestSectorManifest:
     def test_valid_manifest(self, tmp_path):
         path = tmp_path / "m.json"

@@ -522,6 +522,10 @@ class TestMetricConfig:
         ("periods_per_year", 252.0, "periods_per_year must be an int,"),
         ("periods_per_year", "12", "periods_per_year must be an int,"),
         ("periods_per_year", 0, "periods_per_year must be >= 1"),
+        ("periods_per_year", True, "periods_per_year must be an int, got True"),
+        ("var_cutoff", "x", "var_cutoff must be a number, got 'x'"),
+        ("risk_free_rate_annual", "x", "risk_free_rate_annual must be a number"),
+        ("omega_threshold_daily", None, "omega_threshold_daily must be a number"),
     ])
     def test_unusable_numbers_rejected(self, field, value, match):
         with pytest.raises(DomainError, match=match):

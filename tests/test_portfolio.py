@@ -1,6 +1,7 @@
 """Allocation, scheduling, rebalancing, and backtest-loop tests."""
 
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 
 import calendar_oracle
 import engine_oracle
+import rebal.portfolio
 from rebal.errors import AllocationError, DomainError, InsolvencyError
 from rebal.market_data import PricePanel
 from rebal.portfolio import (
@@ -112,6 +114,12 @@ class TestInitialAllocation:
         for capital in (math.nan, math.inf):
             with pytest.raises(DomainError, match="per_asset_capital must be finite"):
                 RebalancePolicy(per_asset_capital=capital)
+
+    @pytest.mark.parametrize("field", ["per_asset_capital", "cost_rate"])
+    @pytest.mark.parametrize("value", ["x", None, True])
+    def test_non_numbers_are_domain_errors(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be a number, got {value!r}"):
+            RebalancePolicy(**{field: value})
 
     def test_share_count_beyond_int64_is_an_allocation_error(self):
         # 1e30 buys 1e28 shares at 100, which an int64 cast would wrap negative
@@ -413,6 +421,16 @@ class TestMatchesDictEngine:
             capital = float(np.exp(rng.uniform(np.log(50.0), np.log(1e6))))
             self.assert_same(panel, capital, frequency, cost_rate)
 
+    @pytest.mark.parametrize("step", [2, 7])
+    def test_value_blocks_never_sum_one_day_alone(self, monkeypatch, step):
+        # blocks of `step` days would leave the last of 8 * step + 1 days
+        # alone, and np.add.reduce sums one day's 40 holdings pairwise
+        monkeypatch.setattr(rebal.portfolio, "BLOCK_CELLS", 40 * step)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            panel = oracle_panel(rng, 40, trading_days(8 * step + 1))
+            self.assert_same(panel, 1e6, "monthly", 0.001)
+
     @pytest.mark.parametrize("frequency", ["daily", "monthly"])
     def test_equal_prices_fire_the_tie_break(self, frequency):
         # every ticker rounds 100000 / 7800 up to 13 shares, 8400 over
@@ -442,3 +460,18 @@ class TestMatchesDictEngine:
             engine_oracle.run_backtest(panel, 50.0, "daily", 0.9)
         with pytest.raises(InsolvencyError):
             run_backtest(panel, RebalancePolicy("daily", 0.9, per_asset_capital=50.0))
+
+
+def test_backtest_holds_no_matrix_beside_shares():
+    """run_backtest keeps the panel's prices, fills the share matrix and sums
+    value a block of days at a time: it never allocates a second tickers x
+    days matrix, such as a weights copy."""
+    panel = oracle_panel(np.random.default_rng(3), 40, trading_days(3000))
+    tracemalloc.start()
+    try:
+        result = run_backtest(panel, RebalancePolicy("monthly"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.prices is panel.prices
+    assert peak < 1.5 * result.shares.nbytes, peak / result.shares.nbytes

@@ -26,7 +26,7 @@ from rebal.report import (
     read_tear_sheets,
 )
 from rebal.returns import aggregate, simple_returns
-from conftest import daily_series, random_returns
+from conftest import daily_series, random_returns, with_weight_cells
 from test_portfolio import make_panel
 
 CFG = MetricConfig()
@@ -170,6 +170,9 @@ class TestExportTearSheets:
         ("ts.csv", "", 1),
         ("ts.csv", "metric,w\ncumulative_return,0,1\n", 2),
         ("ts.csv", "metric,w\ncumulative_return,0\n", None),
+        # a header over two lines: an error names the line its row is on, not its record
+        ("ts.csv", 'metric,"in\nsample",w\ncumulative_return,0,0\nannual_return,0,0\n'
+                   "annual_volatility,0,0\nsharpe,abc,1\n", 6),
     ])
     def test_malformed_file_is_a_parse_error(self, tmp_path, name, text, line):
         path = tmp_path / name
@@ -393,9 +396,7 @@ class TestEmitPlotData:
                                       2 * ROW_BLOCK + 1])
     def test_bytes_match_across_row_blocks(self, rng, tmp_path, days):
         panel, result, bench = self.run_small_backtest(rng, n=days, tickers=("A", "B", "C"))
-        weights = result.weights.copy()
-        weights[1, -1] = -0.0  # in the last block: must print as 0
-        result = dataclasses.replace(result, weights=weights)
+        result = with_weight_cells(result, [(1, -1, -0.0)])  # in the last block: must print as 0
         split = panel.calendar[days // 2].item()
         manifest = emit_plot_data(result, bench, split, tmp_path / "new")
         old_emit_plot_data(result, bench, split, tmp_path / "old")
@@ -412,13 +413,13 @@ class TestEmitPlotData:
         panel, result, bench = self.run_small_backtest(rng, n=days, tickers=tickers)
         step = min(ROW_BLOCK, CHUNK_CELLS // n_tickers)
         assert days > 2 * step + 1
-        weights, shares = result.weights.copy(), result.shares.copy()
-        for (i, day), w, n in zip([(0, step - 1), (1, step), (2, 2 * step), (3, 2 * step + 1),
-                                   (4, days - 1), (0, 0)],
-                                  [-0.0, 1.0, 0.99999999999999, math.nan, 5e-324, 0.5],
-                                  [10**8, -1, 2**63 - 1, 0, 10**8 - 1, 10**9]):
-            weights[i, day], shares[i, day] = w, n
-        result = dataclasses.replace(result, weights=weights, shares=shares)
+        cells = [(0, step - 1), (1, step), (2, 2 * step), (3, 2 * step + 1), (4, days - 1), (0, 0)]
+        shares = result.shares.copy()
+        for (i, day), n in zip(cells, [10**8, -1, 2**63 - 1, 0, 10**8 - 1, 10**9]):
+            shares[i, day] = n
+        result = with_weight_cells(dataclasses.replace(result, shares=shares), [
+            (i, day, w) for (i, day), w in zip(cells, [-0.0, 1.0, 0.99999999999999, math.nan,
+                                                      5e-324, 0.5])])
         split = panel.calendar[days // 3].item()
         manifest = emit_plot_data(result, bench, split, tmp_path / "new")
         old_emit_plot_data(result, bench, split, tmp_path / "old")
