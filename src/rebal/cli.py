@@ -35,7 +35,7 @@ import numpy as np
 
 from . import market_data
 from .errors import ConfigError, DomainError, ParseError, RebalError
-from .market_data import (align_panel, clip_panel, iso_day, load_price_series,
+from .market_data import (PriceCache, align_panel, clip_panel, iso_day, load_price_series,
                           load_sector_manifest, resolve_price_file)
 from .metrics import MetricConfig, tear_sheet
 from .portfolio import REBALANCE_FREQUENCIES, RebalancePolicy, rebalance_dates, run_backtest
@@ -289,7 +289,7 @@ def _each_sector(config: RunConfig, step) -> int:
     """Print ``step(config, manifest_path, parsed)`` for each manifest, with one
     price-file cache; a failed sector prints ``error: <exception>``, naming it
     and its stage, and the rest still run.  Returns 1 if any failed, else 0."""
-    parsed: dict = {}
+    parsed = PriceCache()
     status = 0
     for manifest_path in config.manifests:
         try:

@@ -15,7 +15,9 @@ UTF-8 with LF, CRLF or CR line ends; bytes that are not UTF-8 make a bad
 date or price, or in a ticker cell stop the file like a ragged row, as a
 NUL character does.  Manifest tickers must be plain file names.  One
 np.loadtxt call reads a clean file (ASCII, unquoted, every row good); any
-other file is read again, a csv row at a time, to the same result.
+other file is read again, a csv row at a time, to the same result.  A run's
+PriceCache keeps the last one-ticker file's date column decoded, and a file
+whose date cells are the same bytes takes that decode instead of its own.
 
 Sector manifest schema (JSON):
 
@@ -29,8 +31,8 @@ Dates are ``datetime64[D]`` arrays: ``PriceSeries.dates`` and
 ``PricePanel.calendar``.  A panel's prices are one read-only
 (tickers x days) ``float64`` matrix, rows in sorted-ticker order.
 
-All types are immutable after construction and safe to share across
-threads.
+All types but PriceCache, which one run owns, are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -172,6 +174,16 @@ class PricePanel(_ArrayRecord):
         return len(self.calendar)
 
 
+class PriceCache(dict):
+    """A run's price-file cache: ``load_price_series``'s parsed multi-ticker
+    files by path.  ``dates`` holds the last one-ticker file's date cells as
+    uint64 words, their day ordinals and validity: a tuple of read-only
+    arrays, replaced whole, so no reader pairs one file's cells with
+    another's decode."""
+
+    dates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
 class _PriceFile(NamedTuple):
     """One pass over a price CSV.
 
@@ -261,13 +273,20 @@ def _build(groups, calendar) -> dict[str, PriceSeries | RebalError]:
     return built
 
 
-def _read_cells(fh, calendar) -> dict[str, PriceSeries | RebalError]:
+def _rows_equal(words: np.ndarray, like: np.ndarray) -> bool:
+    """Whether (rows x 2) uint64 ``words`` equal ``like``, one row or as many
+    rows, compared a column at a time, which numpy does faster than a block."""
+    return all((words[:, k] == like[..., k]).all() for k in (0, 1))
+
+
+def _read_cells(fh, calendar, cache) -> dict[str, PriceSeries | RebalError]:
     """Each ticker's series from one np.loadtxt call over the clean body in ``fh``.
 
     A clean body is ASCII with no quote or NUL, and each of its lines is
     empty or a row with no cut cell, a valid date, a positive finite price
     and a (ticker, day) of its own, so no row has an error to report.
-    Raises ValueError for any other body.
+    Raises ValueError for any other body.  Date cells equal to those in a
+    PriceCache ``cache`` take its decode instead of their own.
     """
     text = fh.read()
     if not text.isascii() or '"' in text or "\0" in text or "," not in text:
@@ -275,12 +294,22 @@ def _read_cells(fh, calendar) -> dict[str, PriceSeries | RebalError]:
     # a ragged row, a bad price or a line of spaces raises ValueError here
     cells = np.loadtxt(_lines(text), dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
     del text  # before the temporaries below: it is as large as a long file
-    ordinal, date_ok = _iso_ordinals(cells["date"])
+    words = cells.view(np.uint64).reshape(len(cells), -1)  # date 0-1, ticker 2-3, price 4
+    one_ticker = _rows_equal(words[:, 2:4], words[0, 2:4])  # the usual layout
+    last = getattr(cache, "dates", None)  # read once: it is replaced whole
+    if last is not None and len(last[0]) == len(words) and _rows_equal(words[:, :2], last[0]):
+        ordinal, date_ok = last[1:]
+    else:
+        ordinal, date_ok = _iso_ordinals(cells["date"])
+        if one_ticker and isinstance(cache, PriceCache):
+            for column in (dates := words[:, :2].copy(), ordinal, date_ok):
+                column.setflags(write=False)
+            cache.dates = (dates, ordinal, date_ok)
     tickers, prices = cells["ticker"], cells["price"]
     if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any() or not date_ok.all()
             or not ((prices > 0.0) & (prices < np.inf)).all()):
         raise ValueError("a cut cell, a bad date or a price that is not positive and finite")
-    if (tickers == tickers[:1]).all():  # one ticker per file, the usual layout
+    if one_ticker:
         distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)
     else:
         distinct, group = np.unique(tickers, return_inverse=True)
@@ -342,7 +371,7 @@ def _read_rows(rows, path: Path, calendar) -> _PriceFile:
     return _PriceFile({**bad, **good}, None)
 
 
-def _parse_price_file(path: Path, calendar) -> _PriceFile:
+def _parse_price_file(path: Path, calendar, cache) -> _PriceFile:
     # Bytes that are not UTF-8 become lone surrogates, which no cell check accepts.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -353,7 +382,7 @@ def _parse_price_file(path: Path, calendar) -> _PriceFile:
             return _PriceFile({}, ParseError(
                 f"bad header {header!r}, expected date,ticker,adj_close", path, 1))
         try:
-            return _PriceFile(_read_cells(fh, calendar), None)
+            return _PriceFile(_read_cells(fh, calendar, cache), None)
         except ValueError:  # not a clean body: read it again, a row at a time
             fh.seek(0)
             next(rows := csv.reader(fh))  # the header
@@ -382,13 +411,13 @@ def load_price_series(
     is the first one on this ticker's rows or the file's first malformed
     row, whichever comes first, then "no rows" or too few observations.
 
-    ``parsed`` is an optional dict owned by the caller for one run.  Files
-    holding more than one ticker are parsed once and kept in it, keyed by
-    path, so later tickers from the same file are a lookup.  Single-ticker
-    files are not kept, since that would hold a per-ticker universe in memory
-    for the whole run: they are read once per call, unless ``keep`` is set
-    for a series the caller reads again, such as a benchmark every sector
-    shares.
+    ``parsed`` is an optional dict owned by the caller for one run, such as
+    a ``PriceCache``.  Files holding more than one ticker are parsed once and
+    kept in it, keyed by path, so later tickers from the same file are a
+    lookup.  Single-ticker files are not kept, since that would hold a
+    per-ticker universe in memory for the whole run: they are read once per
+    call, unless ``keep`` is set for a series the caller reads again, such as
+    a benchmark every sector shares.
 
     A series parsed here whose dates equal ``calendar``, a read-only array
     such as the last series' dates, takes it instead of its own array.
@@ -396,7 +425,7 @@ def load_price_series(
     path = Path(path)
     parsed_file = parsed.get(path) if parsed is not None else None
     if parsed_file is None:
-        parsed_file = _parse_price_file(path, calendar)
+        parsed_file = _parse_price_file(path, calendar, parsed)
         if parsed is not None and (keep or len(parsed_file.series) > 1):
             parsed[path] = parsed_file
     series = parsed_file.series.get(ticker)

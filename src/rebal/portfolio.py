@@ -100,27 +100,25 @@ class BacktestResult:
 
 
 def _sum_left_to_right(v: np.ndarray) -> float:
-    # np.sum sums pairwise, which can differ in the last bit from adding
-    # the terms one after another in ticker order; every total here must
-    # be the latter so that outputs never depend on the summation scheme.
-    return float(np.cumsum(v)[-1])
+    # Every total adds its terms one after another in ticker order, as the
+    # ufunc behind np.cumsum does (called without np.cumsum's wrapper), so
+    # outputs never depend on a summation scheme such as np.sum's pairwise one.
+    return float(np.add.accumulate(v)[-1])
 
 
-def _clamp_to_solvency(shares: np.ndarray, prices: np.ndarray, target: float,
-                       cash: float) -> float:
-    """Sell one share at a time, in place, until cash is non-negative.
+def _sell_one(shares: np.ndarray, prices: np.ndarray, target: float) -> float:
+    """One step of the overdraft clamp: sell one share, in place, and return
+    its price.
 
-    Each step sells the held position whose value exceeds ``target`` by
-    the most; ``argmax`` takes the first maximum, i.e. ties go to the
-    ticker that sorts first.  Returns the new cash balance.
+    It sells the held position whose value exceeds ``target`` by the most;
+    ``argmax`` takes the first maximum, i.e. ties go to the ticker that
+    sorts first.
     """
-    while cash < 0.0:
-        pick = int(np.argmax(np.where(shares > 0, shares * prices - target, -np.inf)))
-        if shares[pick] == 0:
-            raise InsolvencyError("cannot clamp overdraft: no shares left to sell")
-        shares[pick] -= 1
-        cash += float(prices[pick])
-    return cash
+    pick = int(np.argmax(np.where(shares > 0, shares * prices - target, -np.inf)))
+    if shares[pick] == 0:
+        raise InsolvencyError("cannot clamp overdraft: no shares left to sell")
+    shares[pick] -= 1
+    return float(prices[pick])
 
 
 def allocate(
@@ -143,20 +141,23 @@ def allocate(
     prices = np.asarray(prices, dtype=np.float64)
     if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
         raise AllocationError(f"non-positive price in {prices.tolist()}")
-    return _allocate(prices, target, total, held, cost_rate)
+    return _allocate(prices, prices.min(), target, total, held, cost_rate)
 
 
-def _allocate(prices, target, total, held=None, cost_rate=0.0):
-    # allocate without its price check, for a PricePanel's checked prices
+def _allocate(prices, lowest, target, total, held=None, cost_rate=0.0):
+    # allocate without its price check, for checked panel prices whose least is ``lowest``
     if total <= 0.0:
         raise InsolvencyError(f"portfolio value {total} is not positive")
-    if not target / prices.min() + 0.5 < 2.0 ** 63:  # the most shares, before the int64 cast
-        raise AllocationError(f"{target / prices.min():.6g} shares do not fit in int64")
+    if not target / lowest + 0.5 < 2.0 ** 63:  # the most shares, before the int64 cast
+        raise AllocationError(f"{target / lowest:.6g} shares do not fit in int64")
     shares = np.floor(target / prices + 0.5).astype(np.int64)
-    cash = _clamp_to_solvency(shares, prices, target, total - _sum_left_to_right(shares * prices))
+    cash = total - _sum_left_to_right(shares * prices)
+    while cash < 0.0:  # the overdraft clamp, one share at a time
+        cash += _sell_one(shares, prices, target)
     if held is not None and cost_rate > 0.0:
         cash -= cost_rate * _sum_left_to_right(np.abs(shares - held) * prices)
-        cash = _clamp_to_solvency(shares, prices, target, cash)
+        while cash < 0.0:
+            cash += _sell_one(shares, prices, target)
     return shares, cash
 
 
@@ -205,12 +206,14 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
     shares = np.empty(prices.shape, dtype=np.int64)
     cash = np.empty(n_days, dtype=np.float64)
 
-    held, balance = _allocate(prices[:, 0], policy.per_asset_capital,
+    lowest = prices.min(axis=0)  # each day's, for _allocate's int64 bound
+    held, balance = _allocate(prices[:, 0], lowest[0], policy.per_asset_capital,
                               policy.per_asset_capital * len(panel.tickers))
     for lo, hi in zip(bounds, bounds[1:]):
         if lo > 0:
-            total = _sum_left_to_right(held * prices[:, lo]) + balance
-            held, balance = _allocate(prices[:, lo], total / len(panel.tickers), total, held,
+            day = prices[:, lo]
+            total = _sum_left_to_right(held * day) + balance
+            held, balance = _allocate(day, lowest[lo], total / len(panel.tickers), total, held,
                                       policy.cost_rate)
         shares[:, lo:hi] = held[:, None]
         cash[lo:hi] = balance

@@ -212,42 +212,45 @@ def _fraction_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _write_matrix(path: Path, header: list[str], days: np.ndarray, columns) -> None:
-    """Write the bytes ``_write_table`` would for ``days`` (``S10``) and a
-    tickers x days matrix whose days lo..hi-1 are ``columns(lo, hi)``: cells
-    padded with NUL, which ``bytes.translate`` drops, filled by the file's
-    array kernel at most ``ROW_BLOCK`` days and ``CHUNK_CELLS`` cells at a
-    time, and one at a time off its fast path."""
+    """Write the bytes ``_write_table`` would for ``days`` (``S11``, each a
+    line break and a date) and a tickers x days matrix whose days lo..hi-1
+    are ``columns(lo, hi)``: cells padded with NUL, which ``bytes.translate``
+    drops, filled by the file's array kernel at most ``ROW_BLOCK`` days and
+    ``CHUNK_CELLS`` cells at a time, and one at a time off its fast path.
+    With each line break in front of its row, a cell is only as wide as its
+    kernel writes; 20 bytes hold any NUMBER, 24 bytes "," and any "%d"."""
     cell = PLOT_LAYOUT[path.stem][1]
-    encode = _count_cells if cell == "%d" else _fraction_cells
+    encode, cell_words = (_count_cells, 3) if cell == "%d" else (_fraction_cells, 5)
     width = len(header) - 1  # tickers
     step = max(1, min(ROW_BLOCK, CHUNK_CELLS // width))  # days per chunk
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        csv.writer(fh, lineterminator="").writerow(header)  # ended by the first row
         fh.flush()
         for lo in range(0, len(days), step):
             block = np.ascontiguousarray(columns(lo, lo + step).T)
-            # 24-byte cells: a comma, the longest "%d" of an int64 or NUMBER text, NUL
-            lines = np.zeros((len(block), width + 1, 6), np.uint32)
-            lines[:, 0].view(np.uint8)[:, :10] = days[lo:lo + step, None].view(np.uint8)
+            lines = np.zeros((len(block), width + 1, cell_words), np.uint32)
             slow = ~encode(block, lines[:, 1:])
             # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0
             text = [("," + cell % x).encode() for x in (block[slow] + 0).tolist()]
-            lines[:, 1:].view("S24")[..., 0][slow] = text
-            lines[:, -1].view(np.uint8)[:, -1] = ord("\n")
+            if max(map(len, text), default=0) > 4 * cell_words:
+                lines = np.pad(lines, ((0, 0), (0, 0), (0, 6 - cell_words)))
+            lines[:, 1:].view(f"S{4 * lines.shape[2]}")[..., 0][slow] = text
+            lines[:, 0].view(np.uint8)[:, :11] = days[lo:lo + step, None].view(np.uint8)
             fh.buffer.write(lines.tobytes().translate(None, b"\0"))
+        fh.buffer.write(b"\n")
 
 
 def reparse_table(kind: str, path: Path) -> None:
     """Re-read one plot dataset that ``emit_plot_data`` wrote: every row is
     ASCII, has the header's column count and every numeric cell parses as a
-    finite float.
+    finite float, or as an int64 integer where the file's cells are ``%d``.
 
     The body is parsed ``ROW_BLOCK`` lines at a time.  A block with a blank
     or non-ASCII line, a malformed row or a non-finite cell is checked again
     line by line, by the same rule, and its first faulty line is the error,
     named path:line; so the file's first faulty line wins, whatever its fault.
     """
-    head, _, tail = PLOT_LAYOUT[kind]
+    head, cell, tail = PLOT_LAYOUT[kind]
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -257,7 +260,8 @@ def reparse_table(kind: str, path: Path) -> None:
         if numeric < 1:
             raise ParseError(f"{kind} header needs at least {head + tail + 1} columns", path, 1)
         strings = [(f"text{i}", str) for i in range(head + tail)]
-        dtype = strings[:head] + [("numbers", np.float64, (numeric,))] + strings[head:]
+        number = np.int64 if cell == "%d" else np.float64
+        dtype = strings[:head] + [("numbers", number, (numeric,))] + strings[head:]
         options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
         def fault(lines: list[str]) -> str | None:
@@ -305,7 +309,7 @@ def emit_plot_data(
                               f"length {len(result.calendar)}")
     dates = np.datetime_as_string(result.calendar).tolist()
     manifest = {kind: out_dir / f"{kind}.csv" for kind in PLOT_LAYOUT}
-    header, days = ["date", *result.tickers], np.array(dates, "S10")
+    header, days = ["date", *result.tickers], np.array(["\n" + day for day in dates], "S11")
     _write_matrix(manifest["shares"], header, days, lambda lo, hi: result.shares[:, lo:hi])
     _write_matrix(manifest["weights"], header, days, result.weights_between)
 

@@ -490,6 +490,27 @@ class TestNeverHalfWrite:
         assert "weights.csv:3: non-ASCII text in weights file" in err
         assert output_tree(root / "out") == first
 
+    def test_fractional_share_count_fails_verify(self, small_universe, monkeypatch, capsys):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        first = output_tree(root / "out")
+        real = rebal.cli.emit_plot_data
+
+        def emit_then_damage(*args):
+            files = real(*args)
+            lines = files["shares"].read_text().splitlines()
+            damage(lines, 2, "1.5")  # on line 3
+            files["shares"].write_text("\n".join(lines) + "\n")
+            return files
+
+        monkeypatch.setattr(rebal.cli, "emit_plot_data", emit_then_damage)
+        assert main(["backtest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage verify" in err and "Traceback" not in err
+        assert "shares.csv:3: malformed shares file" in err
+        assert output_tree(root / "out") == first
+
     def test_failed_rerun_keeps_previous_output(self, small_universe, monkeypatch):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
@@ -523,9 +544,12 @@ class TestNeverHalfWrite:
         assert [p.name for p in (root / "out").iterdir()] == ["auto"]
 
 
+FRACTIONAL_COUNTS = ("1.5", "1e3", "-0.0", "7.000000001")  # not share counts, though floats
+
+
 def damage(lines, col, how, at=2):
     """Corrupt the CSV ``lines`` in place, at ``lines[at]`` where a line is needed."""
-    if how in ("nan", "-inf", ""):
+    if how in ("nan", "-inf", "", *FRACTIONAL_COUNTS):
         cells = lines[at].split(",")
         cells[col] = how
         lines[at] = ",".join(cells)
@@ -575,6 +599,16 @@ class TestReparseOutputs:
         with pytest.raises(ParseError, match=re.escape(str(path))) as caught:
             rebal.cli._reparse_outputs(files, tear_sheets)
         assert caught.value.line == {"no rows": None, "short header": 1}.get(how, 3)
+
+    @pytest.mark.parametrize("how", FRACTIONAL_COUNTS)
+    def test_share_count_must_be_an_integer(self, outputs, how):
+        files, tear_sheets = outputs
+        path = files["shares"]
+        lines = path.read_text().splitlines()
+        damage(lines, 1, how)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: malformed shares file")):
+            rebal.cli._reparse_outputs(files, tear_sheets)
 
     def test_empty_file_is_a_parse_error(self, outputs):
         files, tear_sheets = outputs
@@ -666,6 +700,24 @@ def test_a_sector_on_one_calendar_holds_one_dates_array(small_universe, monkeypa
     assert main(["validate", "--config", str(write_config(root, data_dir, manifests))]) == 0
     [(series, benchmark)] = aligned
     assert len(series) == 2 and all(s.dates is benchmark.dates for s in series)
+
+
+def test_runs_in_one_process_each_read_their_own_calendar(tmp_path):
+    # equal lengths, different days: a date decode kept past its run would
+    # put the first run's days on the second
+    calendars = []
+    for name, start, end in (("one", date(2021, 1, 4), date(2021, 2, 26)),
+                             ("two", date(2021, 3, 1), date(2021, 4, 23))):
+        data_dir, manifests = generate_universe(tmp_path / name / "fixture", start=start,
+                                                end=end, n_sectors=1, tickers_per_sector=2)
+        config = write_config(tmp_path / name, data_dir, manifests, start=str(start),
+                              split=str(start.replace(day=20)), end=str(end))
+        assert main(["backtest", "--config", str(config)]) == 0
+        with open(tmp_path / name / "out" / "auto" / "shares.csv", newline="") as fh:
+            calendars.append([row[0] for row in csv.reader(fh)][1:])
+    one, two = calendars
+    assert len(one) == len(two) == 40
+    assert one[0] == "2021-01-04" and two[0] == "2021-03-01" and two[-1] == "2021-04-23"
 
 
 def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):

@@ -16,6 +16,8 @@ import parse_oracle
 import rebal.market_data
 from rebal.errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
 from rebal.market_data import (
+    _CELLS,
+    PriceCache,
     PricePanel,
     PriceSeries,
     align_panel,
@@ -307,7 +309,9 @@ class TestMatchesRowParser:
 
     @staticmethod
     def assert_same(path, tickers):
-        ours, theirs = {}, {}
+        # a one-ticker file is parsed again for each ticker, the second time
+        # on the date column the first parse left in the cache
+        ours, theirs = PriceCache(), {}
         for ticker in tickers:
             assert (_outcome(load_price_series, path, ticker, ours)
                     == _outcome(parse_oracle.load_price_series, path, ticker, theirs))
@@ -414,6 +418,93 @@ class TestSharedCalendar:
         parsed = {}
         a, b = (load_price_series(path, t, parsed=parsed) for t in ("AAA", "BBB"))
         assert b.dates is a.dates
+
+
+class TestDateColumnReuse:
+    """A file whose date cells equal the last one-ticker file's takes their
+    decode from the run's PriceCache; any other file is decoded anew."""
+
+    @staticmethod
+    def rows(ticker, days):
+        return [f"{day},{ticker},{100 + i}" for i, day in enumerate(days)]
+
+    @staticmethod
+    def days(start, end):
+        return [str(day) for day in business_days(start, end)]
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The length of each column ``_iso_ordinals`` decodes, in call order."""
+        calls = []
+        real = rebal.market_data._iso_ordinals
+
+        def counting(cells):
+            calls.append(len(cells))
+            return real(cells)
+
+        monkeypatch.setattr(rebal.market_data, "_iso_ordinals", counting)
+        return calls
+
+    def test_files_on_one_calendar_decode_once(self, tmp_path, decodes):
+        days = self.days(date(2013, 1, 1), date(2013, 3, 29))
+        cache = PriceCache()
+        for ticker in ("AAA", "BBB", "CCC", "DDD"):
+            path = write_csv(tmp_path / f"{ticker}.csv", self.rows(ticker, days))
+            assert load_price_series(path, ticker, parsed=cache).dates.tolist() == [
+                date.fromisoformat(day) for day in days]
+        assert decodes == [len(days)] and cache == {}
+
+    def test_alternating_calendars_decode_at_each_change(self, tmp_path, decodes):
+        one = self.days(date(2013, 1, 1), date(2013, 3, 29))
+        two = self.days(date(2013, 1, 8), date(2013, 4, 5))  # as many days, a week later
+        assert len(one) == len(two)
+        cache = PriceCache()
+        for k, days in enumerate([one, one, two, two, one, two]):
+            path = write_csv(tmp_path / f"T{k}.csv", self.rows(f"T{k}", days))
+            assert str(load_price_series(path, f"T{k}", parsed=cache).dates[0]) == days[0]
+        assert decodes == [len(one)] * 4
+
+    @pytest.mark.parametrize("last", ["2013-02-21", "2013-02-30"])
+    def test_one_byte_off_in_the_last_cell(self, tmp_path, decodes, last):
+        # a different valid day, or no day at all: decoded, with what the row
+        # parser gives, the same series or the same error on the same line
+        days = self.days(date(2013, 1, 1), date(2013, 2, 20))
+        cache = PriceCache()
+        load_price_series(write_csv(tmp_path / "AAA.csv", self.rows("AAA", days)), "AAA",
+                          parsed=cache)
+        path = write_csv(tmp_path / "BBB.csv", self.rows("BBB", days[:-1] + [last]))
+        ours = _outcome(load_price_series, path, "BBB", cache)
+        assert ours == _outcome(parse_oracle.load_price_series, path, "BBB", {})
+        if last == "2013-02-21":
+            assert ours[1][-1] == date(2013, 2, 21)
+        else:
+            assert ours == (ParseError, f"{path}:{len(days) + 1}: bad date '2013-02-30'")
+        assert decodes == [len(days)] * 2
+
+    def test_no_cache_no_reuse(self, tmp_path, decodes):
+        days = self.days(date(2013, 1, 1), date(2013, 1, 31))
+        for parsed in (None, {}, {}):
+            path = write_csv(tmp_path / "AAA.csv", self.rows("AAA", days))
+            load_price_series(path, "AAA", parsed=parsed)
+        assert decodes == [len(days)] * 3
+
+
+def test_long_file_parse_holds_no_row_sized_copies(tmp_path):
+    """A date-interleaved file of 30 tickers peaks at about 2.56 times its
+    array of cells while it is parsed.  Copying its date column and comparing
+    its tickers as a rows x 16 byte matrix took that to 3.36."""
+    days = business_days(date(2019, 1, 1), date(2021, 9, 30)).tolist()
+    rows = [f"{day},T{k:02d},{100 + k}.25" for day in days for k in range(30)]
+    path = write_csv(tmp_path / "prices.csv", rows)
+    rebal.market_data._parse_price_file(path, None, PriceCache())
+    tracemalloc.start()
+    try:
+        parsed = rebal.market_data._parse_price_file(path, None, PriceCache())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.error is None and len(parsed.series) == 30
+    assert peak < 2.8 * len(rows) * _CELLS.itemsize, peak / (len(rows) * _CELLS.itemsize)
 
 
 class TestSectorManifest:

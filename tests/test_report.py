@@ -426,6 +426,24 @@ class TestEmitPlotData:
         for kind, path in manifest.items():
             assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
 
+    @pytest.mark.parametrize("count, weight", [(10**8, 1.0), (-1, math.nan), (2**63 - 1, -0.0)])
+    def test_bytes_match_when_the_next_chunk_is_all_fast(self, rng, tmp_path, count, weight):
+        # one share count and one weight off the fast path in the first chunk,
+        # the count as wide as 24 bytes or not, and none in the chunks after
+        tickers = ("A", "B", "C", "D", "E")
+        panel, result, bench = self.run_small_backtest(rng, n=200, tickers=tickers)
+        shares = result.shares.copy()
+        shares[2, 5] = count
+        result = with_weight_cells(dataclasses.replace(result, shares=shares), [(3, 7, weight)])
+        assert not encoded(_count_cells, result.shares[:, :ROW_BLOCK])[0].all()
+        assert encoded(_count_cells, result.shares[:, ROW_BLOCK:])[0].all()
+        assert encoded(_fraction_cells, result.weights[:, ROW_BLOCK:])[0].all()
+        split = panel.calendar[100].item()
+        manifest = emit_plot_data(result, bench, split, tmp_path / "new")
+        old_emit_plot_data(result, bench, split, tmp_path / "old")
+        for kind, path in manifest.items():
+            assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
+
     def test_benchmark_length_mismatch_rejected(self, rng, tmp_path):
         panel, result, bench = self.run_small_backtest(rng)
         with pytest.raises(ValidationError):
