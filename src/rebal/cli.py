@@ -23,7 +23,6 @@ import argparse
 import ctypes
 import json
 import logging
-import math
 import os
 import shutil
 import sys
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market_data
-from .errors import ConfigError, DomainError, ParseError, RebalError
+from .errors import ConfigError, DomainError, ParseError, RebalError, require_number
 from .market_data import (PriceCache, align_panel, clip_panel, iso_day, load_price_series,
                           load_sector_manifest, resolve_price_file)
 from .metrics import MetricConfig, tear_sheet
@@ -84,16 +83,9 @@ class RunConfig:
                 except ValueError:
                     raise ConfigError(f"bad date for {name!r}: {value!r}") from None
             object.__setattr__(self, name, np.datetime64(value, "D"))
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        ppy = self.periods_per_year
-        if isinstance(ppy, bool) or not isinstance(ppy, int) or ppy < 1:
-            raise ConfigError(f"periods_per_year must be a positive integer, got {ppy!r}")
         try:
+            for name in _FLOAT_FIELDS:  # named as the config names them
+                object.__setattr__(self, name, require_number(name, getattr(self, name)))
             self.policy()
             self.metric_config()
         except DomainError as exc:
@@ -128,7 +120,7 @@ def load_run_config(path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
         raise ConfigError(f"{path}: bad JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -195,13 +187,9 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         manifest = load_sector_manifest(manifest_path)
         sector = manifest.sector
         stage = "load"
-        loaded, dates = [], None  # a series on the last one's dates shares their array
-        for ticker in (*manifest.tickers, manifest.benchmark):
-            path = resolve_price_file(config.data_dir, ticker)
-            loaded.append(load_price_series(path, ticker, parsed=parsed, calendar=dates,
-                                            keep=ticker == manifest.benchmark))
-            dates = loaded[-1].dates
-        *series, benchmark = loaded
+        *series, benchmark = [load_price_series(resolve_price_file(config.data_dir, t), t,
+                                                parsed=parsed, keep=t == manifest.benchmark)
+                              for t in (*manifest.tickers, manifest.benchmark)]
         stage = "align"
         panel = align_panel(series, benchmark)
         stage = "clip"

@@ -5,6 +5,7 @@ catch one type at the pipeline boundary.
 """
 
 import numbers
+import sys
 
 
 class RebalError(Exception):
@@ -55,7 +56,10 @@ class ConfigError(RebalError):
     """Run configuration is invalid or inconsistent."""
 
 
-def require_number(name: str, value) -> None:
-    """Raise DomainError unless ``value`` is a real number other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a number, got {value!r}")
+def require_number(name: str, value) -> float:
+    """``value`` as a float if it is a real number other than a bool within
+    the float range, so neither nan nor infinite; else raise DomainError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

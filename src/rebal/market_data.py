@@ -17,7 +17,7 @@ NUL character does.  Manifest tickers must be plain file names.  One
 np.loadtxt call reads a clean file (ASCII, unquoted, every row good); any
 other file is read again, a csv row at a time, to the same result.  A run's
 PriceCache keeps the last one-ticker file's date column decoded, and a file
-whose date cells are the same bytes takes that decode instead of its own.
+whose date cells are the same bytes shares those days instead of its own.
 
 Sector manifest schema (JSON):
 
@@ -176,12 +176,11 @@ class PricePanel(_ArrayRecord):
 
 class PriceCache(dict):
     """A run's price-file cache: ``load_price_series``'s parsed multi-ticker
-    files by path.  ``dates`` holds the last one-ticker file's date cells as
-    uint64 words, their day ordinals and validity: a tuple of read-only
-    arrays, replaced whole, so no reader pairs one file's cells with
-    another's decode."""
+    files by path, and in ``dates`` the last one-ticker file's date cells as
+    uint64 words with the read-only days they name, which its series took.  A
+    later file with the same cells takes those days; the pair is replaced whole."""
 
-    dates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    dates: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _PriceFile(NamedTuple):
@@ -206,30 +205,20 @@ _CELL_ENDS = [_CELLS.fields[f][1] + _CELLS[f].itemsize - 1 for f in ("date", "ti
 # bytes is at most the span allowed there, in wrapping uint8 arithmetic.
 _DATE_LOW = np.frombuffer(b"0000-00-00".ljust(16, b"\0"), dtype=np.uint8)
 _DATE_SPAN = np.frombuffer(b"\t\t\t\t\0\t\t\0\t\t".ljust(16, b"\0"), dtype=np.uint8)
-# Days in, and before, each month of a common year; months 0 and 13 stand
-# for any month out of range.
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], dtype=np.int32)
-_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, dtype=np.int32) - _MONTH_DAYS
 _EPOCH = date(1970, 1, 1)  # day 0 of datetime64
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _iso_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Day ordinals of YYYY-MM-DD cells, and which cells are such dates."""
-    if len(cells) > 1 << 13:  # in blocks, to bound the temporaries
-        parts = [_iso_ordinals(cells[i:i + (1 << 13)]) for i in range(0, len(cells), 1 << 13)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    digits = cells.astype("S16").view(np.uint8).reshape(-1, 16) - _DATE_LOW
-    wrong = (digits > _DATE_SPAN).view(np.uint64)
-    d = digits.astype(np.int32)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month, day = np.minimum(d[:, 5] * 10 + d[:, 6], 13), d[:, 8] * 10 + d[:, 9]
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    ok = ((wrong[:, 0] | wrong[:, 1]) == 0) & (year >= 1) & (day >= 1)
-    ok &= day <= _MONTH_DAYS[month] + (leap & (month == 2))
-    y = year - 1
-    ordinal = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month] + day
-    return np.where(ok, ordinal + (leap & (month > 2)), 1), ok
+def _iso_days(cells: np.ndarray) -> np.ndarray:
+    """The days YYYY-MM-DD cells name; ValueError if a cell names none."""
+    for i in range(0, len(cells), 1 << 13):  # in blocks, to bound the temporaries
+        digits = cells[i:i + (1 << 13)].astype("S16").view(np.uint8).reshape(-1, 16)
+        if ((digits - _DATE_LOW) > _DATE_SPAN).any():
+            raise ValueError("a date cell that is not YYYY-MM-DD")
+    days = cells.astype(DAY)  # numpy rejects a month or day out of range
+    if days.min() < np.datetime64("0001-01-01"):
+        raise ValueError("a date in year 0")
+    return days
 
 
 def _day_number(text) -> int | None:
@@ -258,7 +247,7 @@ def _lines(text: str):
     return itertools.chain.from_iterable(text[i:j].split("\n") for i, j in zip(ends, ends[1:]))
 
 
-def _build(groups, calendar) -> dict[str, PriceSeries | RebalError]:
+def _build(groups, calendar=None) -> dict[str, PriceSeries | RebalError]:
     """Each ``(ticker, days, prices)`` of ``groups`` as its series, or why it has none.
     A series on the last one's days, or the first on ``calendar``'s, takes that array."""
     built: dict[str, PriceSeries | RebalError] = {}
@@ -279,14 +268,14 @@ def _rows_equal(words: np.ndarray, like: np.ndarray) -> bool:
     return all((words[:, k] == like[..., k]).all() for k in (0, 1))
 
 
-def _read_cells(fh, calendar, cache) -> dict[str, PriceSeries | RebalError]:
+def _read_cells(fh, cache) -> dict[str, PriceSeries | RebalError]:
     """Each ticker's series from one np.loadtxt call over the clean body in ``fh``.
 
     A clean body is ASCII with no quote or NUL, and each of its lines is
     empty or a row with no cut cell, a valid date, a positive finite price
     and a (ticker, day) of its own, so no row has an error to report.
-    Raises ValueError for any other body.  Date cells equal to those in a
-    PriceCache ``cache`` take its decode instead of their own.
+    Raises ValueError for any other body.  A series on the date column's days
+    takes that array, from a PriceCache ``cache`` if it holds those cells.
     """
     text = fh.read()
     if not text.isascii() or '"' in text or "\0" in text or "," not in text:
@@ -298,35 +287,32 @@ def _read_cells(fh, calendar, cache) -> dict[str, PriceSeries | RebalError]:
     one_ticker = _rows_equal(words[:, 2:4], words[0, 2:4])  # the usual layout
     last = getattr(cache, "dates", None)  # read once: it is replaced whole
     if last is not None and len(last[0]) == len(words) and _rows_equal(words[:, :2], last[0]):
-        ordinal, date_ok = last[1:]
+        days = last[1]
     else:
-        ordinal, date_ok = _iso_ordinals(cells["date"])
+        days = _frozen(_iso_days(cells["date"]), DAY)  # a bad date raises ValueError here
         if one_ticker and isinstance(cache, PriceCache):
-            for column in (dates := words[:, :2].copy(), ordinal, date_ok):
-                column.setflags(write=False)
-            cache.dates = (dates, ordinal, date_ok)
+            cache.dates = (_frozen(words[:, :2].copy(), np.uint64), days)
     tickers, prices = cells["ticker"], cells["price"]
-    if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any() or not date_ok.all()
+    if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
             or not ((prices > 0.0) & (prices < np.inf)).all()):
-        raise ValueError("a cut cell, a bad date or a price that is not positive and finite")
+        raise ValueError("a cut cell or a price that is not positive and finite")
     if one_ticker:
         distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)
     else:
         distinct, group = np.unique(tickers, return_inverse=True)
     ids: dict[str, int] = {}  # cells that differ only in padding name one ticker
     tid = np.array([ids.setdefault(c.decode().strip(), len(ids)) for c in distinct])[group]
-    # Rows by ticker and day; ordinals are below 2**22.
-    key = tid.astype(np.int64) << 22 | ordinal
+    # Rows by ticker and day, as a day ordinal: from 1 to below 2**22.
+    key = (tid.astype(np.int64) << 22) + (days.view(np.int64) + _EPOCH.toordinal())
     order = np.argsort(key, kind="stable")
     key = key[order]
     if not np.diff(key).all():
         raise ValueError("a repeated (ticker, day)")
     groups = np.split(order, np.flatnonzero(np.diff(key >> 22)) + 1)  # one per id, in order
-    days = (ordinal - _EPOCH.toordinal()).astype(DAY)
-    return _build(((name, days[rows], prices[rows]) for name, rows in zip(ids, groups)), calendar)
+    return _build(((name, days[rows], prices[rows]) for name, rows in zip(ids, groups)), days)
 
 
-def _read_rows(rows, path: Path, calendar) -> _PriceFile:
+def _read_rows(rows, path: Path) -> _PriceFile:
     """Read the body left in the csv reader ``rows``, its cells stripped.
 
     A ticker's first bad row is its error, and its later rows are skipped.
@@ -366,12 +352,11 @@ def _read_rows(rows, path: Path, calendar) -> _PriceFile:
         else:
             prices[number] = value
     # each good ticker's day numbers and prices, in day order
-    good = _build(((t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad),
-                  calendar)
+    good = _build((t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad)
     return _PriceFile({**bad, **good}, None)
 
 
-def _parse_price_file(path: Path, calendar, cache) -> _PriceFile:
+def _parse_price_file(path: Path, cache) -> _PriceFile:
     # Bytes that are not UTF-8 become lone surrogates, which no cell check accepts.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -382,11 +367,11 @@ def _parse_price_file(path: Path, calendar, cache) -> _PriceFile:
             return _PriceFile({}, ParseError(
                 f"bad header {header!r}, expected date,ticker,adj_close", path, 1))
         try:
-            return _PriceFile(_read_cells(fh, calendar, cache), None)
+            return _PriceFile(_read_cells(fh, cache), None)
         except ValueError:  # not a clean body: read it again, a row at a time
             fh.seek(0)
             next(rows := csv.reader(fh))  # the header
-            return _read_rows(rows, path, calendar)
+            return _read_rows(rows, path)
 
 
 def resolve_price_file(data_dir: Path, ticker: str) -> Path:
@@ -400,9 +385,8 @@ def resolve_price_file(data_dir: Path, ticker: str) -> Path:
     raise ConfigError(f"no price file for ticker {ticker!r} under {data_dir}")
 
 
-def load_price_series(
-    path, ticker: str, parsed: dict | None = None, keep: bool = False, calendar=None
-) -> PriceSeries:
+def load_price_series(path, ticker: str, parsed: dict | None = None,
+                      keep: bool = False) -> PriceSeries:
     """Read one ticker's rows from a price CSV and validate them.
 
     The file may be per-ticker or long format; only rows whose ticker
@@ -417,15 +401,13 @@ def load_price_series(
     lookup.  Single-ticker files are not kept, since that would hold a
     per-ticker universe in memory for the whole run: they are read once per
     call, unless ``keep`` is set for a series the caller reads again, such as
-    a benchmark every sector shares.
-
-    A series parsed here whose dates equal ``calendar``, a read-only array
-    such as the last series' dates, takes it instead of its own array.
+    a benchmark every sector shares.  A PriceCache also keeps the last
+    one-ticker file's decoded dates, which a series on the same days shares.
     """
     path = Path(path)
     parsed_file = parsed.get(path) if parsed is not None else None
     if parsed_file is None:
-        parsed_file = _parse_price_file(path, calendar, parsed)
+        parsed_file = _parse_price_file(path, parsed)
         if parsed is not None and (keep or len(parsed_file.series) > 1):
             parsed[path] = parsed_file
     series = parsed_file.series.get(ticker)
@@ -445,7 +427,7 @@ def load_sector_manifest(path) -> SectorManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
         raise ParseError(f"bad JSON: {exc}", path)
     if not isinstance(raw, dict):
         raise ParseError("manifest must be a JSON object", path)

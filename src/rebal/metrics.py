@@ -27,6 +27,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,19 +49,15 @@ class MetricConfig:
 
     def __post_init__(self):
         ppy = self.periods_per_year
-        if isinstance(ppy, bool) or not isinstance(ppy, (int, np.integer)):
-            raise DomainError(f"periods_per_year must be an int, got {ppy!r}")
+        if (isinstance(ppy, bool) or not isinstance(ppy, (int, np.integer))
+                or not 1 <= ppy <= sys.float_info.max):
+            raise DomainError(f"periods_per_year must be a positive integer, got {ppy!r}")
         for name in ("risk_free_rate_annual", "omega_threshold_daily", "var_cutoff"):
             require_number(name, getattr(self, name))
-        if self.periods_per_year < 1:
-            raise DomainError(f"periods_per_year must be >= 1, got {self.periods_per_year}")
         if not 0.0 < self.var_cutoff < 0.5:
             raise DomainError(f"var_cutoff must lie in (0, 0.5), got {self.var_cutoff}")
         if self.risk_free_rate_annual < -1.0:
             raise DomainError("risk_free_rate_annual must be >= -1")
-        for name in ("risk_free_rate_annual", "omega_threshold_daily"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def risk_free_daily(self) -> float:

@@ -58,8 +58,6 @@ class RebalancePolicy:
         require_number("cost_rate", self.cost_rate)
         if self.per_asset_capital <= 0.0:
             raise DomainError(f"per_asset_capital must be positive, got {self.per_asset_capital}")
-        if not np.isfinite(self.per_asset_capital):
-            raise DomainError(f"per_asset_capital must be finite, got {self.per_asset_capital}")
         if self.frequency not in REBALANCE_FREQUENCIES:
             raise DomainError(
                 f"unknown frequency {self.frequency!r}, expected one of "

@@ -10,6 +10,14 @@ from hypothesis import strategies as st
 from rebal.returns import ReturnSeries
 
 
+def huge_id(value):
+    """A test id for an int beyond float range, by its size rather than its
+    hundreds of digits; None, pytest's own id, for any other value."""
+    if isinstance(value, int) and abs(value) > 2 ** 1024:
+        return f"{'-' * (value < 0)}10**{len(str(abs(value))) - 1}"
+    return None
+
+
 def trading_days(n: int, start: date = date(2021, 1, 4)) -> np.ndarray:
     """n consecutive Mon-Fri days starting at ``start``, as datetime64[D]."""
     first = np.busday_offset(np.datetime64(start, "D"), 0, roll="forward")

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
 import types
 from datetime import date
@@ -826,6 +827,9 @@ class TestRunConfig:
 
 _EDGES = [0.0, -0.0, 5e-324, 0.05, 0.4999, 0.5, 0.999, 1.0, -1.0, -1.5, -3.0,
           1e308, -1e308, math.nan, math.inf, -math.inf]
+# around the largest float, and far beyond it
+_HUGE_INTS = st.sampled_from([int(sys.float_info.max), int(sys.float_info.max) + 1,
+                              2**1024, -2**1024, 10**400, -10**400])
 _IN_RANGE = {
     "per_asset_capital": st.floats(0.0, 1e308, exclude_min=True),
     "cost_rate": st.floats(0.0, 1.0, exclude_max=True),
@@ -838,12 +842,14 @@ _IN_RANGE = {
 @st.composite
 def config_numbers(draw):
     """Config numbers, each in its range except for up to two drawn from
-    anywhere: any float, or for periods_per_year any int or a bool."""
+    anywhere: any float or an int beyond float range, or for periods_per_year
+    any int or a bool."""
     n_wild = draw(st.sampled_from([0, 1, 1, 2]))
     wild = draw(st.sets(st.sampled_from(sorted(_IN_RANGE)), min_size=n_wild, max_size=n_wild))
-    anything = {name: st.one_of(st.sampled_from(_EDGES), st.floats()) for name in _IN_RANGE}
+    anything = {name: st.one_of(st.sampled_from(_EDGES), st.floats(), _HUGE_INTS)
+                for name in _IN_RANGE}
     anything["periods_per_year"] = st.one_of(st.sampled_from([0, -1, -252, True, False]),
-                                             st.integers(-10**6, 10**6))
+                                             st.integers(-10**6, 10**6), _HUGE_INTS)
     return {name: draw(anything[name] if name in wild else in_range)
             for name, in_range in _IN_RANGE.items()}
 
@@ -861,6 +867,11 @@ class TestConfigBoundary:
         ({"periods_per_year": 252.0}, "periods_per_year must be a positive integer"),
         ({"periods_per_year": True}, "periods_per_year must be a positive integer"),
         ({"periods_per_year": 0}, "periods_per_year must be a positive integer"),
+        # JSON integers beyond float range
+        ({"per_asset_capital": 10**400}, "per_asset_capital must be a finite number"),
+        ({"cost_rate": -10**400}, "cost_rate must be a finite number"),
+        ({"risk_free": 10**400}, "risk_free must be a finite number"),
+        ({"periods_per_year": 10**400}, "periods_per_year must be a positive integer"),
         ({"manifests": "manifests/auto.json"}, "manifests must be a list of paths"),
         ({"manifests": ["a.json", 3]}, "manifests must be a list of paths"),
         ({"frequency": "weekly"}, "unknown frequency 'weekly'"),
@@ -962,6 +973,25 @@ class TestConfigBoundary:
         assert "risk_free must be a finite number" in capsys.readouterr().err
         assert not (root / "out").exists()
 
+    @pytest.mark.parametrize("value, match", [
+        (b"1" + b"0" * 5000, "Exceeds the limit"),  # Python's json allows at most 4300 digits
+        (b'"\xff"', "can't decode byte 0xff"),
+    ], ids=["int of 5000 digits", "not UTF-8"])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_json_refused_with_a_value_error(self, small_universe, capsys, command, value, match):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        config.write_bytes(config.read_bytes().replace(b'"frequency"',
+                                                       b'"risk_free": ' + value + b', "frequency"'))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "bad JSON: " in err and match in err and "Traceback" not in err
+        assert not (root / "out").exists()
+        manifests[0].write_bytes(b'{"sector": ' + value + b"}")  # fails only its sector
+        assert main([command, "--config", str(write_config(root, data_dir, manifests))]) == 1
+        err = capsys.readouterr().err
+        assert "failed at stage manifest" in err and match in err and "Traceback" not in err
+
     @settings(max_examples=120, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(numbers=config_numbers())
@@ -969,8 +999,9 @@ class TestConfigBoundary:
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests, **numbers)
         periods = numbers["periods_per_year"]
-        in_range = (  # the README's ranges; every number must also be finite
-            0.0 < numbers["per_asset_capital"] < math.inf
+        in_range = (  # the README's ranges; every number must also be a finite float
+            all(abs(number) <= sys.float_info.max for number in numbers.values())
+            and 0.0 < numbers["per_asset_capital"] < math.inf
             and 0.0 <= numbers["cost_rate"] < 1.0
             and -1.0 <= numbers["risk_free"] < math.inf
             and 0.0 < numbers["var_cutoff"] < 0.5

@@ -387,7 +387,7 @@ def test_synthetic_files_take_the_array_read(tmp_path, monkeypatch):
 
 
 class TestSharedCalendar:
-    """A series whose dates equal ``calendar`` takes that array as its own."""
+    """A series on the days the run's PriceCache last decoded takes that array."""
 
     DAYS = ["2021-01-04", "2021-01-05", "2021-01-06", "2021-01-07"]
 
@@ -395,16 +395,16 @@ class TestSharedCalendar:
         return [f"{day},{ticker},{100 + i}" for i, day in enumerate(days)]
 
     def test_per_ticker_files_on_one_calendar(self, tmp_path):
-        rows = {t: self.rows(t) for t in ("AAA", "BBB", "GAP", "DDD")}
-        rows["BBB"].reverse()  # rows in any order
+        rows = {t: self.rows(t) for t in ("AAA", "BBB", "REV", "GAP", "DDD")}
+        rows["REV"].reverse()  # rows in any order
         del rows["GAP"][1]
-        series, dates = [], None  # each series loaded on the last one's dates
-        for ticker, body in rows.items():
-            path = write_csv(tmp_path / f"{ticker}.csv", body)
-            series.append(load_price_series(path, ticker, calendar=dates))
-            dates = series[-1].dates
-        first, same, gap, after = series
+        cache = PriceCache()
+        series = [load_price_series(write_csv(tmp_path / f"{ticker}.csv", body), ticker,
+                                    parsed=cache) for ticker, body in rows.items()]
+        first, same, reverse, gap, after = series
         assert same.dates is first.dates and not first.dates.flags.writeable
+        # the cache keeps cells in file order, so a file out of order shares none
+        assert reverse.dates is not first.dates and np.array_equal(reverse.dates, first.dates)
         assert gap.dates is not first.dates and len(gap) == 3
         assert after.dates is not gap.dates and np.array_equal(after.dates, first.dates)
 
@@ -434,15 +434,15 @@ class TestDateColumnReuse:
 
     @pytest.fixture
     def decodes(self, monkeypatch):
-        """The length of each column ``_iso_ordinals`` decodes, in call order."""
+        """The length of each column ``_iso_days`` decodes, in call order."""
         calls = []
-        real = rebal.market_data._iso_ordinals
+        real = rebal.market_data._iso_days
 
         def counting(cells):
             calls.append(len(cells))
             return real(cells)
 
-        monkeypatch.setattr(rebal.market_data, "_iso_ordinals", counting)
+        monkeypatch.setattr(rebal.market_data, "_iso_days", counting)
         return calls
 
     def test_files_on_one_calendar_decode_once(self, tmp_path, decodes):
@@ -496,10 +496,10 @@ def test_long_file_parse_holds_no_row_sized_copies(tmp_path):
     days = business_days(date(2019, 1, 1), date(2021, 9, 30)).tolist()
     rows = [f"{day},T{k:02d},{100 + k}.25" for day in days for k in range(30)]
     path = write_csv(tmp_path / "prices.csv", rows)
-    rebal.market_data._parse_price_file(path, None, PriceCache())
+    rebal.market_data._parse_price_file(path, PriceCache())
     tracemalloc.start()
     try:
-        parsed = rebal.market_data._parse_price_file(path, None, PriceCache())
+        parsed = rebal.market_data._parse_price_file(path, PriceCache())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -30,7 +30,7 @@ from rebal.metrics import (
     tear_sheet,
 )
 
-from conftest import daily_series, random_returns
+from conftest import daily_series, huge_id, random_returns
 
 CFG = MetricConfig()
 
@@ -514,19 +514,29 @@ class TestMetricConfig:
             MetricConfig(risk_free_rate_annual=-1.5)
 
     @pytest.mark.parametrize("field, value, match", [
-        ("risk_free_rate_annual", math.nan, "risk_free_rate_annual must be finite"),
-        ("risk_free_rate_annual", math.inf, "risk_free_rate_annual must be finite"),
-        ("risk_free_rate_annual", -math.inf, "risk_free_rate_annual must be >= -1"),
-        ("omega_threshold_daily", math.nan, "omega_threshold_daily must be finite"),
-        ("periods_per_year", 2.5, "periods_per_year must be an int,"),
-        ("periods_per_year", 252.0, "periods_per_year must be an int,"),
-        ("periods_per_year", "12", "periods_per_year must be an int,"),
-        ("periods_per_year", 0, "periods_per_year must be >= 1"),
-        ("periods_per_year", True, "periods_per_year must be an int, got True"),
-        ("var_cutoff", "x", "var_cutoff must be a number, got 'x'"),
-        ("risk_free_rate_annual", "x", "risk_free_rate_annual must be a number"),
-        ("omega_threshold_daily", None, "omega_threshold_daily must be a number"),
-    ])
+        ("risk_free_rate_annual", math.nan,
+         "risk_free_rate_annual must be a finite number, got nan"),
+        ("risk_free_rate_annual", math.inf,
+         "risk_free_rate_annual must be a finite number, got inf"),
+        ("risk_free_rate_annual", -math.inf,
+         "risk_free_rate_annual must be a finite number, got -inf"),
+        ("risk_free_rate_annual", 10**400,
+         "risk_free_rate_annual must be a finite number, got 1000"),
+        ("omega_threshold_daily", math.nan,
+         "omega_threshold_daily must be a finite number, got nan"),
+        ("omega_threshold_daily", -10**400,
+         "omega_threshold_daily must be a finite number, got -1000"),
+        ("var_cutoff", 10**400, "var_cutoff must be a finite number, got 1000"),
+        ("periods_per_year", 2.5, "periods_per_year must be a positive integer, got 2.5"),
+        ("periods_per_year", 252.0, "periods_per_year must be a positive integer, got 252.0"),
+        ("periods_per_year", "12", "periods_per_year must be a positive integer, got '12'"),
+        ("periods_per_year", 0, "periods_per_year must be a positive integer, got 0"),
+        ("periods_per_year", True, "periods_per_year must be a positive integer, got True"),
+        ("periods_per_year", 10**400, "periods_per_year must be a positive integer, got 1000"),
+        ("var_cutoff", "x", "var_cutoff must be a finite number, got 'x'"),
+        ("risk_free_rate_annual", "x", "risk_free_rate_annual must be a finite number, got 'x'"),
+        ("omega_threshold_daily", None, "omega_threshold_daily must be a finite number, got None"),
+    ], ids=huge_id)
     def test_unusable_numbers_rejected(self, field, value, match):
         with pytest.raises(DomainError, match=match):
             MetricConfig(**{field: value})

@@ -22,7 +22,7 @@ from rebal.portfolio import (
 )
 from rebal.synthetic import business_days
 
-from conftest import calendars, random_returns, trading_days
+from conftest import calendars, huge_id, random_returns, trading_days
 
 
 def make_panel(columns: dict[str, list[float]], days=None, benchmark=None):
@@ -112,13 +112,14 @@ class TestInitialAllocation:
         with pytest.raises(DomainError, match="per_asset_capital must be positive, got -1.0"):
             RebalancePolicy("weekly", 2.0, per_asset_capital=-1.0)
         for capital in (math.nan, math.inf):
-            with pytest.raises(DomainError, match="per_asset_capital must be finite"):
+            with pytest.raises(DomainError,
+                               match=f"per_asset_capital must be a finite number, got {capital}"):
                 RebalancePolicy(per_asset_capital=capital)
 
     @pytest.mark.parametrize("field", ["per_asset_capital", "cost_rate"])
-    @pytest.mark.parametrize("value", ["x", None, True])
+    @pytest.mark.parametrize("value", ["x", None, True, 10**400], ids=huge_id)
     def test_non_numbers_are_domain_errors(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be a number, got {value!r}"):
+        with pytest.raises(DomainError, match=f"{field} must be a finite number, got {value!r}"):
             RebalancePolicy(**{field: value})
 
     def test_share_count_beyond_int64_is_an_allocation_error(self):
