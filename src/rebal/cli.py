@@ -4,13 +4,16 @@ Two commands:
 
 * ``rebal backtest --config run.json [flag overrides]`` runs every sector
   manifest named in the config and writes one output directory per sector
-  (tear sheets plus the four plot datasets).  Exits 0 only if every
-  sector's artifacts were written and reparse cleanly.  A sector is
-  written into a temporary sibling directory and moved into place only
-  once verified, so a failed sector leaves any earlier output untouched.
+  (tear sheets plus the four plot datasets), verified in a temporary
+  directory under the output directory before it replaces the last one.
 * ``rebal validate --config run.json`` is a dry run: it loads and aligns
   the data, reports calendar span, per-ticker coverage, and the planned
   rebalance dates, and writes nothing.
+
+A config, manifest or output directory that is bad or cannot be read or
+made exits 2 before any sector runs.  A failed sector, by a price file,
+write or final rename too, prints ``error: ...`` naming it and its stage
+and keeps its earlier output; the rest still run, and the exit is 1.
 
 Configuration comes from a single JSON file whose keys mirror RunConfig
 fields; command-line flags win over the file.  The ``REBAL_LOG``
@@ -24,8 +27,8 @@ import ctypes
 import json
 import logging
 import os
-import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
@@ -40,8 +43,6 @@ from .metrics import MetricConfig, tear_sheet
 from .portfolio import REBALANCE_FREQUENCIES, RebalancePolicy, rebalance_dates, run_backtest
 from .report import emit_plot_data, export_tear_sheets, read_tear_sheets, reparse_table
 from .returns import simple_returns, split_sample
-
-logger = logging.getLogger(__name__)
 
 _FLOAT_FIELDS = ("per_asset_capital", "cost_rate", "risk_free", "omega_threshold", "var_cutoff")
 _CONFIG_DATES = ("start", "split", "end")
@@ -145,15 +146,15 @@ def _sector_slug(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name.strip().lower()) or "sector"
 
 
-def _stage_error(sector: str, stage: str, exc: RebalError) -> RebalError:
+def _stage_error(sector: str, stage: str, exc: RebalError | OSError) -> RebalError:
     return RebalError(f"sector {sector!r} failed at stage {stage}: {exc}")
 
 
 def _preflight(config: RunConfig) -> None:
-    """Reject a manifest listed twice, or two sectors whose names give one
-    output directory, before any sector runs.  Each sector reads its manifest
-    again as its first stage, where a bad one fails it; this read goes through
-    ``market_data``, which perfbench's tracer of this module's names skips."""
+    """Reject a manifest listed twice or that cannot be opened (an OSError), or
+    two sectors whose names give one output directory, before any sector runs.
+    A manifest that opens but does not load fails its own sector; this read goes
+    through ``market_data``, which perfbench's tracer of this module's names skips."""
     if not config.manifests:
         raise ConfigError("no sector manifests configured")
     seen, slugs = set(), {}
@@ -178,8 +179,8 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
     Returns (manifest, coverage, clipped panel), where coverage lists each
     ticker with its observation count before alignment; the raw series are
     not kept.  ``parsed`` is the run's price-file cache (see
-    ``load_price_series``).  Any RebalError is re-raised annotated with the
-    sector and the stage that failed.
+    ``load_price_series``).  Any RebalError or OSError is re-raised annotated
+    with the sector and the stage that failed.
     """
     stage = "manifest"
     sector = manifest_path.stem
@@ -195,7 +196,7 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         stage = "clip"
         coverage = [(s.ticker, len(s)) for s in series]
         return manifest, coverage, clip_panel(panel, config.start, config.end)
-    except RebalError as exc:
+    except (RebalError, OSError) as exc:
         raise _stage_error(sector, stage, exc) from exc
 
 
@@ -212,17 +213,16 @@ def _reparse_outputs(files: dict[str, Path], tear_sheet_path: Path) -> None:
 
 
 def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
-    """Backtest one sector manifest and write its artifacts into a temporary
-    sibling of the output directory, which replaces it once they verify.
+    """Backtest one sector manifest; return ``ok: <sector> -> <output dir>``.
 
-    Returns the line ``ok: <sector> -> <output directory>``.  Any RebalError
-    is re-raised annotated with the pipeline stage that failed.
+    Artifacts are written into ``new`` in a temporary directory under
+    ``out_dir`` (mkdtemp makes that one 0700) and, once verified, renamed
+    into place; the previous tree moves to ``old``, and back if that rename
+    fails.  A RebalError or OSError is re-raised naming the failed stage.
     """
     manifest, _, panel = _load_sector(config, manifest_path, parsed)
     # glibc only: return the freed raw series' heap pages, so the peak does not hinge on layout
     getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)(0)
-    sector = manifest.sector
-    staging = None
     stage = "backtest"
     try:
         result = run_backtest(panel, config.policy())
@@ -237,27 +237,27 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
         sheets = [tear_sheet(p, b, cfg, label) for (p, b), label in zip(samples, WINDOWS)]
 
         stage = "report"
-        slug = _sector_slug(sector)
-        out_dir = config.out_dir / slug
-        staging = config.out_dir / f".{slug}.partial-{os.getpid()}"
-        shutil.rmtree(staging, ignore_errors=True)
-        benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
-        files = emit_plot_data(result, benchmark_cum, config.split, staging)
-        ts_path = export_tear_sheets(sheets, staging / f"tear_sheets.{config.tear_sheet_format}")
+        out_dir = config.out_dir / _sector_slug(manifest.sector)
+        with tempfile.TemporaryDirectory(dir=config.out_dir, prefix=f".{out_dir.name}.",
+                                         ignore_cleanup_errors=True) as tmp:
+            new, old = Path(tmp, "new"), Path(tmp, "old")
+            benchmark_cum = panel.benchmark / panel.benchmark[0] - 1.0
+            files = emit_plot_data(result, benchmark_cum, config.split, new)
+            ts_path = export_tear_sheets(sheets, new / f"tear_sheets.{config.tear_sheet_format}")
 
-        stage = "verify"
-        _reparse_outputs(files, ts_path)
-        retired = staging.with_name(staging.name + "-old")
-        if out_dir.exists():
-            out_dir.rename(retired)
-        staging.rename(out_dir)
-        shutil.rmtree(retired, ignore_errors=True)
-        return f"ok: {sector} -> {out_dir}"
-    except RebalError as exc:
-        raise _stage_error(sector, stage, exc) from exc
-    finally:
-        if staging is not None and staging.exists():
-            shutil.rmtree(staging)
+            stage = "verify"
+            _reparse_outputs(files, ts_path)
+            if out_dir.exists():
+                out_dir.rename(old)
+            try:
+                new.rename(out_dir)
+            except OSError:
+                if old.exists():
+                    old.rename(out_dir)
+                raise
+        return f"ok: {manifest.sector} -> {out_dir}"
+    except (RebalError, OSError) as exc:
+        raise _stage_error(manifest.sector, stage, exc) from exc
 
 
 def _validate_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
             return _each_sector(config, _validate_sector)
         config.out_dir.mkdir(parents=True, exist_ok=True)
         return _each_sector(config, _run_sector)
-    except RebalError as exc:
+    except (RebalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,10 @@
 import ast
 import csv
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -543,6 +545,111 @@ class TestNeverHalfWrite:
         assert "shares do not fit in int64" in err and "Traceback" not in err
         assert output_tree(root / "out") == first
         assert [p.name for p in (root / "out").iterdir()] == ["auto"]
+
+
+class TestFileSystemFailures:
+    """An OSError fails where a RebalError does: a config, manifest or output
+    directory that cannot be used exits 2 before any sector runs; a price
+    file, write or final rename that fails fails its sector alone, rc 1."""
+
+    @pytest.mark.parametrize("command, fault", [
+        ("backtest", "config is a directory"),
+        ("validate", "config is a directory"),
+        ("backtest", "manifest is missing"),
+        ("validate", "manifest is missing"),
+        ("backtest", "manifest is a directory"),
+        ("validate", "manifest is a directory"),
+        ("backtest", "out_dir is a file"),
+    ])
+    def test_unusable_path_exits_2_before_any_sector(self, small_universe, capsys,
+                                                     command, fault):
+        root, data_dir, manifests = small_universe
+        bad = {"manifest is missing": [root / "missing.json"],
+               "manifest is a directory": [data_dir]}.get(fault, [])
+        config = write_config(root, data_dir, [*manifests, *bad])
+        if fault == "out_dir is a file":
+            (root / "out").write_text("a file\n")
+        args = [command, "--config", str(root if fault == "config is a directory" else config)]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        if fault == "out_dir is a file":
+            assert (root / "out").read_text() == "a file\n"
+        else:
+            assert not (root / "out").exists()
+
+    @pytest.fixture
+    def two_sectors(self, tmp_path):
+        """Two sectors, backtested once: (root, config, output tree)."""
+        data_dir, manifests = generate_universe(
+            tmp_path / "fixture", start=date(2021, 1, 4), end=date(2021, 2, 26),
+            n_sectors=2, tickers_per_sector=2, seed=11,
+        )
+        config = write_config(tmp_path, data_dir, manifests)
+        assert main(["backtest", "--config", str(config)]) == 0
+        return tmp_path, config, output_tree(tmp_path / "out")
+
+    @pytest.mark.parametrize("stage", ["load", "report", "verify"])
+    def test_failure_fails_one_sector_and_keeps_its_output(self, two_sectors, monkeypatch,
+                                                           capsys, stage):
+        root, config, first = two_sectors
+        capsys.readouterr()
+        if stage == "load":  # a price file that cannot be opened
+            def guarded_open(file, *args, **kwargs):
+                if Path(file).name == "AUTO01.csv":
+                    raise PermissionError(errno.EACCES, "Permission denied", str(file))
+                return open(file, *args, **kwargs)
+
+            monkeypatch.setattr(rebal.market_data, "open", guarded_open, raising=False)
+        elif stage == "report":  # a full disk
+            real_export = rebal.cli.export_tear_sheets
+
+            def export_to_full_disk(sheets, path):
+                if path.parent.parent.name.startswith(".auto."):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_export(sheets, path)
+
+            monkeypatch.setattr(rebal.cli, "export_tear_sheets", export_to_full_disk)
+        else:  # the rename that publishes the verified tree
+            real_rename = Path.rename
+
+            def failing_rename(self, target):
+                if self.name == "new" and Path(target).name == "auto":
+                    raise OSError(errno.EIO, "Input/output error")
+                return real_rename(self, target)
+
+            monkeypatch.setattr(Path, "rename", failing_rename)
+        assert main(["backtest", "--config", str(config), "--frequency", "never"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: sector 'auto' failed at stage {stage}: [Errno ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.startswith("ok: banking")
+        tree = output_tree(root / "out")
+        assert {k: v for k, v in tree.items() if k.startswith("auto/")} == {
+            k: v for k, v in first.items() if k.startswith("auto/")}
+        assert tree != first  # banking ran again, never rebalancing
+        assert sorted(p.name for p in (root / "out").iterdir()) == ["auto", "banking"]
+
+    def test_leftovers_of_a_crashed_run_are_not_in_the_way(self, two_sectors, capsys):
+        root, config, first = two_sectors
+        stale = [f".auto.partial-{os.getpid()}", f".auto.partial-{os.getpid()}-old"]
+        for name in stale:
+            (root / "out" / name).mkdir()
+            (root / "out" / name / "shares.csv").write_text("stale\n")
+        assert main(["backtest", "--config", str(config)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert {k: v for k, v in output_tree(root / "out").items() if k[0] != "."} == first
+        names = sorted(p.name for p in (root / "out").iterdir())
+        assert names == sorted(["auto", "banking", *stale])  # the run left nothing of its own
+
+    def test_published_tree_keeps_the_umask_mode(self, two_sectors):
+        root, _, _ = two_sectors
+        umask = os.umask(0)
+        os.umask(umask)
+        for path in (root / "out" / "auto", root / "out" / "auto" / "shares.csv"):
+            mode = 0o777 if path.is_dir() else 0o666
+            assert path.stat().st_mode & 0o777 == mode & ~umask
 
 
 FRACTIONAL_COUNTS = ("1.5", "1e3", "-0.0", "7.000000001")  # not share counts, though floats

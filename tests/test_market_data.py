@@ -1,6 +1,7 @@
 """Ingestion, validation, and alignment tests."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -82,6 +83,31 @@ class TestLoadPriceSeries:
                            match="^panel calendar not strictly increasing at 0999-01-03$"):
             PricePanel(days[[0, 1, 1]], ("AAA",), [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda d: PriceSeries("AAA", d, [1.0, 2.0]), ValidationError,
+         "AAA: 3 dates vs 2 prices"),
+        (lambda d: PriceSeries("AAA", d, [1.0, 0.0, 2.0]), ValidationError,
+         "AAA: prices must be positive and finite"),
+        (lambda d: PricePanel(d[:1], ("AAA",), [[1.0]], [1.0]), ValidationError,
+         "panel calendar too short (1 days)"),
+        (lambda d: PricePanel(d, ("BBB", "AAA"), [[1.0] * 3] * 2, [1.0] * 3), ValidationError,
+         "panel tickers are not sorted"),
+        (lambda d: PricePanel(d[:2], ("AAA",), [[1.0] * 3], [1.0] * 2), ValidationError,
+         "prices shape (1, 3) != (1, 2)"),
+        (lambda d: PricePanel(d, ("AAA", "BBB"), [[1.0] * 3, [1.0, -1.0, 1.0]], [1.0] * 3),
+         ValidationError, "'BBB' has non-positive prices"),
+        (lambda d: PricePanel(d, ("AAA",), [[1.0] * 3], [1.0] * 2), ValidationError,
+         "benchmark length does not match calendar"),
+        (lambda d: PricePanel(d, ("AAA",), [[1.0] * 3], [1.0, np.nan, 1.0]), ValidationError,
+         "benchmark has non-positive prices"),
+        (lambda d: align_panel([], PriceSeries("IX", d, [1.0] * 3)), AlignmentError,
+         "no price series to align"),
+    ], ids=["series length", "series price", "short calendar", "unsorted tickers",
+            "prices shape", "panel price", "benchmark length", "benchmark price", "no series"])
+    def test_constructors_check_their_invariants(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(trading_days(3))
+
     def test_malformed_rows_report_line_numbers(self, tmp_path):
         bad_date = write_csv(tmp_path / "d.csv",
                              ["2021-01-04,AAA,100.0", "not-a-date,AAA,101.0"])
@@ -96,10 +122,15 @@ class TestLoadPriceSeries:
         with pytest.raises(ParseError, match=r"c\.csv:2"):
             load_price_series(bad_cols, "AAA")
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = write_csv(tmp_path / "h.csv", ["2021-01-04,AAA,100.0"],
-                         header="day,symbol,close")
-        with pytest.raises(ParseError, match="header"):
+    @pytest.mark.parametrize("text, message", [
+        ("day,symbol,close\n2021-01-04,AAA,100.0\n",
+         "bad header ['day', 'symbol', 'close'], expected date,ticker,adj_close"),
+        ("", "empty file, expected header date,ticker,adj_close"),
+    ])
+    def test_bad_header_rejected(self, tmp_path, text, message):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"h.csv:1: {message}")):
             load_price_series(path, "AAA")
 
     def test_long_format_filters_by_ticker(self, tmp_path):
@@ -269,7 +300,7 @@ def price_files(draw):
     rows = draw(st.lists(st.tuples(st.sampled_from(_DATES), st.sampled_from(tickers),
                                    st.sampled_from(_CLEAN_PRICES if clean else _PRICES)),
                          min_size=4, max_size=20))
-    rnd = draw(st.randoms(use_true_random=True))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     pads = [""] * 4 + [" ", "\t", "  "] + ([] if clean else ["\u00a0", "\u3000"])
     ends = [b"\n", b"\r\n"] if clean else [b"\n", b"\r\n", b"\r"]
 
@@ -357,6 +388,7 @@ class TestMatchesRowParser:
         b"2021-01-04,AAA,1\n2021-01-05,BBB" + b" " * 13 + b",2\n2021-01-06,BBB,3\n",  # 16 bytes
         b"2021-01-04,BBB,1\n2021-01-05,BBB" + b" " * 13 + b"X,2\n2021-01-06,BBB,3\n",  # cut at 16
         b"2021-01-04,AAA,1\n2021-02-30,AAA,2\n2021-01-05,BBB,1\n",  # bad date
+        b"2021-01-04,AAA,1\n0000-01-01,AAA,2\n",                   # year 0, which numpy takes
         b'2021-01-04,"A\nB",1\n2021-01-05,AAA,-1\n',                # bad row after a break
     ])
     def test_edge_files(self, tmp_path, body):
