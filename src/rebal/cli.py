@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market_data
-from .errors import ConfigError, DomainError, ParseError, RebalError, require_number
+from .errors import ConfigError, DomainError, ParseError, RebalError, describe, require_number
 from .market_data import (PriceCache, align_panel, clip_panel, iso_day, load_price_series,
                           load_sector_manifest, resolve_price_file)
 from .metrics import MetricConfig, tear_sheet
@@ -72,7 +72,7 @@ class RunConfig:
         if not isinstance(self.manifests, (list, tuple)) or not all(
             isinstance(p, (str, os.PathLike)) for p in self.manifests
         ):
-            raise ConfigError(f"manifests must be a list of paths, got {self.manifests!r}")
+            raise ConfigError(f"manifests must be a list of paths, got {describe(self.manifests)}")
         object.__setattr__(self, "data_dir", Path(self.data_dir))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "manifests", tuple(Path(p) for p in self.manifests))
@@ -82,7 +82,7 @@ class RunConfig:
                 try:  # the price files' date grammar, on every Python version
                     value = iso_day(value)
                 except ValueError:
-                    raise ConfigError(f"bad date for {name!r}: {value!r}") from None
+                    raise ConfigError(f"bad date for {name!r}: {describe(value)}") from None
             object.__setattr__(self, name, np.datetime64(value, "D"))
         try:
             for name in _FLOAT_FIELDS:  # named as the config names them
@@ -97,7 +97,7 @@ class RunConfig:
                 f"{self.start} / {self.split} / {self.end}"
             )
         if self.tear_sheet_format not in ("csv", "json"):
-            raise ConfigError(f"unknown tear_sheet_format {self.tear_sheet_format!r}")
+            raise ConfigError(f"unknown tear_sheet_format {describe(self.tear_sheet_format)}")
 
     def policy(self) -> RebalancePolicy:
         return RebalancePolicy(self.frequency, self.cost_rate, self.per_asset_capital)
@@ -217,8 +217,9 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
 
     Artifacts are written into ``new`` in a temporary directory under
     ``out_dir`` (mkdtemp makes that one 0700) and, once verified, renamed
-    into place; the previous tree moves to ``old``, and back if that rename
-    fails.  A RebalError or OSError is re-raised naming the failed stage.
+    into place; the previous tree moves to ``old``, back if that rename fails,
+    else to ``<tmp>-previous``.  A RebalError or OSError is re-raised naming
+    the failed stage.
     """
     manifest, _, panel = _load_sector(config, manifest_path, parsed)
     # glibc only: return the freed raw series' heap pages, so the peak does not hinge on layout
@@ -252,8 +253,12 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
             try:
                 new.rename(out_dir)
             except OSError:
-                if old.exists():
-                    old.rename(out_dir)
+                try:
+                    if old.exists():
+                        old.rename(out_dir)
+                except OSError as exc:  # out of the cleanup's reach, and say where
+                    kept = old.rename(f"{tmp}-previous")
+                    raise OSError(f"{exc}; the previous output is kept in {kept}") from exc
                 raise
         return f"ok: {manifest.sector} -> {out_dir}"
     except (RebalError, OSError) as exc:

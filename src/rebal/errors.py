@@ -56,10 +56,18 @@ class ConfigError(RebalError):
     """Run configuration is invalid or inconsistent."""
 
 
+def describe(value) -> str:
+    """``repr(value)``, or a short note for an int past Python's int-to-str limit."""
+    try:
+        return repr(value)
+    except ValueError:  # such an int, or a container holding one
+        return f"<{type(value).__name__} too long to print>"
+
+
 def require_number(name: str, value) -> float:
     """``value`` as a float if it is a real number other than a bool within
     the float range, so neither nan nor infinite; else raise DomainError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
+        raise DomainError(f"{name} must be a finite number, got {describe(value)}")
     return float(value)

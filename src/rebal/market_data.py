@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (AlignmentError, ConfigError, ParseError, RebalError, ValidationError,
-                     WindowError)
+                     WindowError, describe)
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +235,7 @@ def iso_day(text) -> np.datetime64:
     Raises ValueError for any other value.
     """
     if (number := _day_number(text)) is None:
-        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+        raise ValueError(f"not a YYYY-MM-DD date: {describe(text)}")
     return np.datetime64(number, "D")
 
 
@@ -471,10 +471,10 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
     calendar = np.flatnonzero(counts == n) + first
     if len(calendar) < 2:
         # a series is an offender if the days all the others share number 2
-        # or more: the shared days plus the days only it lacks
+        # or more: the shared days plus the days only it lacks (assume_unique)
         near = np.flatnonzero(counts == n - 1) + first
         offenders = [s.ticker for s in all_series
-                     if len(calendar) + len(np.setdiff1d(near, s.dates)) >= 2]
+                     if len(calendar) + len(np.setdiff1d(near, s.dates, True)) >= 2]
         names = sorted(offenders or {s.ticker for s in all_series})
         raise AlignmentError(
             f"fewer than 2 shared trading days across inputs (offending tickers: "

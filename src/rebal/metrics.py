@@ -7,8 +7,8 @@ Conventions, fixed here so every number in a report is reproducible:
   Sharpe denominator, and the beta regression.
 * The risk-free rate is stated annually and de-annualized geometrically:
   rf_daily = (1 + rf_annual)^(1/periods) - 1.
-* Percentiles interpolate linearly between closest ranks, uniformly for
-  value at risk, the tail ratio, and box summaries.
+* Percentiles follow numpy's linear (type 7) rule, computed here by
+  ``_quantiles`` for value at risk, the tail ratio, and box summaries.
 * Skewness is the adjusted Fisher-Pearson sample statistic; kurtosis is
   reported in excess form (normal data scores 0), sample-adjusted.
 * Alpha is the daily regression intercept compounded to an annual
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, UndefinedMetricError, require_number
+from .errors import AlignmentError, DomainError, UndefinedMetricError, describe, require_number
 from .returns import ReturnSeries
 
 TRADING_DAYS_PER_YEAR = 252
@@ -51,7 +51,7 @@ class MetricConfig:
         ppy = self.periods_per_year
         if (isinstance(ppy, bool) or not isinstance(ppy, (int, np.integer))
                 or not 1 <= ppy <= sys.float_info.max):
-            raise DomainError(f"periods_per_year must be a positive integer, got {ppy!r}")
+            raise DomainError(f"periods_per_year must be a positive integer, got {describe(ppy)}")
         for name in ("risk_free_rate_annual", "omega_threshold_daily", "var_cutoff"):
             require_number(name, getattr(self, name))
         if not 0.0 < self.var_cutoff < 0.5:
@@ -207,9 +207,21 @@ def omega(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     return _ratio(gains, losses, "downside mass below the threshold")
 
 
+def _quantiles(values: np.ndarray, percents) -> list[float]:
+    """``np.percentile(values, percents).tolist()`` to the bit, without the np.unique
+    that imports numpy.ma: its partition ranks, then its lerp, flipped at t >= 0.5."""
+    top = len(values) - 1
+    ranks = [top * q for q in np.true_divide(percents, 100).tolist()]
+    lo = [math.floor(r) if r < top else -1 for r in ranks]  # numpy's -1: at the top
+    hi = [i + 1 if i >= 0 else -1 for i in lo]
+    part = np.partition(values, sorted({0, -1, *lo, *hi}), axis=None)
+    return [b - (b - a) * (1 - (r - i)) if r - i >= 0.5 else a + (b - a) * (r - i)
+            for r, i, a, b in zip(ranks, lo, part[lo].tolist(), part[hi].tolist())]
+
+
 def tail_ratio(returns: ReturnSeries) -> float:
     """|95th percentile| / |5th percentile| of the return distribution."""
-    p05, p95 = np.percentile(_values(returns), [5.0, 95.0]).tolist()
+    p05, p95 = _quantiles(_values(returns), [5.0, 95.0])
     return _ratio(abs(p95), abs(p05), "5th percentile")
 
 
@@ -266,7 +278,7 @@ def stability(returns: ReturnSeries) -> float:
 
 def daily_var(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Historical one-day value at risk: the cutoff percentile of returns."""
-    return float(np.percentile(_values(returns), 100.0 * cfg.var_cutoff))
+    return _quantiles(_values(returns), [100.0 * cfg.var_cutoff])[0]
 
 
 def alpha_beta(
@@ -299,7 +311,7 @@ def alpha_beta(
 
 def box_plot_summary(returns: ReturnSeries) -> tuple[float, float, float, float, float]:
     """Five-number summary (min, Q1, median, Q3, max) of a return series."""
-    return tuple(np.percentile(_values(returns), [0.0, 25.0, 50.0, 75.0, 100.0]).tolist())
+    return tuple(_quantiles(_values(returns), [0.0, 25.0, 50.0, 75.0, 100.0]))
 
 
 def tear_sheet(

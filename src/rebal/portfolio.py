@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllocationError, DomainError, InsolvencyError, require_number
+from .errors import AllocationError, DomainError, InsolvencyError, describe, require_number
 from .market_data import DAY, PricePanel
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class RebalancePolicy:
             raise DomainError(f"per_asset_capital must be positive, got {self.per_asset_capital}")
         if self.frequency not in REBALANCE_FREQUENCIES:
             raise DomainError(
-                f"unknown frequency {self.frequency!r}, expected one of "
+                f"unknown frequency {describe(self.frequency)}, expected one of "
                 f"{', '.join(REBALANCE_FREQUENCIES)}"
             )
         if not 0.0 <= self.cost_rate < 1.0:
@@ -169,7 +169,7 @@ def rebalance_dates(calendar, frequency: str) -> np.ndarray:
     if not len(calendar):
         raise DomainError("empty calendar")
     if frequency not in REBALANCE_FREQUENCIES:
-        raise DomainError(f"unknown rebalance frequency {frequency!r}")
+        raise DomainError(f"unknown rebalance frequency {describe(frequency)}")
     if frequency == "never":
         return calendar[:0]
     if frequency == "daily":
@@ -184,7 +184,8 @@ def rebalance_dates(calendar, frequency: str) -> np.ndarray:
     years = int(calendar[-1].astype("datetime64[Y]") - start_month.astype("datetime64[Y]"))
     anniversaries = (start_month + 12 * np.arange(1, years + 1)).astype(DAY) + offset
     anniversaries = anniversaries[anniversaries <= calendar[-1]]
-    return calendar[np.unique(np.searchsorted(calendar, anniversaries))]
+    days = np.searchsorted(calendar, anniversaries)  # sorted, so repeats are neighbours
+    return calendar[days[np.diff(days, prepend=-1) > 0]]
 
 
 def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WindowError
+from .errors import DomainError, WindowError, describe
 from .market_data import DAY, _ArrayRecord, _check_increasing, _frozen
 
 FREQUENCIES = ("daily", "weekly", "monthly", "annual")
@@ -31,7 +31,7 @@ class ReturnSeries(_ArrayRecord):
         object.__setattr__(self, "dates", _frozen(self.dates, DAY))
         object.__setattr__(self, "values", _frozen(self.values))
         if self.frequency not in FREQUENCIES:
-            raise DomainError(f"unknown frequency {self.frequency!r}")
+            raise DomainError(f"unknown frequency {describe(self.frequency)}")
         if len(self.dates) != len(self.values):
             raise DomainError(
                 f"{len(self.dates)} dates vs {len(self.values)} values"
@@ -71,7 +71,7 @@ def aggregate(returns: ReturnSeries, target: str) -> ReturnSeries:
     months and years.  Each bucket is dated at its last trading day.
     """
     if target not in FREQUENCIES[1:]:
-        raise DomainError(f"unknown aggregation target {target!r}")
+        raise DomainError(f"unknown aggregation target {describe(target)}")
     if returns.frequency != "daily":
         raise DomainError("aggregate expects daily simple returns")
     if len(returns) == 0:

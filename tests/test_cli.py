@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -631,6 +632,29 @@ class TestFileSystemFailures:
         assert tree != first  # banking ran again, never rebalancing
         assert sorted(p.name for p in (root / "out").iterdir()) == ["auto", "banking"]
 
+    def test_failed_restore_keeps_the_previous_tree_and_names_it(self, two_sectors,
+                                                                 monkeypatch, capsys):
+        root, config, first = two_sectors
+        capsys.readouterr()
+        real_rename = Path.rename
+
+        def failing_rename(self, target):  # neither new nor old can become out/auto
+            if Path(target).name == "auto":
+                raise OSError(errno.EIO, "Input/output error")
+            return real_rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing_rename)
+        assert main(["backtest", "--config", str(config), "--frequency", "never"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: sector 'auto' failed at stage verify: [Errno 5] ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.startswith("ok: banking")
+        kept = Path(err.rstrip("\n").rpartition("the previous output is kept in ")[2])
+        assert kept.parent == root / "out" and kept.name.startswith(".auto.")
+        assert output_tree(kept) == {k[len("auto/"):]: v for k, v in first.items()
+                                     if k.startswith("auto/")}
+        assert sorted(p.name for p in (root / "out").iterdir()) == [kept.name, "banking"]
+
     def test_leftovers_of_a_crashed_run_are_not_in_the_way(self, two_sectors, capsys):
         root, config, first = two_sectors
         stale = [f".auto.partial-{os.getpid()}", f".auto.partial-{os.getpid()}-old"]
@@ -854,6 +878,39 @@ def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
     assert peak < result.weights.nbytes, peak / result.weights.nbytes
 
 
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique, and np.percentile through it, import all of numpy.ma, which
+    # costs each run about 10 ms and 1 MB of peak RSS for nothing
+    data_dir, manifests = generate_universe(
+        tmp_path / "fixture", start=date(2020, 2, 28), end=date(2021, 6, 30),
+        n_sectors=2, tickers_per_sector=2, seed=11,
+    )
+    long_dir, _ = generate_universe(
+        tmp_path / "long_fixture", start=date(2020, 2, 28), end=date(2021, 6, 30),
+        n_sectors=2, tickers_per_sector=2, seed=11,
+    )
+    to_long_format(long_dir)  # one prices.csv, whose tickers np.unique separates
+    configs = []
+    for name, data, frequency in (("yearly", data_dir, "yearly"),
+                                  ("monthly", data_dir, "monthly"),
+                                  ("long_yearly", long_dir, "yearly")):
+        (tmp_path / name).mkdir()
+        configs.append(str(write_config(tmp_path / name, data, manifests, start="2020-02-28",
+                                        split="2021-01-04", end="2021-06-30",
+                                        frequency=frequency)))
+    code = ("import sys\nfrom rebal.cli import main\n"
+            "for config in sys.argv[1:]:\n"
+            "    for command in ('backtest', 'validate'):\n"
+            "        assert main([command, '--config', config]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, *configs], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("planned rebalances (yearly): 1") == 4  # two sectors, twice
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 class TestValidateCommand:
     def test_reports_planned_rebalances_and_writes_nothing(self, small_universe, capsys):
         root, data_dir, manifests = small_universe
@@ -907,6 +964,19 @@ class TestRunConfig:
         config = RunConfig(tmp_path, [tmp_path / "m.json"])
         assert config.policy() == RebalancePolicy()
         assert config.metric_config() == MetricConfig()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("start", 10**5000, "bad date for 'start': <int too long to print>"),
+        ("frequency", 10**5000, "unknown frequency <int too long to print>"),
+        ("tear_sheet_format", 10**5000, "unknown tear_sheet_format <int too long to print>"),
+        ("per_asset_capital", 10**5000, "per_asset_capital must be a finite number, got <int"),
+        ("periods_per_year", 10**5000, "periods_per_year must be a positive integer, got <int"),
+        ("manifests", [10**5000], "manifests must be a list of paths, got <list too long"),
+    ], ids=["start", "frequency", "tear_sheet_format", "per_asset_capital",
+            "periods_per_year", "manifests"])
+    def test_int_past_the_digit_limit_is_a_config_error(self, tmp_path, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**{"data_dir": tmp_path, "manifests": (), field: value})
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "run.json"

@@ -5,11 +5,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rebal.errors import AlignmentError, DomainError, UndefinedMetricError
 from rebal.metrics import (
     METRIC_NAMES,
+    _quantiles,
     MetricConfig,
     TearSheet,
     alpha_beta,
@@ -369,6 +372,43 @@ class TestBoxPlotSummary:
         assert box_plot_summary(daily_series(shuffled)) == base
 
 
+@st.composite
+def quantile_samples(draw):
+    """1 to 700 returns, from all distinct to all tied, with runs of 0.0 and -0.0."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 700)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 0.01, n)
+    tied = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    values[tied] = rng.choice([0.0, -0.0, 0.0, -0.0, 0.01, -0.02], tied.sum())
+    return values
+
+
+class TestQuantiles:
+    """``_quantiles`` is ``np.percentile`` to the bit, signed zeros included:
+    a sort-based kernel differs from it in the sign of a zero."""
+
+    FIXED = [0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(values=quantile_samples(), var_cutoff=st.floats(0.0, 0.5, exclude_min=True,
+                                                          exclude_max=True),
+           q=st.floats(0.0, 100.0))
+    @example(values=np.array([-0.0]), var_cutoff=0.05, q=50.0)
+    @example(values=np.array([0.0, -0.0]), var_cutoff=0.05, q=50.0)
+    @example(values=np.array([-0.0, -0.0]), var_cutoff=0.05, q=100.0)
+    @example(values=np.array([-0.0, 0.0, -0.0]), var_cutoff=0.25, q=99.0)
+    @example(values=np.array([0.01, -0.0, 0.01]), var_cutoff=0.05, q=33.3)
+    def test_bit_identical_to_numpy_percentile(self, values, var_cutoff, q):
+        percents = [*self.FIXED, 100.0 * var_cutoff, q]
+        got = np.array(_quantiles(values, percents))
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      np.percentile(values, percents).view(np.int64))
+        # one percent at a time, against the scalar call daily_var made
+        one = np.array(_quantiles(values, [100.0 * var_cutoff]))
+        want = np.array([np.percentile(values, 100.0 * var_cutoff)])
+        np.testing.assert_array_equal(one.view(np.int64), want.view(np.int64))
+
+
 class TestTearSheet:
     def test_exactly_fifteen_metrics(self):
         assert len(METRIC_NAMES) == 15
@@ -540,6 +580,16 @@ class TestMetricConfig:
     def test_unusable_numbers_rejected(self, field, value, match):
         with pytest.raises(DomainError, match=match):
             MetricConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, message", [
+        ("periods_per_year", "periods_per_year must be a positive integer"),
+        ("var_cutoff", "var_cutoff must be a finite number"),
+    ])
+    def test_int_past_the_digit_limit_is_a_domain_error(self, field, message):
+        # repr() of an int of over 4300 digits is itself a ValueError
+        for value in (10**5000, -10**5000):
+            with pytest.raises(DomainError, match=f"{message}, got <int too long to print>$"):
+                MetricConfig(**{field: value})
 
     def test_numpy_integer_periods_accepted(self):
         assert MetricConfig(periods_per_year=np.int64(12)).periods_per_year == 12

@@ -122,6 +122,16 @@ class TestInitialAllocation:
         with pytest.raises(DomainError, match=f"{field} must be a finite number, got {value!r}"):
             RebalancePolicy(**{field: value})
 
+    @pytest.mark.parametrize("field, message", [
+        ("per_asset_capital", "per_asset_capital must be a finite number"),
+        ("cost_rate", "cost_rate must be a finite number"),
+        ("frequency", "unknown frequency"),
+    ])
+    def test_int_past_the_digit_limit_is_a_domain_error(self, field, message):
+        # repr() of an int of over 4300 digits is itself a ValueError
+        with pytest.raises(DomainError, match=f"{message}.*<int too long to print>"):
+            RebalancePolicy(**{field: 10**5000})
+
     def test_share_count_beyond_int64_is_an_allocation_error(self):
         # 1e30 buys 1e28 shares at 100, which an int64 cast would wrap negative
         with pytest.raises(AllocationError, match="shares do not fit in int64"):
@@ -194,15 +204,32 @@ class TestRebalanceDates:
         with pytest.raises(DomainError):
             rebalance_dates([], "daily")
 
+    def test_unknown_frequency_is_named_even_if_unprintable(self):
+        with pytest.raises(DomainError, match="unknown rebalance frequency 'weekly'"):
+            rebalance_dates(trading_days(3), "weekly")
+        with pytest.raises(DomainError, match="frequency <int too long to print>"):
+            rebalance_dates(trading_days(3), 10**5000)
+
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(days=calendars())
     @example(days=business_days(date(2021, 1, 4), date(2022, 1, 4)))  # ends on an anniversary
     @example(days=np.array(["2020-02-29", "2020-03-02", "2021-03-01"], dtype="datetime64[D]"))
+    # three anniversaries of a Feb 29 start, all on one trading day
+    @example(days=np.array(["2020-02-29", "2020-03-02", "2023-06-01"], dtype="datetime64[D]"))
+    @example(days=np.array(["2024-02-29", "2025-03-03", "2028-02-29", "2028-03-01"],
+                           dtype="datetime64[D]"))
     def test_matches_per_day_loop(self, days):
         # the loop over date objects in tests/calendar_oracle.py is the judge
         for frequency in REBALANCE_FREQUENCIES:
             assert (rebalance_dates(days, frequency).tolist()
                     == calendar_oracle.rebalance_dates(days.tolist(), frequency))
+        # and the yearly schedule's neighbour dedupe keeps what np.unique would
+        start, last = days[0].item(), days[-1].item()
+        anniversaries = [calendar_oracle._anniversary(start, year)
+                         for year in range(start.year + 1, last.year + 1)]
+        anniversaries = np.array([a for a in anniversaries if a <= last], dtype="datetime64[D]")
+        np.testing.assert_array_equal(rebalance_dates(days, "yearly"),
+                                      days[np.unique(np.searchsorted(days, anniversaries))])
 
 
 class TestRebalance:

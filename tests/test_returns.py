@@ -111,6 +111,14 @@ class TestAggregate:
         with pytest.raises(DomainError):
             aggregate(empty, "monthly")
 
+    def test_unknown_frequency_or_target_is_named_even_if_unprintable(self):
+        series = daily_series([0.01] * 10)
+        for value, shown in (("hourly", "'hourly'"), (10**5000, "<int too long to print>")):
+            with pytest.raises(DomainError, match=f"unknown aggregation target {shown}$"):
+                aggregate(series, value)
+            with pytest.raises(DomainError, match=f"unknown frequency {shown}$"):
+                ReturnSeries(series.dates, series.values, value)
+
     def test_weekly_input_rejected(self):
         series = daily_series([0.01] * 10)
         weekly = aggregate(series, "weekly")
