@@ -119,8 +119,6 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
         raise ConfigError(f"{path}: bad JSON: {exc}")
     if not isinstance(raw, dict):

@@ -268,14 +268,14 @@ def _rows_equal(words: np.ndarray, like: np.ndarray) -> bool:
     return all((words[:, k] == like[..., k]).all() for k in (0, 1))
 
 
-def _read_cells(fh, cache) -> dict[str, PriceSeries | RebalError]:
+def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     """Each ticker's series from one np.loadtxt call over the clean body in ``fh``.
 
     A clean body is ASCII with no quote or NUL, and each of its lines is
     empty or a row with no cut cell, a valid date, a positive finite price
     and a (ticker, day) of its own, so no row has an error to report.
     Raises ValueError for any other body.  A series on the date column's days
-    takes that array, from a PriceCache ``cache`` if it holds those cells.
+    takes that array, from ``cache`` if it holds those cells.
     """
     text = fh.read()
     if not text.isascii() or '"' in text or "\0" in text or "," not in text:
@@ -285,12 +285,12 @@ def _read_cells(fh, cache) -> dict[str, PriceSeries | RebalError]:
     del text  # before the temporaries below: it is as large as a long file
     words = cells.view(np.uint64).reshape(len(cells), -1)  # date 0-1, ticker 2-3, price 4
     one_ticker = _rows_equal(words[:, 2:4], words[0, 2:4])  # the usual layout
-    last = getattr(cache, "dates", None)  # read once: it is replaced whole
+    last = cache.dates  # read once: it is replaced whole
     if last is not None and len(last[0]) == len(words) and _rows_equal(words[:, :2], last[0]):
         days = last[1]
     else:
         days = _frozen(_iso_days(cells["date"]), DAY)  # a bad date raises ValueError here
-        if one_ticker and isinstance(cache, PriceCache):
+        if one_ticker:
             cache.dates = (_frozen(words[:, :2].copy(), np.uint64), days)
     tickers, prices = cells["ticker"], cells["price"]
     if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
@@ -356,7 +356,7 @@ def _read_rows(rows, path: Path) -> _PriceFile:
     return _PriceFile({**bad, **good}, None)
 
 
-def _parse_price_file(path: Path, cache) -> _PriceFile:
+def _parse_price_file(path: Path, cache: PriceCache) -> _PriceFile:
     # Bytes that are not UTF-8 become lone surrogates, which no cell check accepts.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -385,7 +385,7 @@ def resolve_price_file(data_dir: Path, ticker: str) -> Path:
     raise ConfigError(f"no price file for ticker {ticker!r} under {data_dir}")
 
 
-def load_price_series(path, ticker: str, parsed: dict | None = None,
+def load_price_series(path, ticker: str, parsed: PriceCache | None = None,
                       keep: bool = False) -> PriceSeries:
     """Read one ticker's rows from a price CSV and validate them.
 
@@ -395,20 +395,21 @@ def load_price_series(path, ticker: str, parsed: dict | None = None,
     is the first one on this ticker's rows or the file's first malformed
     row, whichever comes first, then "no rows" or too few observations.
 
-    ``parsed`` is an optional dict owned by the caller for one run, such as
-    a ``PriceCache``.  Files holding more than one ticker are parsed once and
+    ``parsed`` is the caller's PriceCache for one run, or ``None`` for a
+    fresh one.  Files holding more than one ticker are parsed once and
     kept in it, keyed by path, so later tickers from the same file are a
     lookup.  Single-ticker files are not kept, since that would hold a
     per-ticker universe in memory for the whole run: they are read once per
     call, unless ``keep`` is set for a series the caller reads again, such as
-    a benchmark every sector shares.  A PriceCache also keeps the last
+    a benchmark every sector shares.  The cache also keeps the last
     one-ticker file's decoded dates, which a series on the same days shares.
     """
     path = Path(path)
-    parsed_file = parsed.get(path) if parsed is not None else None
+    parsed = PriceCache() if parsed is None else parsed
+    parsed_file = parsed.get(path)
     if parsed_file is None:
         parsed_file = _parse_price_file(path, parsed)
-        if parsed is not None and (keep or len(parsed_file.series) > 1):
+        if keep or len(parsed_file.series) > 1:
             parsed[path] = parsed_file
     series = parsed_file.series.get(ticker)
     if series is None:

@@ -225,29 +225,27 @@ def tail_ratio(returns: ReturnSeries) -> float:
     return _ratio(abs(p95), abs(p05), "5th percentile")
 
 
-def _deviations(returns: ReturnSeries, name: str, least: int):
-    """n, the deviations from the mean and their mean square m2, of at least
-    ``least`` returns that are not all equal."""
-    r = _values(returns)
-    n = len(r)
-    if n < least:
-        raise DomainError(f"{name} needs at least {least} observations, got {n}")
-    if np.all(r == r[0]):
-        raise UndefinedMetricError("zero variance")
-    d = r - np.mean(r)
-    return n, d, float(np.mean(d * d))
+def _centered(x: np.ndarray, what: str, least: int) -> np.ndarray:
+    """``x`` less its mean, for a sample of at least ``least`` values that are not all equal."""
+    if len(x) < least:
+        raise DomainError(f"{what} needs at least {least} observations, got {len(x)}")
+    if np.all(x == x[0]):
+        raise UndefinedMetricError(f"zero variance in the {what} sample")
+    return x - np.mean(x)
 
 
 def skewness(returns: ReturnSeries) -> float:
     """Adjusted Fisher-Pearson sample skewness."""
-    n, d, m2 = _deviations(returns, "skewness", 3)
+    d = _centered(_values(returns), "skewness", 3)
+    n, m2 = len(d), float(np.mean(d * d))
     g1 = float(np.mean(d ** 3)) / m2 ** 1.5
     return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
 def kurtosis(returns: ReturnSeries) -> float:
     """Sample-adjusted excess kurtosis (normal data scores 0)."""
-    n, d, m2 = _deviations(returns, "kurtosis", 4)
+    d = _centered(_values(returns), "kurtosis", 4)
+    n, m2 = len(d), float(np.mean(d * d))
     g2 = float(np.mean(d ** 4)) / (m2 * m2) - 3.0
     return ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
 
@@ -258,16 +256,9 @@ def stability(returns: ReturnSeries) -> float:
     Measures how consistently the wealth path trends: 1.0 for a constant
     daily growth rate, near 0 for a trendless path.
     """
-    r = _values(returns)
-    n = len(r)
-    if n < 3:
-        raise DomainError(f"stability needs at least 3 observations, got {n}")
-    y = np.cumsum(np.log1p(r))
-    if np.all(y == y[0]):
-        raise UndefinedMetricError("zero variance of cumulative log returns")
-    x = np.arange(n, dtype=np.float64)
-    xd = x - x.mean()
-    yd = y - y.mean()
+    y = np.cumsum(np.log1p(_values(returns)))
+    yd = _centered(y, "stability", 3)
+    xd = _centered(np.arange(len(y), dtype=np.float64), "stability", 3)
     sxx = float(np.dot(xd, xd))
     syy = float(np.dot(yd, yd))
     slope = float(np.dot(xd, yd)) / sxx
@@ -296,11 +287,7 @@ def alpha_beta(
     rp = _values(portfolio) - cfg.risk_free_daily
     rb = _values(benchmark) - cfg.risk_free_daily
     n = len(rp)
-    if n < 3:
-        raise DomainError(f"regression needs at least 3 observations, got {n}")
-    if np.all(rb == rb[0]):
-        raise UndefinedMetricError("zero benchmark variance")
-    bd = rb - rb.mean()
+    bd = _centered(rb, "regression", 3)  # the benchmark must vary
     var_b = float(np.dot(bd, bd)) / (n - 1)
     cov = float(np.dot(rp - rp.mean(), bd)) / (n - 1)
     beta = cov / var_b

@@ -97,11 +97,11 @@ class BacktestResult:
         return self.shares[:, lo:hi] * self.prices[:, lo:hi] / self.value[lo:hi]
 
 
-def _sum_left_to_right(v: np.ndarray) -> float:
-    # Every total adds its terms one after another in ticker order, as the
-    # ufunc behind np.cumsum does (called without np.cumsum's wrapper), so
-    # outputs never depend on a summation scheme such as np.sum's pairwise one.
-    return float(np.add.accumulate(v)[-1])
+def _sum_left_to_right(v: np.ndarray):
+    # Every total adds its terms one after another in ticker order, along
+    # axis 0, as the ufunc behind np.cumsum does for any shape, so outputs
+    # never depend on a summation scheme such as np.sum's pairwise one.
+    return np.add.accumulate(v, axis=0)[-1]
 
 
 def _sell_one(shares: np.ndarray, prices: np.ndarray, target: float) -> float:
@@ -217,13 +217,10 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
         shares[:, lo:hi] = held[:, None]
         cash[lo:hi] = balance
 
-    # the axis-0 reduction adds ticker rows one after another, in the same
-    # order as _sum_left_to_right, but over a single day it sums pairwise:
-    # so no block is one day long, the last taking in a lone last day
     value = np.empty(n_days)
-    edges = [*range(0, n_days - 1, max(2, BLOCK_CELLS // len(panel.tickers))), n_days]
-    for lo, hi in zip(edges, edges[1:]):
-        value[lo:hi] = np.add.reduce(shares[:, lo:hi] * prices[:, lo:hi], axis=0)
+    step = max(1, BLOCK_CELLS // len(panel.tickers))
+    for lo in range(0, n_days, step):
+        value[lo:lo + step] = _sum_left_to_right(shares[:, lo:lo + step] * prices[:, lo:lo + step])
     value += cash
 
     logger.debug(

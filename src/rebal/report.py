@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .metrics import METRIC_NAMES, TearSheet, box_plot_summary
 from .portfolio import BacktestResult
-from .returns import aggregate, simple_returns
+from .returns import FREQUENCIES, aggregate, simple_returns
 
 logger = logging.getLogger(__name__)
 
@@ -321,7 +321,7 @@ def emit_plot_data(
 
     daily = simple_returns(result.calendar, result.value)
     rows = []
-    for frequency in ("daily", "weekly", "monthly", "annual"):
+    for frequency in FREQUENCIES:
         series = daily if frequency == "daily" else aggregate(daily, frequency)
         for stat, value in zip(BOX_STATS, box_plot_summary(series)):
             rows.append((frequency, stat, value + 0.0))

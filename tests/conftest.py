@@ -11,10 +11,11 @@ from rebal.returns import ReturnSeries
 
 
 def huge_id(value):
-    """A test id for an int beyond float range, by its size rather than its
-    hundreds of digits; None, pytest's own id, for any other value."""
+    """A test id for an int beyond float range, by its size in bits rather
+    than its digits, which str() refuses past 4300; None, pytest's own id,
+    for any other value."""
     if isinstance(value, int) and abs(value) > 2 ** 1024:
-        return f"{'-' * (value < 0)}10**{len(str(abs(value))) - 1}"
+        return f"{'-' * (value < 0)}{value.bit_length()}-bit"
     return None
 
 

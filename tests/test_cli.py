@@ -554,6 +554,8 @@ class TestFileSystemFailures:
     file, write or final rename that fails fails its sector alone, rc 1."""
 
     @pytest.mark.parametrize("command, fault", [
+        ("backtest", "config is missing"),
+        ("validate", "config is missing"),
         ("backtest", "config is a directory"),
         ("validate", "config is a directory"),
         ("backtest", "manifest is missing"),
@@ -570,11 +572,14 @@ class TestFileSystemFailures:
         config = write_config(root, data_dir, [*manifests, *bad])
         if fault == "out_dir is a file":
             (root / "out").write_text("a file\n")
-        args = [command, "--config", str(root if fault == "config is a directory" else config)]
-        assert main(args) == 2
+        given = {"config is missing": root / "missing.json",
+                 "config is a directory": root}.get(fault, config)
+        assert main([command, "--config", str(given)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        if fault == "config is missing":
+            assert err.startswith("error: [Errno 2] ")
         if fault == "out_dir is a file":
             assert (root / "out").read_text() == "a file\n"
         else:
@@ -998,7 +1003,8 @@ class TestRunConfig:
         assert config.manifests == (nested / ".." / "m.json",)
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        # raised as it is, like any other config that cannot be read
+        with pytest.raises(FileNotFoundError):
             load_run_config(tmp_path / "nope.json")
 
 

@@ -208,7 +208,7 @@ class TestOnePassParsing:
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr("rebal.market_data.open", counting_open, raising=False)
-        parsed = {}
+        parsed = PriceCache()
         a = load_price_series(path, "AAA", parsed=parsed)
         b = load_price_series(path, "BBB", parsed=parsed)
         assert load_price_series(path, "AAA", parsed=parsed) is a
@@ -221,13 +221,13 @@ class TestOnePassParsing:
     def test_single_ticker_file_not_kept(self, tmp_path):
         path = write_csv(tmp_path / "AAA.csv",
                          ["2021-01-04,AAA,100.0", "2021-01-05,AAA,101.0"])
-        parsed = {}
+        parsed = PriceCache()
         assert len(load_price_series(path, "AAA", parsed=parsed)) == 2
         assert parsed == {}
 
     def test_bad_row_fails_only_its_ticker(self, tmp_path):
         path = write_csv(tmp_path / "prices.csv", self.LONG)
-        parsed = {}
+        parsed = PriceCache()
         with pytest.raises(ValidationError, match=r"prices\.csv:6: .*ZZZ"):
             load_price_series(path, "ZZZ", parsed=parsed)
         assert load_price_series(path, "AAA", parsed=parsed).prices.tolist() == [100.0, 101.0]
@@ -243,7 +243,7 @@ class TestOnePassParsing:
             "2021-01-06,BBB,52.0,extra",    # line 7: ragged row
             "2021-01-07,BBB,53.0",
         ])
-        parsed = {}
+        parsed = PriceCache()
         with pytest.raises(ValidationError, match=r"prices\.csv:5: .*AAA"):
             load_price_series(path, "AAA", parsed=parsed)
         for ticker in ("BBB", "ONE", "MISSING"):
@@ -255,7 +255,7 @@ class TestOnePassParsing:
         # the row on lines 2-3 is record 2, so the row on line 4 is record 3
         path = tmp_path / "prices.csv"
         path.write_bytes(b'date,ticker,adj_close\n2021-01-04,"A\nB",-1\n2021-01-05,AAA,-1\n')
-        parsed = {}
+        parsed = PriceCache()
         with pytest.raises(ValidationError, match=r"prices\.csv:4: non-positive price -1 for AAA"):
             load_price_series(path, "AAA", parsed=parsed)
         with pytest.raises(ValidationError, match=r"prices\.csv:2: non-positive price -1 for A"):
@@ -263,7 +263,7 @@ class TestOnePassParsing:
 
     def test_bad_header_fails_every_ticker(self, tmp_path):
         path = write_csv(tmp_path / "prices.csv", self.LONG, header="day,symbol,close")
-        parsed = {}
+        parsed = PriceCache()
         for ticker in ("AAA", "BBB"):
             with pytest.raises(ParseError, match=r"prices\.csv:1: bad header"):
                 load_price_series(path, ticker, parsed=parsed)
@@ -411,7 +411,7 @@ def test_synthetic_files_take_the_array_read(tmp_path, monkeypatch):
         raise AssertionError(f"{path} went to the row loop")
 
     monkeypatch.setattr(rebal.market_data, "_read_rows", row_loop)
-    parsed = {}
+    parsed = PriceCache()
     for ticker in tickers:
         series = load_price_series(data_dir / f"{ticker}.csv", ticker)
         assert len(series) == len(business_days(date(2021, 1, 4), date(2021, 6, 30)))
@@ -447,7 +447,7 @@ class TestSharedCalendar:
         if bad:
             rows.append("2021-01-06,ZZZ,-1")
         path = write_csv(tmp_path / "prices.csv", sorted(rows))
-        parsed = {}
+        parsed = PriceCache()
         a, b = (load_price_series(path, t, parsed=parsed) for t in ("AAA", "BBB"))
         assert b.dates is a.dates
 
@@ -515,9 +515,9 @@ class TestDateColumnReuse:
 
     def test_no_cache_no_reuse(self, tmp_path, decodes):
         days = self.days(date(2013, 1, 1), date(2013, 1, 31))
-        for parsed in (None, {}, {}):
+        for _ in range(3):  # each call without a cache decodes on its own
             path = write_csv(tmp_path / "AAA.csv", self.rows("AAA", days))
-            load_price_series(path, "AAA", parsed=parsed)
+            load_price_series(path, "AAA", parsed=None)
         assert decodes == [len(days)] * 3
 
 

@@ -297,6 +297,33 @@ class TestStability:
             stability(daily_series([0.0, 0.0, 0.0]))
 
 
+class TestSampleRule:
+    """Skewness, kurtosis, stability and the regression each need at least n
+    values, not all equal, by one rule."""
+
+    @pytest.mark.parametrize("statistic, least, what, names", [
+        (lambda p, b: skewness(p), 3, "skewness", ["skewness"]),
+        (lambda p, b: kurtosis(p), 4, "kurtosis", ["kurtosis"]),
+        (lambda p, b: stability(p), 3, "stability", ["stability"]),
+        (lambda p, b: alpha_beta(p, b, CFG), 3, "regression", ["alpha", "beta"]),
+    ], ids=["skewness", "kurtosis", "stability", "alpha_beta"])
+    def test_too_few_values_or_all_equal(self, rng, statistic, least, what, names):
+        # fewer than ``least`` values is a domain error, worded alike in each
+        # statistic; a constant sample (the regression's is the benchmark)
+        # makes the statistic not computable
+        for n in range(1, least):
+            short = daily_series(random_returns(rng, n))
+            with pytest.raises(DomainError,
+                               match=f"^{what} needs at least {least} observations, got {n}$"):
+                statistic(short, short)
+        enough = daily_series(random_returns(rng, least))
+        statistic(enough, enough)
+        flat, varied = daily_series([0.0] * 30), daily_series(random_returns(rng, 30))
+        portfolio, benchmark = (varied, flat) if what == "regression" else (flat, varied)
+        sheet = tear_sheet(portfolio, benchmark, CFG)
+        assert [getattr(sheet, name) for name in names] == [None] * len(names)
+
+
 class TestDailyVar:
     def test_worst_five_percent_block(self):
         # ten copies of -2% at the bottom, so the 5th percentile sits flat
@@ -573,6 +600,7 @@ class TestMetricConfig:
         ("periods_per_year", 0, "periods_per_year must be a positive integer, got 0"),
         ("periods_per_year", True, "periods_per_year must be a positive integer, got True"),
         ("periods_per_year", 10**400, "periods_per_year must be a positive integer, got 1000"),
+        ("var_cutoff", 10**5000, "var_cutoff must be a finite number, got <int too long"),
         ("var_cutoff", "x", "var_cutoff must be a finite number, got 'x'"),
         ("risk_free_rate_annual", "x", "risk_free_rate_annual must be a finite number, got 'x'"),
         ("omega_threshold_daily", None, "omega_threshold_daily must be a finite number, got None"),

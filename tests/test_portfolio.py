@@ -449,10 +449,11 @@ class TestMatchesDictEngine:
             capital = float(np.exp(rng.uniform(np.log(50.0), np.log(1e6))))
             self.assert_same(panel, capital, frequency, cost_rate)
 
-    @pytest.mark.parametrize("step", [2, 7])
-    def test_value_blocks_never_sum_one_day_alone(self, monkeypatch, step):
-        # blocks of `step` days would leave the last of 8 * step + 1 days
-        # alone, and np.add.reduce sums one day's 40 holdings pairwise
+    @pytest.mark.parametrize("step", [1, 2, 7])
+    def test_value_blocks_of_any_length_sum_left_to_right(self, monkeypatch, step):
+        # blocks of `step` days leave the last of 8 * step + 1 days alone, and
+        # step 1 makes every block one day: each day's 40 holdings still add
+        # left to right, whatever the length of the block they are summed in
         monkeypatch.setattr(rebal.portfolio, "BLOCK_CELLS", 40 * step)
         rng = np.random.default_rng(11)
         for _ in range(4):
