@@ -66,6 +66,10 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _positive_finite(values: np.ndarray, axis=None):  # along axis; a NaN fails both bounds
+    return (values.min(axis) > 0.0) & (values.max(axis) < np.inf)
+
+
 def _check_increasing(days: np.ndarray, error, what: str) -> None:
     """Raise ``error`` naming the first day not after its predecessor."""
     bad = np.flatnonzero(np.diff(days) <= 0)
@@ -103,7 +107,7 @@ class PriceSeries(_ArrayRecord):
                 f"{self.ticker}: need at least 2 observations, got {len(self.dates)}"
             )
         _check_increasing(self.dates, ValidationError, f"{self.ticker}: dates")
-        if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
+        if not _positive_finite(self.prices):
             raise ValidationError(f"{self.ticker}: prices must be positive and finite")
 
     def __len__(self) -> int:
@@ -162,12 +166,12 @@ class PricePanel(_ArrayRecord):
         if self.prices.shape != (len(self.tickers), n):
             raise ValidationError(
                 f"prices shape {self.prices.shape} != ({len(self.tickers)}, {n})")
-        bad = ~(np.isfinite(self.prices) & (self.prices > 0.0)).all(axis=1)
-        if bad.any():
-            raise ValidationError(f"{self.tickers[bad.argmax()]!r} has non-positive prices")
+        good = _positive_finite(self.prices, 1)  # per row: no tickers x days copy
+        if not good.all():
+            raise ValidationError(f"{self.tickers[good.argmin()]!r} has non-positive prices")
         if len(self.benchmark) != n:
             raise ValidationError("benchmark length does not match calendar")
-        if not np.all(np.isfinite(self.benchmark)) or np.any(self.benchmark <= 0.0):
+        if not _positive_finite(self.benchmark):
             raise ValidationError("benchmark has non-positive prices")
 
     def __len__(self) -> int:
@@ -294,7 +298,7 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
             cache.dates = (_frozen(words[:, :2].copy(), np.uint64), days)
     tickers, prices = cells["ticker"], cells["price"]
     if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
-            or not ((prices > 0.0) & (prices < np.inf)).all()):
+            or not _positive_finite(prices)):
         raise ValueError("a cut cell or a price that is not positive and finite")
     if one_ticker:
         distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)

@@ -101,14 +101,12 @@ def _values(returns: ReturnSeries) -> np.ndarray:
     return returns.values
 
 
-def _sample_std(x: np.ndarray) -> float:
-    if len(x) < 2:
-        raise DomainError(f"need at least 2 observations, got {len(x)}")
-    # a constant sample has zero dispersion by definition; computing it
-    # numerically would leave ~1e-18 of rounding residue
-    if np.all(x == x[0]):
+def _sample_std(x: np.ndarray, what: str) -> float:
+    try:  # np.std(x, ddof=1) to the bit, but 0.0, not ~1e-18, for a constant sample
+        d = _centered(x, what, 2)
+    except UndefinedMetricError:
         return 0.0
-    return float(np.std(x, ddof=1))
+    return math.sqrt(float(np.sum(d * d)) / (len(d) - 1))
 
 
 def cagr(initial: float, final: float, years: float) -> float:
@@ -140,7 +138,7 @@ def annual_return(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> 
 
 def annual_volatility(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Sample standard deviation of returns scaled by sqrt(periods)."""
-    return _sample_std(_values(returns)) * math.sqrt(cfg.periods_per_year)
+    return _sample_std(_values(returns), "annual_volatility") * math.sqrt(cfg.periods_per_year)
 
 
 def max_drawdown(wealth) -> float:
@@ -176,7 +174,7 @@ def _wealth(r: np.ndarray) -> np.ndarray:
 def sharpe(returns: ReturnSeries, cfg: MetricConfig = MetricConfig()) -> float:
     """Annualized mean excess return over its sample standard deviation."""
     r = _values(returns) - cfg.risk_free_daily
-    sd = _sample_std(r)
+    sd = _sample_std(r, "sharpe")
     return _ratio(float(np.mean(r)), sd, "standard deviation") * math.sqrt(cfg.periods_per_year)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationError, DomainError, InsolvencyError, describe, require_number
-from .market_data import DAY, PricePanel
+from .market_data import DAY, PricePanel, _positive_finite
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +137,7 @@ def allocate(
     not charged.  Returns (int64 share counts, cash).
     """
     prices = np.asarray(prices, dtype=np.float64)
-    if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
+    if not _positive_finite(prices):
         raise AllocationError(f"non-positive price in {prices.tolist()}")
     return _allocate(prices, prices.min(), target, total, held, cost_rate)
 

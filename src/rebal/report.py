@@ -39,7 +39,7 @@ from .returns import FREQUENCIES, aggregate, simple_returns
 logger = logging.getLogger(__name__)
 
 BOX_STATS = ("min", "q1", "median", "q3", "max")
-ROW_BLOCK = 128  # lines per block in which a plot file is re-read, and at most written
+ROW_BLOCK = 128  # most lines of a plot file written, or re-read, at a time
 NUMBER = "%.12g"  # every float cell, of x + 0.0 so that -0.0 prints as 0
 
 PLOT_LAYOUT = {
@@ -161,17 +161,22 @@ def _write_table(path: Path, header: list[str], rows) -> None:
 def _digit_words() -> np.ndarray:
     """The four digits of 0..9999 as uint32 words of text, spelt three ways in
     turn: zero-padded, trailing zeros as NUL, leading zeros but the last as NUL."""
-    n = np.arange(10_000, dtype=np.int32)
-    digits = np.stack([n // p % 10 + 48 for p in (1000, 100, 10, 1)], axis=1).astype(np.uint8)
-    trail = np.stack([n % p != 0 for p in (10_000, 1000, 100, 10)], axis=1)
-    lead = np.stack([n >= p for p in (1000, 100, 10, 0)], axis=1)
-    return np.concatenate([digits, digits * trail, digits * lead]).view(np.uint32)[:, 0]
+    words = np.empty((3, 10, 10, 10, 10, 4), np.uint8)  # spelling, the digits of n, byte
+    for k in range(4):  # digit k, then NUL where digits k.. or ..k are all 0, but 0 keeps one
+        words[..., k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+        words[(1, *(slice(None),) * k, *(0,) * (4 - k), k)] = 0
+        words[(2, *(0,) * (k + 1), *(slice(None),) * (3 - k), k)] = 48 * (k == 3)
+    return words.view(np.uint32).reshape(-1)
 
 
 _WORDS = _digit_words()
 _TRAIL, _LEAD = 10_000, 20_000  # where _WORDS's second and third spellings start
 _POW10 = np.array([float(10 ** k) for k in range(17)])  # exact doubles
-CHUNK_CELLS = 8192  # most cells of shares or weights encoded at a time
+CHUNK_CELLS = 8192  # most cells of shares or weights encoded, or re-read, at a time
+
+
+def _block_lines(numeric: int) -> int:  # lines of numeric numbers written or re-read at a time
+    return max(1, min(ROW_BLOCK, CHUNK_CELLS // numeric))
 
 
 def _count_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -221,14 +226,13 @@ def _write_matrix(path: Path, header: list[str], days: np.ndarray, columns) -> N
     kernel writes; 20 bytes hold any NUMBER, 24 bytes "," and any "%d"."""
     cell = PLOT_LAYOUT[path.stem][1]
     encode, cell_words = (_count_cells, 3) if cell == "%d" else (_fraction_cells, 5)
-    width = len(header) - 1  # tickers
-    step = max(1, min(ROW_BLOCK, CHUNK_CELLS // width))  # days per chunk
+    step = _block_lines(len(header) - 1)  # days per chunk, of one cell per ticker
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="").writerow(header)  # ended by the first row
         fh.flush()
         for lo in range(0, len(days), step):
             block = np.ascontiguousarray(columns(lo, lo + step).T)
-            lines = np.zeros((len(block), width + 1, cell_words), np.uint32)
+            lines = np.zeros((len(block), len(header), cell_words), np.uint32)
             slow = ~encode(block, lines[:, 1:])
             # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0
             text = [("," + cell % x).encode() for x in (block[slow] + 0).tolist()]
@@ -245,14 +249,16 @@ def reparse_table(kind: str, path: Path) -> None:
     ASCII, has the header's column count and every numeric cell parses as a
     finite float, or as an int64 integer where the file's cells are ``%d``.
 
-    The body is parsed ``ROW_BLOCK`` lines at a time.  A block with a blank
-    or non-ASCII line, a malformed row or a non-finite cell is checked again
-    line by line, by the same rule, and its first faulty line is the error,
-    named path:line; so the file's first faulty line wins, whatever its fault.
+    The body is read as bytes, ``_block_lines`` lines at a time, each ended
+    where text mode ends it.  A block with a blank or non-ASCII line, a
+    malformed row or a non-finite cell is checked again line by line, by the
+    same rule; its first faulty line, so the file's first, is the error, named path:line.
     """
     head, cell, tail = PLOT_LAYOUT[kind]
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        above: list[bytes] = []  # the header's lines, ended as text mode ends them
+        reader = csv.reader(above.append(text) or text.decode("utf-8", "surrogateescape")
+                            for raw in fh for text in raw.splitlines(True))
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{kind} file is empty", path)
@@ -264,11 +270,10 @@ def reparse_table(kind: str, path: Path) -> None:
         dtype = strings[:head] + [("numbers", number, (numeric,))] + strings[head:]
         options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
-        def fault(lines: list[str]) -> str | None:
-            """What is wrong with ``lines``, if anything."""
-            if not all(text.rstrip("\r\n") for text in lines):
+        def fault(lines: list[bytes]) -> str | None:
+            if not all(text.rstrip(b"\r\n") for text in lines):
                 return f"blank line in {kind} file"
-            if not all(map(str.isascii, lines)):  # bytes that are not UTF-8 read as surrogates
+            if not all(map(bytes.isascii, lines)):
                 return f"non-ASCII text in {kind} file"
             try:
                 numbers = np.loadtxt(lines, **options)["numbers"]
@@ -277,9 +282,11 @@ def reparse_table(kind: str, path: Path) -> None:
             bad = numbers[~np.isfinite(numbers)]  # in file order
             return f"not a finite number: {str(bad[0])!r}" if bad.size else None
 
+        fh.seek(sum(map(len, above)))  # a raw line may hold the header's end and more
         first = line = reader.line_num + 1
-        while block := list(itertools.islice(fh, ROW_BLOCK)):
-            if fault(block):
+        while block := list(itertools.islice(fh, _block_lines(numeric))):
+            if fault(block):  # so is a line with a lone CR: np.loadtxt sees a line break in it
+                block = [text for raw in block for text in raw.splitlines(True)]
                 for i, text in enumerate(block):
                     if message := fault([text]):
                         raise ParseError(message, path, line + i)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WindowError, describe
-from .market_data import DAY, _ArrayRecord, _check_increasing, _frozen
+from .market_data import DAY, _ArrayRecord, _check_increasing, _frozen, _positive_finite
 
 FREQUENCIES = ("daily", "weekly", "monthly", "annual")
 
@@ -51,7 +51,7 @@ def simple_returns(dates, values) -> ReturnSeries:
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
         raise DomainError(f"need at least 2 values, got {len(values)}")
-    if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+    if not _positive_finite(values):
         raise DomainError("values must be positive and finite")
     r = values[1:] / values[:-1] - 1.0
     return ReturnSeries(dates[1:], r)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import parse_oracle
 import rebal.market_data
-from rebal.errors import AlignmentError, ParseError, RebalError, ValidationError, WindowError
+from rebal.errors import (AlignmentError, AllocationError, DomainError, ParseError, RebalError,
+                          ValidationError, WindowError)
 from rebal.market_data import (
     _CELLS,
     PriceCache,
@@ -26,6 +27,8 @@ from rebal.market_data import (
     load_price_series,
     load_sector_manifest,
 )
+from rebal.portfolio import allocate
+from rebal.returns import simple_returns
 from rebal.synthetic import business_days, generate_universe
 
 from conftest import trading_days
@@ -107,6 +110,35 @@ class TestLoadPriceSeries:
     def test_constructors_check_their_invariants(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build(trading_days(3))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_one_positive_and_finite_rule(self, tmp_path, bad):
+        # six checks state it, each with its own message; a panel names its
+        # first bad ticker, and a clean file with a bad price is read again
+        # by rows, whose message names the line
+        days, values = trading_days(3), [1.0, bad, 2.0]
+        for build, error, message in [
+            (lambda: PriceSeries("AAA", days, values), ValidationError,
+             "AAA: prices must be positive and finite"),
+            (lambda: PricePanel(days, ("AAA", "BBB", "CCC"), [[1.0] * 3, values, values],
+                                [1.0] * 3), ValidationError, "'BBB' has non-positive prices"),
+            (lambda: PricePanel(days, ("AAA",), [[1.0] * 3], values), ValidationError,
+             "benchmark has non-positive prices"),
+            (lambda: allocate(values, 10.0, 30.0), AllocationError,
+             f"non-positive price in {values}"),
+            (lambda: simple_returns(days, values), DomainError,
+             "values must be positive and finite"),
+        ]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build()
+        path = write_csv(tmp_path / "AAA.csv", [f"2021-01-0{4 + i},AAA,{v}"
+                                                for i, v in enumerate(values)])
+        with open(path) as fh, pytest.raises(ValueError, match="^a cut cell or a price"):
+            next(fh)
+            rebal.market_data._read_cells(fh, PriceCache())
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{path}:3: non-positive price {bad} for AAA')}$"):
+            load_price_series(path, "AAA")
 
     def test_malformed_rows_report_line_numbers(self, tmp_path):
         bad_date = write_csv(tmp_path / "d.csv",
@@ -714,6 +746,23 @@ class TestClipPanel:
         a, b = panel.calendar[2], panel.calendar[7]
         once = clip_panel(panel, a, b)
         assert clip_panel(once, a, b) == once
+
+    def test_price_checks_copy_no_matrix(self):
+        """Building and clipping a 200 x 1000 panel checks its prices a row
+        at a time: no tickers x days masks, which took 37% of the matrix."""
+        rng = np.random.default_rng(4)
+        days = np.datetime64("2010-01-01") + np.arange(1000)
+        prices = rng.uniform(10.0, 20.0, (201, 1000))
+        tickers = tuple(f"T{i:03d}" for i in range(200))
+        tracemalloc.start()
+        try:
+            panel = PricePanel(days, tickers, prices[:-1], prices[-1])
+            clipped = clip_panel(panel, days[1], days[-2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clipped.prices.shape == (200, 998)
+        assert peak < 0.05 * panel.prices.nbytes, peak / panel.prices.nbytes
 
     def test_panel_arrays_are_immutable(self):
         panel = self.make_panel()

@@ -323,6 +323,22 @@ class TestSampleRule:
         sheet = tear_sheet(portfolio, benchmark, CFG)
         assert [getattr(sheet, name) for name in names] == [None] * len(names)
 
+    @pytest.mark.parametrize("statistic, what", [
+        (lambda r: sharpe(r, CFG), "sharpe"),
+        (lambda r: annual_volatility(r, CFG), "annual_volatility"),
+    ], ids=["sharpe", "annual_volatility"])
+    def test_sample_deviation_names_its_statistic(self, statistic, what):
+        with pytest.raises(DomainError,
+                           match=f"^{what} needs at least 2 observations, got 1$"):
+            statistic(daily_series([0.01]))
+        # two equal values deviate by exactly 0.0, which leaves sharpe undefined
+        flat = daily_series([0.01, 0.01])
+        if what == "sharpe":
+            with pytest.raises(UndefinedMetricError, match="^zero standard deviation$"):
+                statistic(flat)
+        else:
+            assert statistic(flat) == 0.0
+
 
 class TestDailyVar:
     def test_worst_five_percent_block(self):

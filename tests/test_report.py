@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rebal.report
 from rebal.errors import ParseError, ValidationError
 from rebal.metrics import METRIC_NAMES, MetricConfig, TearSheet, box_plot_summary, tear_sheet
 from rebal.portfolio import RebalancePolicy, run_backtest
@@ -20,13 +22,16 @@ from rebal.report import (
     NUMBER,
     ROW_BLOCK,
     _count_cells,
+    _digit_words,
     _fraction_cells,
     emit_plot_data,
     export_tear_sheets,
     read_tear_sheets,
+    reparse_table,
 )
 from rebal.returns import aggregate, simple_returns
 from conftest import daily_series, random_returns, with_weight_cells
+from test_cli import damage
 from test_portfolio import make_panel
 
 CFG = MetricConfig()
@@ -448,3 +453,121 @@ class TestEmitPlotData:
         panel, result, bench = self.run_small_backtest(rng)
         with pytest.raises(ValidationError):
             emit_plot_data(result, bench[:-1], panel.calendar[2], tmp_path)
+
+
+def test_digit_words_spell_the_printed_digits():
+    """The table holds each of 0..9999 zero-padded, with trailing zeros as
+    NUL and with leading zeros but the last as NUL, built in place."""
+    tracemalloc.start()
+    try:
+        words = _digit_words()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = ["%04d" % n for n in range(10_000)]
+    spellings = (padded, [p.rstrip("0").ljust(4, "\0") for p in padded],
+                 [str(n).rjust(4, "\0") for n in range(10_000)])
+    assert words.dtype == np.uint32 and words.shape == (30_000,)
+    assert words.tobytes() == "".join(map("".join, spellings)).encode()
+    assert peak < 2 * words.nbytes, peak / words.nbytes
+
+
+def test_reparse_of_a_wide_table_holds_about_one_chunk(tmp_path):
+    """A 300-ticker weights table is re-read CHUNK_CELLS cells at a time,
+    27 lines, not ROW_BLOCK lines, which traced 1.34 MB on panel_daily."""
+    rng = np.random.default_rng(8)
+    days = np.datetime_as_string(np.datetime64("2013-01-01") + np.arange(200)).tolist()
+    rows = rng.uniform(1e-3, 5e-3, (200, 300)).tolist()
+    path = tmp_path / "weights.csv"
+    path.write_text("date," + ",".join(f"T{i:03d}" for i in range(300)) + "\n" + "".join(
+        day + "".join("," + NUMBER % w for w in row) + "\n" for day, row in zip(days, rows)))
+    tracemalloc.start()
+    try:
+        reparse_table("weights", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+
+
+class TestReparseInChunks:
+    """Verify re-reads a plot table in the blocks the writer encodes it in:
+    with CHUNK_CELLS at 8, four lines of a two-ticker table."""
+
+    @pytest.fixture
+    def files(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(rebal.report, "CHUNK_CELLS", 8)
+        panel, result, bench = TestEmitPlotData().run_small_backtest(rng, n=40)
+        split = panel.calendar[20].item()
+        manifest = emit_plot_data(result, bench, split, tmp_path / "new")
+        old_emit_plot_data(result, bench, split, tmp_path / "old")
+        for kind, path in manifest.items():  # four days a chunk write the same bytes
+            assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), kind
+        return manifest
+
+    def damaged(self, path, *faults):
+        """Write ``path`` back with each (how, at) of ``faults``, the later ones first."""
+        lines = path.read_text().splitlines()
+        for how, at in sorted(faults, key=lambda fault: -fault[1]):
+            damage(lines, 1, how, at)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_blocks_hold_at_most_chunk_cells(self, files, monkeypatch):
+        cells = {}
+        real = np.loadtxt
+
+        def counting(lines, **options):
+            parsed = real(lines, **options)
+            cells.setdefault(kind, []).append(parsed["numbers"].size)
+            return parsed
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        for kind, path in files.items():
+            reparse_table(kind, path)
+        # 40 days of two numbers, and 20 summary lines of one
+        assert cells == {"shares": [8] * 10, "weights": [8] * 10, "cumulative": [8] * 10,
+                         "distributions": [8, 8, 4]}
+
+    @pytest.mark.parametrize("kind", ["shares", "weights", "cumulative"])
+    @pytest.mark.parametrize("how", ["nan", "blank line", "short row"])
+    def test_faults_either_side_of_a_block_boundary_name_their_lines(self, files, kind, how):
+        # lines 2-5, 6-9 and 10-13 are blocks: line 9 ends one, line 10 starts the next
+        clean = files[kind].read_text()
+        for ats in ([8, 9], [9]):
+            files[kind].write_text(clean)
+            path = self.damaged(files[kind], *[(how, at) for at in ats])
+            with pytest.raises(ParseError, match=re.escape(f"{path}:{ats[0] + 1}: ")) as caught:
+                reparse_table(kind, path)
+            assert caught.value.line == ats[0] + 1
+
+    @pytest.mark.parametrize("early, late", [
+        (("nan", 2), ("long row", 30)),       # blocks apart
+        (("nan", 5), ("blank line", 6)),      # one block, the later fault checked first
+        (("long row", 8), ("nan", 9)),        # either side of a boundary
+        (("short row", 12), ("long row", 13)),
+    ])
+    def test_earliest_fault_wins(self, files, early, late):
+        path = self.damaged(files["weights"], early, late)
+        message = {"nan": "not a finite number", "long row": "malformed weights file",
+                   "short row": "malformed weights file"}[early[0]]
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{early[1] + 1}: {message}")):
+            reparse_table("weights", path)
+
+    @pytest.mark.parametrize("body, line, message", [
+        # text mode ends a line at a lone CR too, so the line after it is its
+        # own: the header's quoted name ends line 2, and a CR ends the header
+        (b"2021-01-04,0.5\r,0.5\n", 4,
+         "malformed weights file: the dtype passed requires 3 columns but 2 were found"),
+        (b"2021-01-04,0.5,0.5\r\r\n", 5, "blank line in weights file"),
+        (b"2021-01-04,0.5,0.5\r2021-01-05,0.5,0.5\n2021-01-06,nan,0.5\n", 6,
+         "not a finite number: 'nan'"),
+        (b"2021-01-04,0.5,0.5\r\n2021-01-05,0.5,0.5\r\n2021-01-06,0.5,inf\r\n", 6,
+         "not a finite number: 'inf'"),
+        (b"2021-01-04,0.5,0.\xff5\n", 4, "non-ASCII text in weights file"),
+    ], ids=["lone CR in a row", "CR CR LF", "lone CR between rows", "CRLF", "not UTF-8"])
+    def test_line_ends_and_bytes_as_text_mode_reads_them(self, tmp_path, body, line, message):
+        path = tmp_path / "weights.csv"
+        path.write_bytes(b'date,A,"B\rB"\r2021-01-01,0.5,0.5\n' + body)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{line}: {message}')}$"):
+            reparse_table("weights", path)
