@@ -13,11 +13,13 @@ date is exactly YYYY-MM-DD in ASCII digits and names a real day; a price
 is a positive, finite ASCII decimal as float() reads it, without "_".
 UTF-8 with LF, CRLF or CR line ends; bytes that are not UTF-8 make a bad
 date or price, or in a ticker cell stop the file like a ragged row, as a
-NUL character does.  Manifest tickers must be plain file names.  One
-np.loadtxt call reads a clean file (ASCII, unquoted, every row good); any
-other file is read again, a csv row at a time, to the same result.  A run's
-PriceCache keeps the last one-ticker file's date column decoded, and a file
-whose date cells are the same bytes shares those days instead of its own.
+NUL character does.  Manifest tickers must be plain file names.
+np.loadtxt reads a clean file (ASCII, unquoted, every row good): in one
+call up to 128 KiB, else in one call per 64 KiB block, of which each row
+leaves only a (ticker, day) key and a price.  Any other file is read again,
+a csv row at a time, to the same result.  A run's PriceCache keeps the last
+one-ticker file's date column decoded, and a file whose date cells are the
+same bytes shares those days instead of its own.
 
 Sector manifest schema (JSON):
 
@@ -38,9 +40,9 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, fields
 from datetime import date
@@ -211,6 +213,8 @@ _DATE_LOW = np.frombuffer(b"0000-00-00".ljust(16, b"\0"), dtype=np.uint8)
 _DATE_SPAN = np.frombuffer(b"\t\t\t\t\0\t\t\0\t\t".ljust(16, b"\0"), dtype=np.uint8)
 _EPOCH = date(1970, 1, 1)  # day 0 of datetime64
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_WHOLE = 1 << 17  # bytes: a price file at most this long is read in one call
+_BLOCK = 1 << 16  # characters of a longer price file read at a time
 
 
 def _iso_days(cells: np.ndarray) -> np.ndarray:
@@ -219,7 +223,11 @@ def _iso_days(cells: np.ndarray) -> np.ndarray:
         digits = cells[i:i + (1 << 13)].astype("S16").view(np.uint8).reshape(-1, 16)
         if ((digits - _DATE_LOW) > _DATE_SPAN).any():
             raise ValueError("a date cell that is not YYYY-MM-DD")
-    days = cells.astype(DAY)  # numpy rejects a month or day out of range
+    days = np.empty(len(cells), DAY)
+    # numpy rejects a month or day out of range, but it casts more than 500
+    # bytes cells without the GIL and crashes raising that error
+    for i in range(0, len(cells), 500):
+        days[i:i + 500] = cells[i:i + 500]
     if days.min() < np.datetime64("0001-01-01"):
         raise ValueError("a date in year 0")
     return days
@@ -243,14 +251,6 @@ def iso_day(text) -> np.datetime64:
     return np.datetime64(number, "D")
 
 
-def _lines(text: str):
-    """The lines of text, split 64 KiB at a time to bound memory."""
-    ends = [0]
-    while ends[-1] < len(text):
-        ends.append(text.find("\n", ends[-1] + (1 << 16)) + 1 or len(text))
-    return itertools.chain.from_iterable(text[i:j].split("\n") for i, j in zip(ends, ends[1:]))
-
-
 def _build(groups, calendar=None) -> dict[str, PriceSeries | RebalError]:
     """Each ``(ticker, days, prices)`` of ``groups`` as its series, or why it has none.
     A series on the last one's days, or the first on ``calendar``'s, takes that array."""
@@ -272,48 +272,113 @@ def _rows_equal(words: np.ndarray, like: np.ndarray) -> bool:
     return all((words[:, k] == like[..., k]).all() for k in (0, 1))
 
 
-def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
-    """Each ticker's series from one np.loadtxt call over the clean body in ``fh``.
+def _blocks(fh):
+    """The body left in ``fh`` as texts of whole lines: all of it in one read
+    if the file is at most ``_WHOLE`` bytes long, else a ``_BLOCK`` at a time,
+    each cut after its last line break.  ValueError for a block with none."""
+    if os.fstat(fh.fileno()).st_size <= _WHOLE:
+        yield fh.read()
+        return
+    text = ""
+    while block := fh.read(_BLOCK):
+        text += block
+        cut = text.rfind("\n") + 1  # the text before ``block`` holds no line break
+        if not cut:
+            raise ValueError("a block with no line break")
+        yield text[:cut]
+        text = text[cut:]
+    if text:
+        yield text
+
+
+def _clean_cells(text: str) -> np.ndarray:
+    """The rows of one block of a clean body, or ValueError if it is not clean.
 
     A clean body is ASCII with no quote or NUL, and each of its lines is
-    empty or a row with no cut cell, a valid date, a positive finite price
-    and a (ticker, day) of its own, so no row has an error to report.
-    Raises ValueError for any other body.  A series on the date column's days
-    takes that array, from ``cache`` if it holds those cells.
+    empty or a row with no cut cell and a positive finite price.
     """
-    text = fh.read()
     if not text.isascii() or '"' in text or "\0" in text or "," not in text:
         raise ValueError("not an ASCII body of unquoted rows")
     # a ragged row, a bad price or a line of spaces raises ValueError here
-    cells = np.loadtxt(_lines(text), dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
-    del text  # before the temporaries below: it is as large as a long file
-    words = cells.view(np.uint64).reshape(len(cells), -1)  # date 0-1, ticker 2-3, price 4
-    one_ticker = _rows_equal(words[:, 2:4], words[0, 2:4])  # the usual layout
-    last = cache.dates  # read once: it is replaced whole
-    if last is not None and len(last[0]) == len(words) and _rows_equal(words[:, :2], last[0]):
-        days = last[1]
-    else:
-        days = _frozen(_iso_days(cells["date"]), DAY)  # a bad date raises ValueError here
-        if one_ticker:
-            cache.dates = (_frozen(words[:, :2].copy(), np.uint64), days)
-    tickers, prices = cells["ticker"], cells["price"]
+    cells = np.loadtxt(text.split("\n"), dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
     if (cells.view(np.uint8).reshape(len(cells), -1)[:, _CELL_ENDS].any()
-            or not _positive_finite(prices)):
+            or not _positive_finite(cells["price"])):
         raise ValueError("a cut cell or a price that is not positive and finite")
-    if one_ticker:
-        distinct, group = tickers[:1], np.zeros(len(tickers), dtype=np.intp)
+    return cells
+
+
+def _ticker_ids(cells: np.ndarray, ids: dict[str, int]) -> np.ndarray:
+    """Each row's ticker id in ``ids``, which gives a new name the next id.
+    Rows are told apart by their ticker cell's two uint64 words."""
+    pairs = cells.view(np.uint64).reshape(len(cells), -1)[:, 2:4]
+    if _rows_equal(pairs, pairs[0]):  # the usual layout
+        first, group = [0], np.zeros(len(pairs), dtype=np.intp)
     else:
-        distinct, group = np.unique(tickers, return_inverse=True)
-    ids: dict[str, int] = {}  # cells that differ only in padding name one ticker
-    tid = np.array([ids.setdefault(c.decode().strip(), len(ids)) for c in distinct])[group]
-    # Rows by ticker and day, as a day ordinal: from 1 to below 2**22.
-    key = (tid.astype(np.int64) << 22) + (days.view(np.int64) + _EPOCH.toordinal())
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        ranked = pairs[order]
+        new = np.r_[True, (ranked[1:] != ranked[:-1]).any(1)]
+        first, group = order[new], np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+    # cells that differ only in padding name one ticker
+    return np.array([ids.setdefault(c.decode().strip(), len(ids))
+                     for c in cells["ticker"][first]])[group]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
+    """Each ticker's series from the clean body in ``fh``, read by one
+    np.loadtxt call per ``_blocks`` block.
+
+    A clean body is clean in each block, by ``_clean_cells``, with a valid
+    date and a (ticker, day) of its own on each row, so no row has an error
+    to report.  Raises ValueError for any other body.  Of a block only a
+    (ticker, day) key and a price per row outlive it, and its date cells and
+    days while one ticker fills the file.  A block whose date cells ``cache``
+    holds at its rows takes those days, and a one-ticker file held whole
+    takes the cached array.
+    """
+    known, decoded = cache.dates or (np.empty((0, 2), np.uint64), None)  # replaced whole
+    ids: dict[str, int] = {}
+    keys, prices, date_cells, days = [], [], [], []  # per block; the last two for one ticker
+    done = shared = 0  # rows read, and rows whose days came from the cache
+    for cells in map(_clean_cells, _blocks(fh)):
+        words = cells.view(np.uint64).reshape(len(cells), -1)[:, :2]  # the date cells
+        seen = known[done:done + len(cells)]
+        if len(seen) == len(cells) and _rows_equal(words, seen):
+            day, shared = decoded[done:done + len(cells)], shared + len(cells)
+        else:
+            day, seen = _iso_days(cells["date"]), words.copy()  # a bad date raises ValueError
+        # rows by ticker and day, as a day ordinal: from 1 to below 2**22
+        keys.append((_ticker_ids(cells, ids) << 22) + (day.view(np.int64) + _EPOCH.toordinal()))
+        prices.append(cells["price"].copy())
+        if len(ids) == 1:
+            date_cells.append(seen)
+            days.append(day)
+        else:
+            date_cells, days = [], []
+        done += len(cells)
+        del cells, words, seen, day  # before the next block is read
+    key = _joined(keys)
+    del keys  # before the prices are joined
+    prices = _joined(prices)
+    calendar = None
+    if len(ids) == 1 and shared == done == len(known):
+        calendar = decoded
+    elif len(ids) == 1:
+        calendar = _frozen(_joined(days), DAY)
+        cache.dates = (_frozen(_joined(date_cells), np.uint64), calendar)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    if not np.diff(key).all():
+    if not (key[1:] > key[:-1]).all():
         raise ValueError("a repeated (ticker, day)")
-    groups = np.split(order, np.flatnonzero(np.diff(key >> 22)) + 1)  # one per id, in order
-    return _build(((name, days[rows], prices[rows]) for name, rows in zip(ids, groups)), days)
+    starts = np.searchsorted(key, np.arange(len(ids) + 1) << 22)  # each id's first row, the end
+    key &= (1 << 22) - 1  # now each row's day, as days since 1970-01-01
+    key -= _EPOCH.toordinal()
+    return _build(((name, key[lo:hi], prices[order[lo:hi]])
+                   for name, lo, hi in zip(ids, starts, starts[1:])), calendar)
 
 
 def _read_rows(rows, path: Path) -> _PriceFile:

@@ -172,75 +172,104 @@ def _digit_words() -> np.ndarray:
 _WORDS = _digit_words()
 _TRAIL, _LEAD = 10_000, 20_000  # where _WORDS's second and third spellings start
 _POW10 = np.array([float(10 ** k) for k in range(17)])  # exact doubles
-CHUNK_CELLS = 8192  # most cells of shares or weights encoded, or re-read, at a time
+CHUNK_CELLS = 4096  # most cells of shares or weights encoded, or re-read, at a time
 
 
 def _block_lines(numeric: int) -> int:  # lines of numeric numbers written or re-read at a time
     return max(1, min(ROW_BLOCK, CHUNK_CELLS // numeric))
 
 
-def _count_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _count_cells(values: np.ndarray, words: np.ndarray, work=None) -> np.ndarray:
     """Write "," and ``"%d"`` of each value in [0, 10**8) into its cell of
-    ``words`` (uint32 text, NUL-padded); return the mask of those cells."""
+    ``words`` (uint32 text, NUL-padded); return the mask of those cells.
+    ``work`` is two float64 arrays shaped as ``values``, or None for new ones."""
+    high, low = (np.empty((2,) + values.shape) if work is None else work).view(np.int64)
     fast = (values >= 0) & (values < 10 ** 8)
-    high = values * fast // 10 ** 4
+    np.divmod(np.multiply(values, fast, out=low), 10 ** 4, out=(high, low))
+    no_high = high == 0
     words[..., 0] = np.frombuffer(b",\0\0\0", np.uint32)
-    words[..., 1] = _WORDS[np.where(high > 0, high + _LEAD, _TRAIL)]  # _TRAIL: no digits
-    words[..., 2] = _WORDS[values * fast - high * 10 ** 4 + _LEAD * (high == 0)]
+    np.add(high, _LEAD, out=high)
+    np.copyto(high, _TRAIL, where=no_high)  # no digits
+    words[..., 1] = _WORDS[high]
+    words[..., 2] = _WORDS[np.add(low, _LEAD, out=low, where=no_high)]
     return fast
 
 
-def _fraction_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _fraction_cells(values: np.ndarray, words: np.ndarray, work=None) -> np.ndarray:
     """As ``_count_cells``, for ``NUMBER`` of the values in [1e-4, 1) that array
     arithmetic gets exactly.  There ``%.12g`` is "0.", -e - 1 zeros and the
     digits of ``rint(x * 10**(11 - e))`` less trailing zeros, at the decade
     e = floor(log10(x)) in [-4, -1].  The power of ten is exact and the product
     rounds once, by under 6.2e-5, so a cell leaves the fast path only within
     2.5e-4 of a tie, outside [1e11, 1e12) (log10 a decade off) or at 1."""
+    y, scratch = np.empty((2,) + values.shape) if work is None else work
     fast = (values >= 1e-4) & (values < 1.0)
-    x = np.where(fast, values, 0.5)
-    decade = np.floor(np.log10(x)).astype(np.int64)
-    y = x * _POW10[11 - decade]
-    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 2.5e-4)
+    np.copyto(y, 0.5)
+    np.copyto(y, values, where=fast)
+    decade = np.floor(np.log10(y, out=scratch), out=scratch).astype(np.int8)
+    y *= np.take(_POW10, 11 - decade, out=scratch, mode="wrap")
+    fast &= (y >= 1e11) & (y < 1e12)
+    np.subtract(y, np.floor(y, out=scratch), out=scratch)
+    fast &= np.abs(np.subtract(scratch, 0.5, out=scratch), out=scratch) > 2.5e-4
     # the fifteen fraction digits, 0 off the fast path (where decade + 4 may be
-    # -1); digits of 10**12 carry into the next decade, and to 1 at 10**15
-    fraction = (np.rint(y) * fast * _POW10[decade + 4]).astype(np.int64)
+    # -1, the last power); digits of 10**12 carry into the next decade, and to
+    # 1 at 10**15
+    np.rint(y, out=y)
+    y *= fast
+    y *= np.take(_POW10, decade + 4, out=scratch, mode="wrap")
+    fraction, group = scratch.view(np.int64), y.view(np.int64)
+    fraction[...] = y
     fast &= fraction < 10 ** 15
     words[..., 0] = np.frombuffer(b",0.\0", np.uint32)
     zeros_after = True
     for k in (4, 3, 2, 1):  # four words of four digits, the first a 0
-        fraction, group = np.divmod(fraction, 10 ** 4)
-        words[..., k] = _WORDS[group + _TRAIL * zeros_after]
-        zeros_after = zeros_after & (group == 0)
+        np.divmod(fraction, 10 ** 4, out=(fraction, group))
+        words[..., k] = _WORDS[np.add(group, _TRAIL, out=group, where=zeros_after)]
+        zeros_after = group == _TRAIL
     words[..., 1] &= np.frombuffer(b"\0\xff\xff\xff", np.uint32)  # drop that 0
     return fast
 
 
+def _text_lines(lines: int, cells: int, words: int):
+    """A zeroed (lines x cells x words) uint32 array and the bytearray under
+    it, which ``bytearray.translate`` reads without a copy."""
+    buffer = bytearray(4 * lines * cells * words)
+    return buffer, np.frombuffer(buffer, np.uint32).reshape(lines, cells, words)
+
+
 def _write_matrix(path: Path, header: list[str], days: np.ndarray, columns) -> None:
-    """Write the bytes ``_write_table`` would for ``days`` (``S11``, each a
-    line break and a date) and a tickers x days matrix whose days lo..hi-1
-    are ``columns(lo, hi)``: cells padded with NUL, which ``bytes.translate``
-    drops, filled by the file's array kernel at most ``ROW_BLOCK`` days and
-    ``CHUNK_CELLS`` cells at a time, and one at a time off its fast path.
-    With each line break in front of its row, a cell is only as wide as its
-    kernel writes; 20 bytes hold any NUMBER, 24 bytes "," and any "%d"."""
+    """Write the bytes ``_write_table`` would for ``days`` (``S10`` dates) and
+    a tickers x days matrix whose days lo..hi-1 are ``columns(lo, hi)``, at
+    most ``ROW_BLOCK`` days and ``CHUNK_CELLS`` cells at a time.  A chunk's
+    lines are filled in one text array, allocated once per file like the
+    kernel's working arrays: a line break and a date, then cells written by
+    the file's array kernel, and one at a time off its fast path.  Cells are
+    padded with NUL, which ``bytearray.translate`` drops.  With each line
+    break in front of its row, a cell is only as wide as its kernel writes;
+    20 bytes hold any NUMBER, 24 bytes "," and any "%d"."""
     cell = PLOT_LAYOUT[path.stem][1]
-    encode, cell_words = (_count_cells, 3) if cell == "%d" else (_fraction_cells, 5)
+    encode, words = (_count_cells, 3) if cell == "%d" else (_fraction_cells, 5)
     step = _block_lines(len(header) - 1)  # days per chunk, of one cell per ticker
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="").writerow(header)  # ended by the first row
         fh.flush()
+        buffer, lines = _text_lines(step, len(header), words)
+        work = np.empty((2, step, len(header) - 1))
         for lo in range(0, len(days), step):
-            block = np.ascontiguousarray(columns(lo, lo + step).T)
-            lines = np.zeros((len(block), len(header), cell_words), np.uint32)
-            slow = ~encode(block, lines[:, 1:])
+            block = columns(lo, lo + step).T
+            n = len(block)
+            lines[:] = 0  # the rows after a short last chunk's stay NUL, so are dropped
+            slow = ~encode(block, lines[:n, 1:], work[:, :n])
             # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0
             text = [("," + cell % x).encode() for x in (block[slow] + 0).tolist()]
-            if max(map(len, text), default=0) > 4 * cell_words:
-                lines = np.pad(lines, ((0, 0), (0, 0), (0, 6 - cell_words)))
-            lines[:, 1:].view(f"S{4 * lines.shape[2]}")[..., 0][slow] = text
-            lines[:, 0].view(np.uint8)[:, :11] = days[lo:lo + step, None].view(np.uint8)
-            fh.buffer.write(lines.tobytes().translate(None, b"\0"))
+            if max(map(len, text), default=0) > 4 * lines.shape[2]:  # 6 words from now on
+                buffer, wide = _text_lines(step, len(header), 6)
+                wide[..., :words] = lines
+                lines = wide
+            lines[:n, 1:].view(f"S{4 * lines.shape[2]}")[..., 0][slow] = text
+            head = lines[:n, 0].view(np.uint8)
+            head[:, 0], head[:, 1:11] = 10, days[lo:lo + n, None].view(np.uint8)  # "\n", date
+            fh.buffer.write(buffer.translate(None, b"\0"))
         fh.buffer.write(b"\n")
 
 
@@ -284,12 +313,16 @@ def reparse_table(kind: str, path: Path) -> None:
 
         fh.seek(sum(map(len, above)))  # a raw line may hold the header's end and more
         first = line = reader.line_num + 1
-        while block := list(itertools.islice(fh, _block_lines(numeric))):
+        del reader  # and the raw line, split, that it may hold
+        size = _block_lines(numeric)
+        while block := list(itertools.islice(fh, size)):
             if fault(block):  # so is a line with a lone CR: np.loadtxt sees a line break in it
                 block = [text for raw in block for text in raw.splitlines(True)]
-                for i, text in enumerate(block):
-                    if message := fault([text]):
-                        raise ParseError(message, path, line + i)
+                for i in range(0, len(block), size):  # the lines split, in blocks, then one by one
+                    if fault(block[i:i + size]):
+                        for at, text in enumerate(block[i:i + size], line + i):
+                            if message := fault([text]):
+                                raise ParseError(message, path, at)
             line += len(block)
     if line == first:
         raise ParseError(f"{kind} file has no data rows", path)
@@ -314,17 +347,17 @@ def emit_plot_data(
     if len(benchmark_cum) != len(result.calendar):
         raise ValidationError(f"benchmark series length {len(benchmark_cum)} != calendar "
                               f"length {len(result.calendar)}")
-    dates = np.datetime_as_string(result.calendar).tolist()
     manifest = {kind: out_dir / f"{kind}.csv" for kind in PLOT_LAYOUT}
-    header, days = ["date", *result.tickers], np.array(["\n" + day for day in dates], "S11")
+    header, days = ["date", *result.tickers], result.calendar.astype("S10")
     _write_matrix(manifest["shares"], header, days, lambda lo, hi: result.shares[:, lo:hi])
     _write_matrix(manifest["weights"], header, days, result.weights_between)
 
     portfolio_cum = result.value / result.value[0] - 1.0
-    segments = np.where(result.calendar < np.datetime64(split_date, "D"),
-                        "in_sample", "out_of_sample").tolist()
+    split = int(np.searchsorted(result.calendar, np.datetime64(split_date, "D")))  # days in sample
+    segments = ["in_sample"] * split + ["out_of_sample"] * (len(days) - split)
+    # rows made a value at a time, not from lists of Python objects
     _write_table(manifest["cumulative"], ["date", "portfolio_cum", "benchmark_cum", "segment"],
-                 zip(dates, portfolio_cum.tolist(), (benchmark_cum + 0.0).tolist(), segments))
+                 zip(map(bytes.decode, days), portfolio_cum, benchmark_cum + 0.0, segments))
 
     daily = simple_returns(result.calendar, result.value)
     rows = []

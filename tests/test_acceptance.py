@@ -7,10 +7,12 @@ which were written before the engine.
 """
 
 import filecmp
+import hashlib
 import json
 import math
 import time
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,11 +37,12 @@ from rebal.metrics import (
 )
 from rebal.portfolio import RebalancePolicy, run_backtest
 from rebal.returns import aggregate, cumulative_return
-from rebal.synthetic import business_days, generate_universe
+from rebal.synthetic import BENCHMARK_TICKER, DEFAULT_SEED, business_days, generate_universe
 
 from conftest import daily_series, random_returns, trading_days
 
 CFG = MetricConfig()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def passed(number: int, name: str) -> None:
@@ -279,8 +282,10 @@ def test_criterion_7_aggregation_consistency():
 
 def test_criterion_8_end_to_end_determinism(tmp_path, capsys):
     """Two identical runs over the synthetic ten-sector universe produce
-    byte-identical output trees, and a dry run on the default window plans
-    exactly two yearly rebalances."""
+    byte-identical output trees, those ``perfbench/golden.json`` records,
+    and a dry run on the default window plans exactly two yearly
+    rebalances.  Three of its sectors read from one long-format file write
+    their golden trees too."""
     data_dir, manifests = generate_universe(tmp_path / "universe")
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({
@@ -309,7 +314,52 @@ def test_criterion_8_end_to_end_determinism(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("planned rebalances (yearly): 2") == 10
     assert "2022-01-04" in out and "2023-01-04" in out
+
+    # The bytes are the benchmark's: this is its sectors_yearly workload, and
+    # the first three sectors' prices in one long-format file its long_format.
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    assert golden["seed"] == DEFAULT_SEED
+    assert sector_digests(tmp_path / "out_a") == golden["digests"]["sectors_yearly"]
+    long_dir = tmp_path / "long" / "data"
+    long_dir.mkdir(parents=True)
+    tickers = sorted({BENCHMARK_TICKER, *(t for m in manifests[:3]
+                                          for t in json.loads(m.read_text())["tickers"])})
+    write_long_format([data_dir / f"{t}.csv" for t in tickers], long_dir / "prices.csv")
+    assert (long_dir / "prices.csv").stat().st_size > 1 << 17  # read in blocks
+    long_config = tmp_path / "long" / "run.json"
+    long_config.write_text(json.dumps({"data_dir": str(long_dir),
+                                       "manifests": [str(m) for m in manifests[:3]],
+                                       "out_dir": str(tmp_path / "out_long")}))
+    assert main(["backtest", "--config", str(long_config)]) == 0
+    assert sector_digests(tmp_path / "out_long") == golden["digests"]["long_format"]
     passed(8, "end-to-end determinism")
+
+
+def sector_digests(out_dir):
+    """Each sector directory's sha256 over its files' sorted relative paths,
+    sizes and bytes, the rule of ``perfbench/measure.py``'s tree_digest."""
+    digests = {}
+    for tree in sorted(p for p in out_dir.iterdir() if p.is_dir()):
+        h = hashlib.sha256()
+        for path in sorted(p for p in tree.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            h.update(path.relative_to(tree).as_posix().encode())
+            h.update(b"\0%d\0" % len(data))
+            h.update(data)
+        digests[tree.name] = h.hexdigest()
+    return digests
+
+
+def write_long_format(files, path):
+    """The rows of one-ticker price files as one prices.csv, interleaved by
+    date (every ticker's row for a day, in file order, then the next day), as
+    ``perfbench/workloads.py``'s write_long_format writes it."""
+    by_day = {}
+    for source in files:
+        for line in source.read_text(encoding="utf-8").splitlines(True)[1:]:
+            by_day.setdefault(line[:10], []).append(line)
+    path.write_text("date,ticker,adj_close\n" + "".join(
+        line for day in sorted(by_day) for line in by_day[day]), encoding="utf-8")
 
 
 def test_criterion_9_reference_reproduction_is_available():

@@ -402,6 +402,96 @@ class TestMatchesRowParser:
         path.write_text("date,ticker,adj_close\n" + "\n".join(rows) + "\n", encoding="utf-8")
         self.assert_same(path, [f"T{k}" for k in range(7)] + ["MISSING"])
 
+    @staticmethod
+    def long_rows(tickers=7, name="T"):
+        """Rows of a clean date-interleaved file of several blocks: T0, T1, ...
+        each day from 2000-01-01."""
+        day0 = date(2000, 1, 1).toordinal()
+        rows = [f"{date.fromordinal(day0 + k // tickers)},{name}{k % tickers},{k + 1}.5"
+                for k in range(2 * rebal.market_data._WHOLE // 20)]
+        assert sum(map(len, rows)) > 2 * rebal.market_data._WHOLE
+        return rows
+
+    def check_long(self, path, rows, tickers=7, blocks=None, name="T"):
+        """``rows`` as a price file give the row parser's outcome, and a clean
+        one ``blocks`` np.loadtxt calls and no row loop."""
+        write_csv(path, rows)
+        calls = []
+        real = np.loadtxt
+
+        def counting(lines, **options):
+            calls.append(len(lines))
+            return real(lines, **options)
+
+        def row_loop(rows, path):
+            raise AssertionError(f"{path} went to the row loop")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "loadtxt", counting)
+            if blocks is not None:
+                patch.setattr(rebal.market_data, "_read_rows", row_loop)
+            self.assert_same(path, [f"{name}{k}" for k in range(tickers)] + ["MISSING"])
+        if blocks is not None:
+            assert len(calls) == blocks
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("name", ["T", "TICKER__T"])  # the last two differ in byte 9
+    def test_long_clean_file_takes_a_loadtxt_call_per_block(self, tmp_path, name, end):
+        rows = [row + end[:-1] for row in self.long_rows(name=name)]
+        body = len("\n".join(rows)) + 1
+        self.check_long(tmp_path / "prices.csv", rows, name=name,
+                        blocks=-(-body // rebal.market_data._BLOCK))
+
+    def test_file_of_at_most_whole_bytes_is_read_at_once(self, tmp_path):
+        # one read and one np.loadtxt call up to _WHOLE bytes, with the header
+        rows, size = [], len("date,ticker,adj_close\n")
+        for row in self.long_rows():
+            if size + len(row) + 1 > rebal.market_data._WHOLE:
+                break
+            rows.append(row)
+            size += len(row) + 1
+        self.check_long(tmp_path / "prices.csv", rows, blocks=1)
+        assert (tmp_path / "prices.csv").stat().st_size > rebal.market_data._BLOCK
+
+    def test_day_repeated_in_another_block(self, tmp_path):
+        rows = self.long_rows()
+        rows.append(rows[3].replace(".5", ".25"))  # T3's first day again, in the last block
+        self.check_long(tmp_path / "prices.csv", rows)
+
+    @pytest.mark.parametrize("cell", ["price -3", "price x1", "price 0", "date 2001-02-30",
+                                      "date 2001-2-03"])
+    def test_bad_cell_only_in_the_last_block(self, tmp_path, cell):
+        what, value = cell.split()
+        rows = self.long_rows()
+        day, ticker, price = rows[-5].split(",")
+        rows[-5] = ",".join([value, ticker, price] if what == "date" else [day, ticker, value])
+        self.check_long(tmp_path / "prices.csv", rows)
+
+    @pytest.mark.parametrize("ragged", ["{},T1,1.5,2", "{},T1", "{}"])
+    def test_ragged_row_starts_the_second_block(self, tmp_path, ragged):
+        rows = self.long_rows()
+        text = "\n".join(rows)[:rebal.market_data._BLOCK]
+        second = text.count("\n")  # the first row after the first block's last line break
+        rows[second] = ragged.format(rows[second][:10])
+        self.check_long(tmp_path / "prices.csv", rows)
+
+    @pytest.mark.parametrize("layout", ["long cell", "lone CR"])
+    def test_first_block_without_a_line_break(self, tmp_path, monkeypatch, layout):
+        # the read stops at the first block, so the text carried over never
+        # grows past one block, and the row loop reads the file
+        rows = self.long_rows()
+        if layout == "long cell":
+            rows[0] = f"2000-01-01,T0,{'1' * (1 << 16)}.5"
+        path = tmp_path / "prices.csv"
+        write_csv(path, rows)
+        if layout == "lone CR":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        cleaned, real = [], rebal.market_data._clean_cells
+        monkeypatch.setattr(rebal.market_data, "_clean_cells",
+                            lambda text: cleaned.append(text) or real(text))
+        self.assert_same(path, [f"T{k}" for k in range(7)] + ["MISSING"])
+        assert cleaned == []
+
     @pytest.mark.parametrize("body", [
         b"2021-01-04,AAA,1\n2021-01-05,AAA,2\n",                    # clean
         b"2021-01-04,AAA,1\n\n2021-01-05,AAA,2\n \n",               # blank lines
@@ -545,6 +635,22 @@ class TestDateColumnReuse:
             assert ours == (ParseError, f"{path}:{len(days) + 1}: bad date '2013-02-30'")
         assert decodes == [len(days)] * 2
 
+    def test_one_ticker_file_of_several_blocks(self, tmp_path, decodes):
+        # each cell is decoded once, a block at a time; a file on those days
+        # then shares them and decodes nothing
+        days = self.days(date(1990, 1, 1), date(2021, 12, 31))
+        cache = PriceCache()
+        first, second = (write_csv(tmp_path / f"{t}.csv", self.rows(t, days)) for t in "AB")
+        assert first.stat().st_size > rebal.market_data._WHOLE
+        a = load_price_series(first, "A", parsed=cache)
+        assert len(decodes) > 2 and sum(decodes) == len(days)
+        b = load_price_series(second, "B", parsed=cache)
+        assert b.dates is a.dates and sum(decodes) == len(days) and cache == {}
+        assert b.dates.tolist() == [date.fromisoformat(day) for day in days]
+        for path, ticker in ((first, "A"), (second, "B")):
+            assert (_outcome(load_price_series, path, ticker, PriceCache())
+                    == _outcome(parse_oracle.load_price_series, path, ticker, {}))
+
     def test_no_cache_no_reuse(self, tmp_path, decodes):
         days = self.days(date(2013, 1, 1), date(2013, 1, 31))
         for _ in range(3):  # each call without a cache decodes on its own
@@ -553,13 +659,8 @@ class TestDateColumnReuse:
         assert decodes == [len(days)] * 3
 
 
-def test_long_file_parse_holds_no_row_sized_copies(tmp_path):
-    """A date-interleaved file of 30 tickers peaks at about 2.56 times its
-    array of cells while it is parsed.  Copying its date column and comparing
-    its tickers as a rows x 16 byte matrix took that to 3.36."""
-    days = business_days(date(2019, 1, 1), date(2021, 9, 30)).tolist()
-    rows = [f"{day},T{k:02d},{100 + k}.25" for day in days for k in range(30)]
-    path = write_csv(tmp_path / "prices.csv", rows)
+def traced_parse(path):
+    """The traced peak of parsing the clean price file ``path``, and its series."""
     rebal.market_data._parse_price_file(path, PriceCache())
     tracemalloc.start()
     try:
@@ -567,8 +668,36 @@ def test_long_file_parse_holds_no_row_sized_copies(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert parsed.error is None and len(parsed.series) == 30
-    assert peak < 2.8 * len(rows) * _CELLS.itemsize, peak / (len(rows) * _CELLS.itemsize)
+    assert parsed.error is None
+    return peak, parsed.series
+
+
+def interleaved_rows(tickers):
+    days = business_days(date(2019, 1, 1), date(2021, 9, 30)).tolist()
+    return [f"{day},T{k:03d},{100 + k}.25" for day in days for k in range(tickers)]
+
+
+def test_long_file_parse_holds_no_row_sized_copies(tmp_path):
+    """A date-interleaved file of 30 tickers peaks at about 1.02 times its
+    array of cells while it is parsed, read a block at a time.  Read whole,
+    with the file's text, its cells and their S16 sort copies alive at once,
+    it peaked at 2.64 times."""
+    rows = interleaved_rows(30)
+    peak, series = traced_parse(write_csv(tmp_path / "prices.csv", rows))
+    assert len(series) == 30
+    assert peak < 1.5 * len(rows) * _CELLS.itemsize, peak / (len(rows) * _CELLS.itemsize)
+
+
+def test_long_file_parse_grows_by_the_rows_it_keeps(tmp_path):
+    """Four times the rows grow the parse's traced peak by at most what the
+    final grouping holds per row: its key, its price, its place in the sort
+    and its price in its series, 32 bytes.  Read whole, it grew by 105."""
+    (small, _), (large, series) = (
+        traced_parse(write_csv(tmp_path / f"{tickers}.csv", interleaved_rows(tickers)))
+        for tickers in (30, 120))
+    rows = len(interleaved_rows(30))
+    assert len(series) == 120
+    assert large - small <= 3 * rows * 32, (large - small) / (3 * rows)
 
 
 class TestSectorManifest:
