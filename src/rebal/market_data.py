@@ -218,11 +218,10 @@ _BLOCK = 1 << 16  # characters of a longer price file read at a time
 
 
 def _iso_days(cells: np.ndarray) -> np.ndarray:
-    """The days YYYY-MM-DD cells name; ValueError if a cell names none."""
-    for i in range(0, len(cells), 1 << 13):  # in blocks, to bound the temporaries
-        digits = cells[i:i + (1 << 13)].astype("S16").view(np.uint8).reshape(-1, 16)
-        if ((digits - _DATE_LOW) > _DATE_SPAN).any():
-            raise ValueError("a date cell that is not YYYY-MM-DD")
+    """The days one block's YYYY-MM-DD cells name; ValueError if a cell names none."""
+    digits = cells.astype("S16").view(np.uint8).reshape(-1, 16)
+    if ((digits - _DATE_LOW) > _DATE_SPAN).any():
+        raise ValueError("a date cell that is not YYYY-MM-DD")
     days = np.empty(len(cells), DAY)
     # numpy rejects a month or day out of range, but it casts more than 500
     # bytes cells without the GIL and crashes raising that error
@@ -364,12 +363,8 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     key = _joined(keys)
     del keys  # before the prices are joined
     prices = _joined(prices)
-    calendar = None
-    if len(ids) == 1 and shared == done == len(known):
-        calendar = decoded
-    elif len(ids) == 1:
-        calendar = _frozen(_joined(days), DAY)
-        cache.dates = (_frozen(_joined(date_cells), np.uint64), calendar)
+    if len(ids) == 1 and not shared == done == len(known):  # one ticker, not all from the cache
+        cache.dates = (_frozen(_joined(date_cells), np.uint64), _frozen(_joined(days), DAY))
     order = np.argsort(key, kind="stable")
     key = key[order]
     if not (key[1:] > key[:-1]).all():
@@ -378,7 +373,8 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     key &= (1 << 22) - 1  # now each row's day, as days since 1970-01-01
     key -= _EPOCH.toordinal()
     return _build(((name, key[lo:hi], prices[order[lo:hi]])
-                   for name, lo, hi in zip(ids, starts, starts[1:])), calendar)
+                   for name, lo, hi in zip(ids, starts, starts[1:])),
+                  cache.dates[1] if len(ids) == 1 else None)
 
 
 def _read_rows(rows, path: Path) -> _PriceFile:

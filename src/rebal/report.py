@@ -179,53 +179,40 @@ def _block_lines(numeric: int) -> int:  # lines of numeric numbers written or re
     return max(1, min(ROW_BLOCK, CHUNK_CELLS // numeric))
 
 
-def _count_cells(values: np.ndarray, words: np.ndarray, work=None) -> np.ndarray:
+def _count_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Write "," and ``"%d"`` of each value in [0, 10**8) into its cell of
     ``words`` (uint32 text, NUL-padded); return the mask of those cells.
-    ``work`` is two float64 arrays shaped as ``values``, or None for new ones."""
-    high, low = (np.empty((2,) + values.shape) if work is None else work).view(np.int64)
+    Its temporaries are the size of ``values``, one chunk."""
     fast = (values >= 0) & (values < 10 ** 8)
-    np.divmod(np.multiply(values, fast, out=low), 10 ** 4, out=(high, low))
-    no_high = high == 0
+    high = values * fast // 10 ** 4
     words[..., 0] = np.frombuffer(b",\0\0\0", np.uint32)
-    np.add(high, _LEAD, out=high)
-    np.copyto(high, _TRAIL, where=no_high)  # no digits
-    words[..., 1] = _WORDS[high]
-    words[..., 2] = _WORDS[np.add(low, _LEAD, out=low, where=no_high)]
+    words[..., 1] = _WORDS[np.where(high > 0, high + _LEAD, _TRAIL)]  # _TRAIL: no digits
+    words[..., 2] = _WORDS[values * fast - high * 10 ** 4 + _LEAD * (high == 0)]
     return fast
 
 
-def _fraction_cells(values: np.ndarray, words: np.ndarray, work=None) -> np.ndarray:
+def _fraction_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     """As ``_count_cells``, for ``NUMBER`` of the values in [1e-4, 1) that array
     arithmetic gets exactly.  There ``%.12g`` is "0.", -e - 1 zeros and the
     digits of ``rint(x * 10**(11 - e))`` less trailing zeros, at the decade
     e = floor(log10(x)) in [-4, -1].  The power of ten is exact and the product
     rounds once, by under 6.2e-5, so a cell leaves the fast path only within
     2.5e-4 of a tie, outside [1e11, 1e12) (log10 a decade off) or at 1."""
-    y, scratch = np.empty((2,) + values.shape) if work is None else work
     fast = (values >= 1e-4) & (values < 1.0)
-    np.copyto(y, 0.5)
-    np.copyto(y, values, where=fast)
-    decade = np.floor(np.log10(y, out=scratch), out=scratch).astype(np.int8)
-    y *= np.take(_POW10, 11 - decade, out=scratch, mode="wrap")
-    fast &= (y >= 1e11) & (y < 1e12)
-    np.subtract(y, np.floor(y, out=scratch), out=scratch)
-    fast &= np.abs(np.subtract(scratch, 0.5, out=scratch), out=scratch) > 2.5e-4
+    x = np.where(fast, values, 0.5)
+    decade = np.floor(np.log10(x)).astype(np.int64)
+    y = x * _POW10[11 - decade]
+    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 2.5e-4)
     # the fifteen fraction digits, 0 off the fast path (where decade + 4 may be
-    # -1, the last power); digits of 10**12 carry into the next decade, and to
-    # 1 at 10**15
-    np.rint(y, out=y)
-    y *= fast
-    y *= np.take(_POW10, decade + 4, out=scratch, mode="wrap")
-    fraction, group = scratch.view(np.int64), y.view(np.int64)
-    fraction[...] = y
+    # -1); digits of 10**12 carry into the next decade, and to 1 at 10**15
+    fraction = (np.rint(y) * fast * _POW10[decade + 4]).astype(np.int64)
     fast &= fraction < 10 ** 15
     words[..., 0] = np.frombuffer(b",0.\0", np.uint32)
     zeros_after = True
     for k in (4, 3, 2, 1):  # four words of four digits, the first a 0
-        np.divmod(fraction, 10 ** 4, out=(fraction, group))
-        words[..., k] = _WORDS[np.add(group, _TRAIL, out=group, where=zeros_after)]
-        zeros_after = group == _TRAIL
+        fraction, group = np.divmod(fraction, 10 ** 4)
+        words[..., k] = _WORDS[group + _TRAIL * zeros_after]
+        zeros_after = zeros_after & (group == 0)
     words[..., 1] &= np.frombuffer(b"\0\xff\xff\xff", np.uint32)  # drop that 0
     return fast
 
@@ -241,12 +228,12 @@ def _write_matrix(path: Path, header: list[str], days: np.ndarray, columns) -> N
     """Write the bytes ``_write_table`` would for ``days`` (``S10`` dates) and
     a tickers x days matrix whose days lo..hi-1 are ``columns(lo, hi)``, at
     most ``ROW_BLOCK`` days and ``CHUNK_CELLS`` cells at a time.  A chunk's
-    lines are filled in one text array, allocated once per file like the
-    kernel's working arrays: a line break and a date, then cells written by
-    the file's array kernel, and one at a time off its fast path.  Cells are
-    padded with NUL, which ``bytearray.translate`` drops.  With each line
-    break in front of its row, a cell is only as wide as its kernel writes;
-    20 bytes hold any NUMBER, 24 bytes "," and any "%d"."""
+    lines are filled in one text array, the one array made once per file: a
+    line break and a date, then cells written by the file's array kernel,
+    whose temporaries are made per chunk, and one at a time off its fast
+    path.  Cells are padded with NUL, which ``bytearray.translate`` drops.
+    With each line break in front of its row, a cell is only as wide as its
+    kernel writes; 20 bytes hold any NUMBER, 24 bytes "," and any "%d"."""
     cell = PLOT_LAYOUT[path.stem][1]
     encode, words = (_count_cells, 3) if cell == "%d" else (_fraction_cells, 5)
     step = _block_lines(len(header) - 1)  # days per chunk, of one cell per ticker
@@ -254,12 +241,11 @@ def _write_matrix(path: Path, header: list[str], days: np.ndarray, columns) -> N
         csv.writer(fh, lineterminator="").writerow(header)  # ended by the first row
         fh.flush()
         buffer, lines = _text_lines(step, len(header), words)
-        work = np.empty((2, step, len(header) - 1))
         for lo in range(0, len(days), step):
             block = columns(lo, lo + step).T
             n = len(block)
             lines[:] = 0  # the rows after a short last chunk's stay NUL, so are dropped
-            slow = ~encode(block, lines[:n, 1:], work[:, :n])
+            slow = ~encode(block, lines[:n, 1:])
             # adding 0 turns -0.0 into 0.0, which NUMBER prints as 0
             text = [("," + cell % x).encode() for x in (block[slow] + 0).tolist()]
             if max(map(len, text), default=0) > 4 * lines.shape[2]:  # 6 words from now on

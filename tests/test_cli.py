@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import errno
 import json
+import logging
 import math
 import os
 import re
@@ -151,6 +152,31 @@ class TestBacktestCommand:
         # a C library without malloc_trim runs the same
         monkeypatch.setattr(rebal.cli, "ctypes", types.SimpleNamespace(pythonapi=object()))
         assert main(["backtest", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("level, err", [
+        ("error", ""),
+        ("info", ""),  # nothing logs at info yet
+        ("debug", None),
+        ("loud", "warning: unknown REBAL_LOG='loud', using error\n"),
+    ])
+    def test_rebal_log_level(self, small_universe, capsys, monkeypatch, level, err):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        monkeypatch.setenv("REBAL_LOG", level)
+        logs = logging.getLogger()
+        monkeypatch.setattr(logs, "handlers", [])  # so main's basicConfig sets up stderr
+        before = logs.level
+        try:
+            assert main(["backtest", "--config", str(config)]) == 0
+        finally:
+            logs.setLevel(before)
+        stderr = capsys.readouterr().err
+        if err is not None:
+            assert stderr == err
+        else:  # a line per series loaded, the alignment, the backtest and each emit
+            assert [line.split(":")[0] for line in stderr.splitlines()] == (
+                ["DEBUG rebal.market_data"] * 4 + ["DEBUG rebal.portfolio"]
+                + ["DEBUG rebal.report"] * 2)
 
     def test_readme_quick_start(self, tmp_path, capsys):
         root = tmp_path / "demo_universe"

@@ -111,6 +111,13 @@ class TestLoadPriceSeries:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build(trading_days(3))
 
+    def test_records_equal_by_value_and_only_their_own_type(self):
+        days = trading_days(3)
+        series = make_series("AAA", days)
+        assert series == make_series("AAA", days.copy())
+        assert series != make_series("AAA", days, [1.0, 2.0, 4.0])
+        assert series.__eq__("AAA") is NotImplemented and series != "AAA"
+
     @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_one_positive_and_finite_rule(self, tmp_path, bad):
         # six checks state it, each with its own message; a panel names its
@@ -492,6 +499,19 @@ class TestMatchesRowParser:
         self.assert_same(path, [f"T{k}" for k in range(7)] + ["MISSING"])
         assert cleaned == []
 
+    @pytest.mark.parametrize("tickers", [1, 2])
+    def test_long_file_whose_last_row_has_no_line_break(self, tmp_path, monkeypatch, tickers):
+        # the text after the last block's last line break is a block of its own
+        path, rows = tmp_path / "prices.csv", self.long_rows(tickers)
+        write_csv(path, rows)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert path.stat().st_size > rebal.market_data._WHOLE
+        cleaned, real = [], rebal.market_data._clean_cells
+        monkeypatch.setattr(rebal.market_data, "_clean_cells",
+                            lambda text: cleaned.append(text) or real(text))
+        self.assert_same(path, [f"T{k}" for k in range(tickers)] + ["MISSING"])
+        assert {text for text in cleaned if not text.endswith("\n")} == {rows[-1]}
+
     @pytest.mark.parametrize("body", [
         b"2021-01-04,AAA,1\n2021-01-05,AAA,2\n",                    # clean
         b"2021-01-04,AAA,1\n\n2021-01-05,AAA,2\n \n",               # blank lines
@@ -538,6 +558,17 @@ def test_synthetic_files_take_the_array_read(tmp_path, monkeypatch):
         series = load_price_series(data_dir / f"{ticker}.csv", ticker)
         assert len(series) == len(business_days(date(2021, 1, 4), date(2021, 6, 30)))
         assert load_price_series(long_format, ticker, parsed=parsed) == series
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(n_sectors=0), "n_sectors must be 1..10"),
+    (dict(n_sectors=11), "n_sectors must be 1..10"),
+    (dict(start=date(2021, 1, 8), end=date(2021, 1, 10)),  # a Friday to a Sunday
+     "window 2021-01-08..2021-01-10 has fewer than 2 trading days"),
+])
+def test_synthetic_universe_bounds(tmp_path, options, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_universe(tmp_path, **options)
 
 
 class TestSharedCalendar:

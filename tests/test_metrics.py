@@ -123,6 +123,13 @@ class TestMaxDrawdown:
         with pytest.raises(DomainError):
             max_drawdown([])
 
+    @pytest.mark.parametrize("wealth", [[100.0, -1.0, 50.0], [100.0, np.nan], [100.0, np.inf],
+                                        [0.0, 1.0]])
+    def test_negative_non_finite_or_unfunded_wealth_rejected(self, wealth):
+        with pytest.raises(DomainError, match="^wealth must be finite, non-negative, and "
+                                              "start positive$"):
+            max_drawdown(wealth)
+
 
 class TestSharpe:
     def test_zero_variance_is_undefined(self):

@@ -494,10 +494,12 @@ def test_reparse_of_a_wide_table_holds_about_one_chunk(tmp_path):
 
 def test_emit_of_a_panel_daily_sized_result_holds_a_chunk(rng, tmp_path):
     """Writing 300 tickers over 2609 days, rebalanced daily, peaks under
-    0.4 MB traced: each matrix's text array and working arrays are made
-    once, a CHUNK_CELLS chunk in size, and no column becomes a list.  With
-    a text array and about eleven working arrays made for every chunk of
-    8192 cells, and the dates as lists, it peaked at 0.92 MB."""
+    0.4 MB traced (0.38 MB): each matrix's text array is made once, a
+    CHUNK_CELLS chunk in size, its kernel's temporaries are made per chunk
+    and are a chunk in size too, and no column becomes a list.  With a text
+    array and about eleven working arrays made for every chunk of 8192
+    cells, and the dates as lists, it peaked at 0.92 MB; with the kernels'
+    working arrays also made once per file, at 0.31 MB."""
     days = np.busday_offset(np.datetime64("2013-01-01"), np.arange(2609), roll="forward")
     steps = 1 + rng.normal(0.0004, 0.02, (301, len(days)))
     prices = 100.0 * np.cumprod(steps, axis=1)

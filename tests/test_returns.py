@@ -189,3 +189,8 @@ class TestReturnSeriesInvariants:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             ReturnSeries(trading_days(2), [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_returns_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="^returns must be finite$"):
+            ReturnSeries(trading_days(3), [0.1, bad, 0.3])
