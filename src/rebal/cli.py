@@ -331,11 +331,11 @@ def _setup_logging() -> None:
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:
         print(f"warning: unknown REBAL_LOG={level_name!r}, using error", file=sys.stderr)
-    logging.basicConfig(
-        level=levels.get(level_name, logging.ERROR),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    handler = logging.StreamHandler(sys.stderr)  # this call's stderr
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("rebal")
+    log.handlers, log.propagate = [handler], False  # a host's root handlers are left alone
+    log.setLevel(levels.get(level_name, logging.ERROR))
 
 
 def main(argv=None) -> int:

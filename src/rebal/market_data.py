@@ -18,8 +18,8 @@ np.loadtxt reads a clean file (ASCII, unquoted, every row good): in one
 call up to 128 KiB, else in one call per 64 KiB block, of which each row
 leaves only a (ticker, day) key and a price.  Any other file is read again,
 a csv row at a time, to the same result.  A run's PriceCache keeps the last
-one-ticker file's date column decoded, and a file whose date cells are the
-same bytes shares those days instead of its own.
+calendar built, by either reader: a series on those days shares that array,
+and a clean file whose date cells match its cells row for row is not decoded.
 
 Sector manifest schema (JSON):
 
@@ -182,9 +182,9 @@ class PricePanel(_ArrayRecord):
 
 class PriceCache(dict):
     """A run's price-file cache: ``load_price_series``'s parsed multi-ticker
-    files by path, and in ``dates`` the last one-ticker file's date cells as
-    uint64 words with the read-only days they name, which its series took.  A
-    later file with the same cells takes those days; the pair is replaced whole."""
+    files by path, and in ``dates`` the last calendar a series was built on,
+    from any file: its YYYY-MM-DD cells as uint64 words, in ascending order,
+    and its read-only days.  ``_build`` alone replaces the pair, whole."""
 
     dates: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -250,10 +250,12 @@ def iso_day(text) -> np.datetime64:
     return np.datetime64(number, "D")
 
 
-def _build(groups, calendar=None) -> dict[str, PriceSeries | RebalError]:
+def _build(groups, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     """Each ``(ticker, days, prices)`` of ``groups`` as its series, or why it has none.
-    A series on the last one's days, or the first on ``calendar``'s, takes that array."""
+    A series on the last one's days, the first on the cache's, takes that array;
+    the last calendar built, if new, replaces ``cache.dates`` with its cells."""
     built: dict[str, PriceSeries | RebalError] = {}
+    cached = calendar = cache.dates and cache.dates[1]
     for ticker, days, prices in groups:
         days = np.asarray(days, DAY)
         days = calendar if np.array_equal(days, calendar) else days
@@ -262,6 +264,8 @@ def _build(groups, calendar=None) -> dict[str, PriceSeries | RebalError]:
             calendar = built[ticker].dates
         except ValidationError as exc:  # too few observations
             built[ticker] = exc
+    if calendar is not cached:  # once per new calendar
+        cache.dates = (_frozen(calendar.astype("S16").view("2u8"), np.uint64), calendar)
     return built
 
 
@@ -334,37 +338,29 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     A clean body is clean in each block, by ``_clean_cells``, with a valid
     date and a (ticker, day) of its own on each row, so no row has an error
     to report.  Raises ValueError for any other body.  Of a block only a
-    (ticker, day) key and a price per row outlive it, and its date cells and
-    days while one ticker fills the file.  A block whose date cells ``cache``
-    holds at its rows takes those days, and a one-ticker file held whole
-    takes the cached array.
+    (ticker, day) key and a price per row outlive it.  A block whose date
+    cells are the cache's calendar cells at its rows takes those days
+    undecoded; ``_build`` then shares the cached array.
     """
     known, decoded = cache.dates or (np.empty((0, 2), np.uint64), None)  # replaced whole
     ids: dict[str, int] = {}
-    keys, prices, date_cells, days = [], [], [], []  # per block; the last two for one ticker
-    done = shared = 0  # rows read, and rows whose days came from the cache
+    keys, prices = [], []  # per block
+    done = 0  # rows read
     for cells in map(_clean_cells, _blocks(fh)):
         words = cells.view(np.uint64).reshape(len(cells), -1)[:, :2]  # the date cells
         seen = known[done:done + len(cells)]
         if len(seen) == len(cells) and _rows_equal(words, seen):
-            day, shared = decoded[done:done + len(cells)], shared + len(cells)
+            day = decoded[done:done + len(cells)]
         else:
-            day, seen = _iso_days(cells["date"]), words.copy()  # a bad date raises ValueError
+            day = _iso_days(cells["date"])  # a bad date raises ValueError
         # rows by ticker and day, as a day ordinal: from 1 to below 2**22
         keys.append((_ticker_ids(cells, ids) << 22) + (day.view(np.int64) + _EPOCH.toordinal()))
         prices.append(cells["price"].copy())
-        if len(ids) == 1:
-            date_cells.append(seen)
-            days.append(day)
-        else:
-            date_cells, days = [], []
         done += len(cells)
         del cells, words, seen, day  # before the next block is read
     key = _joined(keys)
     del keys  # before the prices are joined
     prices = _joined(prices)
-    if len(ids) == 1 and not shared == done == len(known):  # one ticker, not all from the cache
-        cache.dates = (_frozen(_joined(date_cells), np.uint64), _frozen(_joined(days), DAY))
     order = np.argsort(key, kind="stable")
     key = key[order]
     if not (key[1:] > key[:-1]).all():
@@ -373,11 +369,10 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     key &= (1 << 22) - 1  # now each row's day, as days since 1970-01-01
     key -= _EPOCH.toordinal()
     return _build(((name, key[lo:hi], prices[order[lo:hi]])
-                   for name, lo, hi in zip(ids, starts, starts[1:])),
-                  cache.dates[1] if len(ids) == 1 else None)
+                   for name, lo, hi in zip(ids, starts, starts[1:])), cache)
 
 
-def _read_rows(rows, path: Path) -> _PriceFile:
+def _read_rows(rows, path: Path, cache: PriceCache) -> _PriceFile:
     """Read the body left in the csv reader ``rows``, its cells stripped.
 
     A ticker's first bad row is its error, and its later rows are skipped.
@@ -417,8 +412,8 @@ def _read_rows(rows, path: Path) -> _PriceFile:
         else:
             prices[number] = value
     # each good ticker's day numbers and prices, in day order
-    good = _build((t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad)
-    return _PriceFile({**bad, **good}, None)
+    good = ((t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad)
+    return _PriceFile({**bad, **_build(good, cache)}, None)
 
 
 def _parse_price_file(path: Path, cache: PriceCache) -> _PriceFile:
@@ -436,7 +431,7 @@ def _parse_price_file(path: Path, cache: PriceCache) -> _PriceFile:
         except ValueError:  # not a clean body: read it again, a row at a time
             fh.seek(0)
             next(rows := csv.reader(fh))  # the header
-            return _read_rows(rows, path)
+            return _read_rows(rows, path, cache)
 
 
 def resolve_price_file(data_dir: Path, ticker: str) -> Path:
@@ -466,8 +461,8 @@ def load_price_series(path, ticker: str, parsed: PriceCache | None = None,
     lookup.  Single-ticker files are not kept, since that would hold a
     per-ticker universe in memory for the whole run: they are read once per
     call, unless ``keep`` is set for a series the caller reads again, such as
-    a benchmark every sector shares.  The cache also keeps the last
-    one-ticker file's decoded dates, which a series on the same days shares.
+    a benchmark every sector shares.  The cache also keeps the last calendar
+    built, from any file, which a series on the same days shares.
     """
     path = Path(path)
     parsed = PriceCache() if parsed is None else parsed

@@ -335,6 +335,37 @@ def test_criterion_8_end_to_end_determinism(tmp_path, capsys):
     passed(8, "end-to-end determinism")
 
 
+def test_output_bytes_do_not_depend_on_price_file_layout(tmp_path):
+    """One universe's price files as generated, with quoted ticker cells,
+    with rows newest first and with CRLF line ends write one output tree."""
+    data_dir, manifests = generate_universe(tmp_path / "universe", n_sectors=2,
+                                            tickers_per_sector=3)
+
+    def backtest(root, prices_dir):
+        config = root / "run.json"
+        config.write_text(json.dumps({"data_dir": str(prices_dir),
+                                      "manifests": [str(m) for m in manifests],
+                                      "out_dir": str(root / "out")}))
+        assert main(["backtest", "--config", str(config)]) == 0
+        return sector_digests(root / "out")
+
+    generated = backtest(tmp_path, data_dir)
+    assert len(generated) == 2
+    for layout in ("quoted", "newest first", "crlf"):
+        layout_dir = tmp_path / layout.replace(" ", "_") / "data"
+        layout_dir.mkdir(parents=True)
+        for source in data_dir.glob("*.csv"):
+            header, *rows = source.read_text(encoding="utf-8").splitlines()
+            if layout == "quoted":
+                rows = [f'{day},"{ticker}",{price}'
+                        for day, ticker, price in (row.split(",") for row in rows)]
+            elif layout == "newest first":
+                rows.reverse()
+            end = "\r\n" if layout == "crlf" else "\n"
+            (layout_dir / source.name).write_bytes(end.join([header, *rows, ""]).encode())
+        assert backtest(layout_dir.parent, layout_dir) == generated, layout
+
+
 def sector_digests(out_dir):
     """Each sector directory's sha256 over its files' sorted relative paths,
     sizes and bytes, the rule of ``perfbench/measure.py``'s tree_digest."""

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import errno
+import io
 import json
 import logging
 import math
@@ -90,6 +91,16 @@ def small_universe(tmp_path):
     return tmp_path, data_dir, manifests
 
 
+@pytest.fixture
+def rebal_logger():
+    """The "rebal" logger, which main sets up, put back as it was after the test."""
+    log = logging.getLogger("rebal")
+    handlers, propagate, level = log.handlers, log.propagate, log.level
+    yield
+    log.handlers, log.propagate = handlers, propagate
+    log.setLevel(level)
+
+
 class TestBacktestCommand:
     def test_smoke_run_writes_all_artifacts(self, small_universe, capsys):
         root, data_dir, manifests = small_universe
@@ -159,17 +170,12 @@ class TestBacktestCommand:
         ("debug", None),
         ("loud", "warning: unknown REBAL_LOG='loud', using error\n"),
     ])
-    def test_rebal_log_level(self, small_universe, capsys, monkeypatch, level, err):
+    def test_rebal_log_level(self, small_universe, capsys, monkeypatch, rebal_logger, level,
+                             err):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
         monkeypatch.setenv("REBAL_LOG", level)
-        logs = logging.getLogger()
-        monkeypatch.setattr(logs, "handlers", [])  # so main's basicConfig sets up stderr
-        before = logs.level
-        try:
-            assert main(["backtest", "--config", str(config)]) == 0
-        finally:
-            logs.setLevel(before)
+        assert main(["backtest", "--config", str(config)]) == 0
         stderr = capsys.readouterr().err
         if err is not None:
             assert stderr == err
@@ -177,6 +183,20 @@ class TestBacktestCommand:
             assert [line.split(":")[0] for line in stderr.splitlines()] == (
                 ["DEBUG rebal.market_data"] * 4 + ["DEBUG rebal.portfolio"]
                 + ["DEBUG rebal.report"] * 2)
+
+    @pytest.mark.parametrize("levels", [("error", "debug"), ("debug", "error")])
+    def test_rebal_log_is_read_at_each_call(self, small_universe, monkeypatch, rebal_logger,
+                                            levels):
+        # each main() in one process takes REBAL_LOG and sys.stderr as they are then
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        for level in levels:
+            monkeypatch.setenv("REBAL_LOG", level)
+            monkeypatch.setattr(sys, "stderr", stderr := io.StringIO())
+            assert main(["backtest", "--config", str(config)]) == 0
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == (7 if level == "debug" else 0)
+            assert all(line.startswith("DEBUG rebal.") for line in lines)
 
     def test_readme_quick_start(self, tmp_path, capsys):
         root = tmp_path / "demo_universe"

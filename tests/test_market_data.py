@@ -571,8 +571,22 @@ def test_synthetic_universe_bounds(tmp_path, options, message):
         generate_universe(tmp_path, **options)
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """The length of each column ``_iso_days`` decodes, in call order."""
+    calls = []
+    real = rebal.market_data._iso_days
+
+    def counting(cells):
+        calls.append(len(cells))
+        return real(cells)
+
+    monkeypatch.setattr(rebal.market_data, "_iso_days", counting)
+    return calls
+
+
 class TestSharedCalendar:
-    """A series on the days the run's PriceCache last decoded takes that array."""
+    """A series on the run's last calendar built, by either reader, takes that array."""
 
     DAYS = ["2021-01-04", "2021-01-05", "2021-01-06", "2021-01-07"]
 
@@ -588,8 +602,8 @@ class TestSharedCalendar:
                                     parsed=cache) for ticker, body in rows.items()]
         first, same, reverse, gap, after = series
         assert same.dates is first.dates and not first.dates.flags.writeable
-        # the cache keeps cells in file order, so a file out of order shares none
-        assert reverse.dates is not first.dates and np.array_equal(reverse.dates, first.dates)
+        # the cache keeps the calendar built, so a file out of order shares it too
+        assert reverse.dates is first.dates
         assert gap.dates is not first.dates and len(gap) == 3
         assert after.dates is not gap.dates and np.array_equal(after.dates, first.dates)
 
@@ -604,10 +618,50 @@ class TestSharedCalendar:
         a, b = (load_price_series(path, t, parsed=parsed) for t in ("AAA", "BBB"))
         assert b.dates is a.dates
 
+    def test_quoted_files_share_the_calendar(self, tmp_path, monkeypatch):
+        # quoted ticker cells send a file to the row loop
+        row_loop = []
+        real = rebal.market_data._read_rows
+
+        def counting(rows, path, cache):
+            row_loop.append(path.stem)
+            return real(rows, path, cache)
+
+        monkeypatch.setattr(rebal.market_data, "_read_rows", counting)
+        cache = PriceCache()
+        series = []
+        for ticker in ("QQA", "QQB", "AAA", "QQC"):
+            body = self.rows(ticker)
+            if ticker.startswith("QQ"):
+                body = [row.replace(f",{ticker},", f',"{ticker}",') for row in body]
+            path = write_csv(tmp_path / f"{ticker}.csv", body)
+            series.append(load_price_series(path, ticker, parsed=cache))
+        assert row_loop == ["QQA", "QQB", "QQC"]
+        assert all(s.dates is series[0].dates for s in series)
+
+    def test_one_ticker_file_after_a_long_file(self, tmp_path, decodes):
+        long_file = write_csv(tmp_path / "prices.csv", sorted(self.rows("AAA") + self.rows("BBB")))
+        cache = PriceCache()
+        a = load_price_series(long_file, "AAA", parsed=cache)
+        assert decodes == [2 * len(self.DAYS)]
+        c = load_price_series(write_csv(tmp_path / "CCC.csv", self.rows("CCC")), "CCC",
+                              parsed=cache)
+        assert c.dates is a.dates and decodes == [2 * len(self.DAYS)]
+
+    def test_newest_first_file_shares_but_is_decoded(self, tmp_path, decodes):
+        cache = PriceCache()
+        oldest_first = write_csv(tmp_path / "AAA.csv", self.rows("AAA"))
+        newest_first = write_csv(tmp_path / "BBB.csv", self.rows("BBB")[::-1])
+        a, b, b_again = (load_price_series(path, path.stem, parsed=cache)
+                         for path in (oldest_first, newest_first, newest_first))
+        assert b.dates is a.dates and b_again.dates is a.dates
+        # the cache holds the calendar's cells oldest first, so those rows never match them
+        assert decodes == [len(self.DAYS)] * 3
+
 
 class TestDateColumnReuse:
-    """A file whose date cells equal the last one-ticker file's takes their
-    decode from the run's PriceCache; any other file is decoded anew."""
+    """A clean file whose date cells are the cells of the run's last calendar
+    built takes its days from the PriceCache; any other file is decoded anew."""
 
     @staticmethod
     def rows(ticker, days):
@@ -616,19 +670,6 @@ class TestDateColumnReuse:
     @staticmethod
     def days(start, end):
         return [str(day) for day in business_days(start, end)]
-
-    @pytest.fixture
-    def decodes(self, monkeypatch):
-        """The length of each column ``_iso_days`` decodes, in call order."""
-        calls = []
-        real = rebal.market_data._iso_days
-
-        def counting(cells):
-            calls.append(len(cells))
-            return real(cells)
-
-        monkeypatch.setattr(rebal.market_data, "_iso_days", counting)
-        return calls
 
     def test_files_on_one_calendar_decode_once(self, tmp_path, decodes):
         days = self.days(date(2013, 1, 1), date(2013, 3, 29))
