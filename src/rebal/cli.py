@@ -119,7 +119,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too many digits or levels
         raise ConfigError(f"{path}: bad JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

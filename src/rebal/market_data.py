@@ -376,41 +376,45 @@ def _read_rows(rows, path: Path, cache: PriceCache) -> _PriceFile:
     """Read the body left in the csv reader ``rows``, its cells stripped.
 
     A ticker's first bad row is its error, and its later rows are skipped.
-    The first ragged row, or row holding a NUL or a ticker that is not
-    UTF-8, stops the read.  An error names the line its row starts on.
+    The first ragged row, cell over the csv field limit, NUL or ticker that
+    is not UTF-8 stops the read.  An error names the line its row starts on.
     """
     by_ticker: dict[str, dict[int, float]] = {}  # each ticker's prices by day number
     bad: dict[str, RebalError] = {}  # each failed ticker's first error
     last = rows.line_num  # the last line of the header
-    for row in rows:
-        line, last = last + 1, rows.line_num  # the lines the row starts and ends on
-        if len(row) < 2 and not "".join(row).strip():
-            continue  # a blank line
-        if len(row) != 3:
-            return _PriceFile(bad, ParseError(f"expected 3 columns, got {len(row)}", path, line))
-        day, ticker, price = map(str.strip, row)
-        if "\0" in day + ticker + price:
-            return _PriceFile(bad, ParseError("NUL character in row", path, line))
-        if ticker in bad:
-            continue
-        if ticker not in by_ticker and re.search("[\udc80-\udcff]", ticker):  # a non-UTF-8 byte
-            return _PriceFile(bad, ParseError("ticker is not valid UTF-8", path, line))
-        prices = by_ticker.setdefault(ticker, {})
-        try:
-            value = float(price) if price.isascii() and "_" not in price else None
-        except ValueError:
-            value = None
-        if (number := _day_number(day)) is None:
-            bad[ticker] = ParseError(f"bad date {day!r}", path, line)
-        elif value is None:
-            bad[ticker] = ParseError(f"bad price {price!r}", path, line)
-        elif not 0.0 < value < np.inf:
-            bad[ticker] = ValidationError(
-                f"{path}:{line}: non-positive price {price} for {ticker}")
-        elif number in prices:
-            bad[ticker] = ValidationError(f"{path}:{line}: duplicate date {day} for {ticker}")
-        else:
-            prices[number] = value
+    try:
+        for row in rows:
+            line, last = last + 1, rows.line_num  # the lines the row starts and ends on
+            if len(row) < 2 and not "".join(row).strip():
+                continue  # a blank line
+            if len(row) != 3:
+                return _PriceFile(bad, ParseError(f"expected 3 columns, got {len(row)}",
+                                                  path, line))
+            day, ticker, price = map(str.strip, row)
+            if "\0" in day + ticker + price:
+                return _PriceFile(bad, ParseError("NUL character in row", path, line))
+            if ticker in bad:
+                continue
+            if ticker not in by_ticker and re.search("[\udc80-\udcff]", ticker):  # not UTF-8
+                return _PriceFile(bad, ParseError("ticker is not valid UTF-8", path, line))
+            prices = by_ticker.setdefault(ticker, {})
+            try:
+                value = float(price) if price.isascii() and "_" not in price else None
+            except ValueError:
+                value = None
+            if (number := _day_number(day)) is None:
+                bad[ticker] = ParseError(f"bad date {day!r}", path, line)
+            elif value is None:
+                bad[ticker] = ParseError(f"bad price {price!r}", path, line)
+            elif not 0.0 < value < np.inf:
+                bad[ticker] = ValidationError(
+                    f"{path}:{line}: non-positive price {price} for {ticker}")
+            elif number in prices:
+                bad[ticker] = ValidationError(f"{path}:{line}: duplicate date {day} for {ticker}")
+            else:
+                prices[number] = value
+    except csv.Error as exc:  # a cell over the csv field limit
+        return _PriceFile(bad, ParseError(str(exc), path, last + 1))
     # each good ticker's day numbers and prices, in day order
     good = ((t, *zip(*sorted(p.items()))) for t, p in by_ticker.items() if t not in bad)
     return _PriceFile({**bad, **_build(good, cache)}, None)
@@ -419,7 +423,10 @@ def _read_rows(rows, path: Path, cache: PriceCache) -> _PriceFile:
 def _parse_price_file(path: Path, cache: PriceCache) -> _PriceFile:
     # Bytes that are not UTF-8 become lone surrogates, which no cell check accepts.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:  # a cell over the csv field limit
+            return _PriceFile({}, ParseError(f"bad header: {exc}", path, 1))
         if header is None:
             return _PriceFile({}, ParseError(
                 "empty file, expected header date,ticker,adj_close", path, 1))
@@ -488,7 +495,7 @@ def load_sector_manifest(path) -> SectorManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too many digits or levels
         raise ParseError(f"bad JSON: {exc}", path)
     if not isinstance(raw, dict):
         raise ParseError("manifest must be a JSON object", path)

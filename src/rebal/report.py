@@ -118,7 +118,7 @@ def read_tear_sheets(path) -> list[TearSheet]:
             rows = [(row, reader.line_num) for row in reader]  # each row and its last line
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", path, exc.lineno) from None
-    except (AttributeError, KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, csv.Error) as exc:
         raise ParseError(f"not a tear sheet: {exc!r}", path) from None
     if not rows or rows[0][0][:1] != ["metric"]:
         raise ParseError("bad tear-sheet header", path, 1)
@@ -264,17 +264,17 @@ def reparse_table(kind: str, path: Path) -> None:
     ASCII, has the header's column count and every numeric cell parses as a
     finite float, or as an int64 integer where the file's cells are ``%d``.
 
-    The body is read as bytes, ``_block_lines`` lines at a time, each ended
-    where text mode ends it.  A block with a blank or non-ASCII line, a
-    malformed row or a non-finite cell is checked again line by line, by the
-    same rule; its first faulty line, so the file's first, is the error, named path:line.
+    The body is read in text mode, as a price file is, ``_block_lines`` lines
+    at a time.  A block with a blank or non-ASCII line (or a byte that is not
+    UTF-8), a malformed row or a non-finite cell is checked again line by line,
+    by the same rule; its first faulty line, so the file's first, is path:line.
     """
     head, cell, tail = PLOT_LAYOUT[kind]
-    with open(path, "rb") as fh:
-        above: list[bytes] = []  # the header's lines, ended as text mode ends them
-        reader = csv.reader(above.append(text) or text.decode("utf-8", "surrogateescape")
-                            for raw in fh for text in raw.splitlines(True))
-        header = next(reader, None)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        try:
+            header = next(reader := csv.reader(fh), None)
+        except csv.Error as exc:  # a cell over the csv field limit
+            raise ParseError(f"bad {kind} header: {exc}", path) from None
         if header is None:
             raise ParseError(f"{kind} file is empty", path)
         numeric = len(header) - head - tail
@@ -285,10 +285,10 @@ def reparse_table(kind: str, path: Path) -> None:
         dtype = strings[:head] + [("numbers", number, (numeric,))] + strings[head:]
         options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
-        def fault(lines: list[bytes]) -> str | None:
-            if not all(text.rstrip(b"\r\n") for text in lines):
+        def fault(lines: list[str]) -> str | None:
+            if not all(text.rstrip("\r\n") for text in lines):
                 return f"blank line in {kind} file"
-            if not all(map(bytes.isascii, lines)):
+            if not all(map(str.isascii, lines)):
                 return f"non-ASCII text in {kind} file"
             try:
                 numbers = np.loadtxt(lines, **options)["numbers"]
@@ -297,18 +297,13 @@ def reparse_table(kind: str, path: Path) -> None:
             bad = numbers[~np.isfinite(numbers)]  # in file order
             return f"not a finite number: {str(bad[0])!r}" if bad.size else None
 
-        fh.seek(sum(map(len, above)))  # a raw line may hold the header's end and more
         first = line = reader.line_num + 1
-        del reader  # and the raw line, split, that it may hold
         size = _block_lines(numeric)
         while block := list(itertools.islice(fh, size)):
-            if fault(block):  # so is a line with a lone CR: np.loadtxt sees a line break in it
-                block = [text for raw in block for text in raw.splitlines(True)]
-                for i in range(0, len(block), size):  # the lines split, in blocks, then one by one
-                    if fault(block[i:i + size]):
-                        for at, text in enumerate(block[i:i + size], line + i):
-                            if message := fault([text]):
-                                raise ParseError(message, path, at)
+            if fault(block):
+                for at, text in enumerate(block, line):
+                    if message := fault([text]):
+                        raise ParseError(message, path, at)
             line += len(block)
     if line == first:
         raise ParseError(f"{kind} file has no data rows", path)

@@ -361,6 +361,30 @@ class TestInputBoundary:
         assert "Traceback" not in err
         assert not (root / "out" / "auto").exists()
 
+    @pytest.mark.parametrize("where, line", [("header", 1), ("body", 42)])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_quote_open_past_the_field_limit_fails_its_sector(self, tmp_path, capsys,
+                                                              command, where, line):
+        """A quote never closed, with more than csv's 128 KiB field limit after
+        it, stops the file at the line its row starts on."""
+        data_dir, manifests = generate_universe(
+            tmp_path / "fixture", start=date(2021, 1, 4), end=date(2021, 2, 26),
+            n_sectors=2, tickers_per_sector=2, seed=11,
+        )
+        path = data_dir / "AUTO01.csv"
+        header, body = path.read_bytes().split(b"\n", 1)
+        open_quote = b'"1' + b"0" * 140_000
+        if where == "header":
+            path.write_bytes(b"date,ticker," + open_quote + b"\n" + body)
+        else:
+            path.write_bytes(header + b"\n" + body + b"2021-03-01,AUTO01," + open_quote + b"\n")
+        config = write_config(tmp_path, data_dir, manifests)
+        assert main([command, "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert "sector 'auto' failed at stage load" in err and "Traceback" not in err
+        assert f"{path}:{line}: " in err and "field larger than field limit (131072)" in err
+        assert ("ok: banking" if command == "backtest" else "sector banking:") in out
+
 
 class TestSectorSlugs:
     """Every manifest is loaded before any sector runs; a clash is rc 2."""
@@ -1205,7 +1229,8 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("value, match", [
         (b"1" + b"0" * 5000, "Exceeds the limit"),  # Python's json allows at most 4300 digits
         (b'"\xff"', "can't decode byte 0xff"),
-    ], ids=["int of 5000 digits", "not UTF-8"])
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["int of 5000 digits", "not UTF-8", "nested 200000 deep"])
     @pytest.mark.parametrize("command", ["backtest", "validate"])
     def test_json_refused_with_a_value_error(self, small_universe, capsys, command, value, match):
         root, data_dir, manifests = small_universe

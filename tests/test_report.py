@@ -177,6 +177,7 @@ class TestExportTearSheets:
         ("ts.csv", "", 1),
         ("ts.csv", "metric,w\ncumulative_return,0,1\n", 2),
         ("ts.csv", "metric,w\ncumulative_return,0\n", None),
+        pytest.param("ts.json", "[" * 200_000 + "]" * 200_000, None, id="ts.json-nested deep"),
         # a header over two lines: an error names the line its row is on, not its record
         ("ts.csv", 'metric,"in\nsample",w\ncumulative_return,0,0\nannual_return,0,0\n'
                    "annual_volatility,0,0\nsharpe,abc,1\n", 6),
@@ -516,11 +517,13 @@ def test_emit_of_a_panel_daily_sized_result_holds_a_chunk(rng, tmp_path):
 
 
 def test_reparse_of_lone_cr_lines_holds_the_file_about_twice(tmp_path, monkeypatch):
-    """A plot file whose lines end in lone CRs is one raw line: verify holds
-    it and its lines once each, and finds a fault by re-checking those lines
-    in blocks, then line by line in the block that faults.  Held by the
-    header reader and read by np.loadtxt as one line too, it traced four
-    times the file, and each of its lines took an np.loadtxt call."""
+    """A plot file whose lines end in lone CRs is read as text mode ends its
+    lines: a block of lines at a time, and line by line in the block that
+    faults.  Verify holds one block, a fraction of this file (0.19 times it).
+    Read as bytes it was one raw line, held and split into its lines (about
+    twice the file); held by the header reader and read by np.loadtxt as one
+    line too, it traced four times the file, and each of its lines took an
+    np.loadtxt call."""
     calls, real = [], np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: calls.append(1) or real(lines, **kw))
     size = rebal.report._block_lines(300)
@@ -542,7 +545,7 @@ def test_reparse_of_lone_cr_lines_holds_the_file_about_twice(tmp_path, monkeypat
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
+        assert peak < 0.5 * path.stat().st_size, peak / path.stat().st_size
         assert len(calls) <= 1 + -(-len(rows) // size) + size  # the raw line, blocks, one's lines
         calls.clear()
         if fault:
@@ -624,9 +627,27 @@ class TestReparseInChunks:
         (b"2021-01-04,0.5,0.5\r\n2021-01-05,0.5,0.5\r\n2021-01-06,0.5,inf\r\n", 6,
          "not a finite number: 'inf'"),
         (b"2021-01-04,0.5,0.\xff5\n", 4, "non-ASCII text in weights file"),
-    ], ids=["lone CR in a row", "CR CR LF", "lone CR between rows", "CRLF", "not UTF-8"])
+        (b"2021-01-04,0.5,0.5\r2021-01-05,0.5,0.5\r2021-01-06,0.5,nan\r2021-01-07,0.5,0.5\r", 6,
+         "not a finite number: 'nan'"),
+        ("2021-01-04,0.5,0.5\u0085\n".encode(), 4, "non-ASCII text in weights file"),
+        ("2021-01-04,0.5\u2028,0.5\n".encode(), 4, "non-ASCII text in weights file"),
+    ], ids=["lone CR in a row", "CR CR LF", "lone CR between rows", "CRLF", "not UTF-8",
+            "CR-only with a fault", "NEL", "U+2028"])
     def test_line_ends_and_bytes_as_text_mode_reads_them(self, tmp_path, body, line, message):
         path = tmp_path / "weights.csv"
         path.write_bytes(b'date,A,"B\rB"\r2021-01-01,0.5,0.5\n' + body)
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{line}: {message}')}$"):
+            reparse_table("weights", path)
+
+    @pytest.mark.parametrize("text, message", [
+        (b'date,A,"B\nB"\n2021-01-01,0.5,0.5\n2021-01-04,0.5,nan\n',
+         ":4: not a finite number: 'nan'"),
+        (b'date,A,"B\n2021-01-01,0.5,0.5\n', ": weights file has no data rows"),
+        (b'date,A,"B' + b"0.5," * 40_000 + b"\n",
+         ": bad weights header: field larger than field limit (131072)"),
+    ], ids=["quoted LF", "unclosed quote", "unclosed quote past the field limit"])
+    def test_header_quotes_as_text_mode_reads_them(self, tmp_path, text, message):
+        path = tmp_path / "weights.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}{message}')}$"):
             reparse_table("weights", path)
