@@ -17,7 +17,7 @@ and keeps its earlier output; the rest still run, and the exit is 1.
 
 Configuration comes from a single JSON file whose keys mirror RunConfig
 fields; command-line flags win over the file.  The ``REBAL_LOG``
-environment variable (error, info, debug) controls log verbosity.
+environment variable (error, info, debug) sets the progress lines on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import logging
 import os
 import sys
 import tempfile
@@ -47,6 +46,14 @@ from .returns import simple_returns, split_sample
 _FLOAT_FIELDS = ("per_asset_capital", "cost_rate", "risk_free", "omega_threshold", "var_cutoff")
 _CONFIG_DATES = ("start", "split", "end")
 WINDOWS = ("in_sample", "out_of_sample", "overall")  # the tear sheets' windows, in order
+_LOG_LEVELS = ("error", "info", "debug")  # REBAL_LOG's values, quietest first
+_log_level = "error"  # the current main() call's REBAL_LOG
+
+
+def _log(level: str, sector: str, fact: str) -> None:
+    """Print ``<LEVEL> rebal: <sector>: <fact>`` to stderr if REBAL_LOG is ``level`` or louder."""
+    if _LOG_LEVELS.index(level) <= _LOG_LEVELS.index(_log_level):
+        print(f"{level.upper()} rebal: {sector}: {fact}", file=sys.stderr)
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,9 @@ class RunConfig:
         object.__setattr__(self, "data_dir", Path(self.data_dir))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "manifests", tuple(Path(p) for p in self.manifests))
+        for path in (self.data_dir, self.out_dir, *self.manifests):
+            if "\0" in str(path):
+                raise ConfigError(f"path {describe(str(path))} holds a NUL byte")
         for name in _CONFIG_DATES:
             value = getattr(self, name)
             if not isinstance(value, (date, np.datetime64)):
@@ -157,9 +167,9 @@ def _preflight(config: RunConfig) -> None:
         raise ConfigError("no sector manifests configured")
     seen, slugs = set(), {}
     for path in config.manifests:
-        if path.resolve() in seen:
+        if (real := os.path.realpath(path)) in seen:  # a symlink loop fails at the open
             raise ConfigError(f"manifest {path} is listed twice")
-        seen.add(path.resolve())
+        seen.add(real)
         try:
             sector = market_data.load_sector_manifest(path).sector
         except RebalError:
@@ -186,11 +196,16 @@ def _load_sector(config: RunConfig, manifest_path: Path, parsed: dict):
         manifest = load_sector_manifest(manifest_path)
         sector = manifest.sector
         stage = "load"
-        *series, benchmark = [load_price_series(resolve_price_file(config.data_dir, t), t,
-                                                parsed=parsed, keep=t == manifest.benchmark)
-                              for t in (*manifest.tickers, manifest.benchmark)]
+        series = []
+        for t in (*manifest.tickers, manifest.benchmark):
+            path = resolve_price_file(config.data_dir, t)
+            series.append(load_price_series(path, t, parsed=parsed, keep=t == manifest.benchmark))
+            _log("debug", sector, f"loaded {t}: {len(series[-1])} observations from {path}")
         stage = "align"
+        benchmark = series.pop()
         panel = align_panel(series, benchmark)
+        _log("info", sector, f"aligned {len(series)} tickers onto {len(panel)} days "
+             f"({panel.calendar[0]}..{panel.calendar[-1]})")
         stage = "clip"
         coverage = [(s.ticker, len(s)) for s in series]
         return manifest, coverage, clip_panel(panel, config.start, config.end)
@@ -225,6 +240,8 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
     stage = "backtest"
     try:
         result = run_backtest(panel, config.policy())
+        _log("info", manifest.sector, f"backtest over {len(panel)} days, "
+             f"{len(result.rebalance_dates)} rebalances ({config.frequency})")
 
         stage = "metrics"
         cfg = config.metric_config()
@@ -246,6 +263,7 @@ def _run_sector(config: RunConfig, manifest_path: Path, parsed: dict) -> str:
 
             stage = "verify"
             _reparse_outputs(files, ts_path)
+            _log("info", manifest.sector, f"wrote and verified {len(files) + 1} files")
             if out_dir.exists():
                 out_dir.rename(old)
             try:
@@ -326,20 +344,12 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("REBAL_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        print(f"warning: unknown REBAL_LOG={level_name!r}, using error", file=sys.stderr)
-    handler = logging.StreamHandler(sys.stderr)  # this call's stderr
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log = logging.getLogger("rebal")
-    log.handlers, log.propagate = [handler], False  # a host's root handlers are left alone
-    log.setLevel(levels.get(level_name, logging.ERROR))
-
-
 def main(argv=None) -> int:
-    _setup_logging()
+    global _log_level
+    _log_level = os.environ.get("REBAL_LOG", "error").lower()
+    if _log_level not in _LOG_LEVELS:
+        print(f"warning: unknown REBAL_LOG={_log_level!r}, using error", file=sys.stderr)
+        _log_level = "error"
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

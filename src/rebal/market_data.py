@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import os
 import re
 from dataclasses import dataclass, fields
@@ -53,8 +52,6 @@ import numpy as np
 
 from .errors import (AlignmentError, ConfigError, ParseError, RebalError, ValidationError,
                      WindowError, describe)
-
-logger = logging.getLogger(__name__)
 
 PRICE_CSV_HEADER = ("date", "ticker", "adj_close")
 
@@ -485,7 +482,6 @@ def load_price_series(path, ticker: str, parsed: PriceCache | None = None,
         raise ValidationError(f"{path}: no rows for ticker {ticker!r}")
     if isinstance(series, RebalError):
         raise series.with_traceback(None)
-    logger.debug("loaded %s: %d observations from %s", ticker, len(series), path)
     return series
 
 
@@ -552,13 +548,8 @@ def align_panel(series: list[PriceSeries], benchmark: PriceSeries) -> PricePanel
     prices = np.empty((n, len(calendar)))
     for row, s in zip(prices, all_series):
         row[:] = s.prices[counts[(s.dates - first).view(np.int64)] == n]
-    panel = PricePanel(calendar, tuple(s.ticker for s in all_series[:-1]),
-                       prices[:-1], prices[-1])
-    logger.debug(
-        "aligned %d tickers onto %d shared days (%s..%s)",
-        len(tickers), len(calendar), calendar[0], calendar[-1],
-    )
-    return panel
+    return PricePanel(calendar, tuple(s.ticker for s in all_series[:-1]),
+                      prices[:-1], prices[-1])
 
 
 def clip_panel(panel: PricePanel, start, end) -> PricePanel:

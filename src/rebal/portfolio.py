@@ -30,15 +30,12 @@ weights are (tickers x days) matrices, rows in the panel's ticker order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllocationError, DomainError, InsolvencyError, describe, require_number
 from .market_data import DAY, PricePanel, _positive_finite
-
-logger = logging.getLogger(__name__)
 
 REBALANCE_FREQUENCIES = ("daily", "monthly", "yearly", "never")
 BLOCK_CELLS = 8192  # most holdings marked to market at a time
@@ -223,10 +220,6 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
         value[lo:lo + step] = _sum_left_to_right(shares[:, lo:lo + step] * prices[:, lo:lo + step])
     value += cash
 
-    logger.debug(
-        "backtest over %d days, %d tickers, %d rebalances (%s)",
-        n_days, len(panel.tickers), len(applied), policy.frequency,
-    )
     return BacktestResult(
         calendar=panel.calendar,
         tickers=panel.tickers,

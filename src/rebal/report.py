@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import logging
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,6 @@ from .errors import ParseError, ValidationError
 from .metrics import METRIC_NAMES, TearSheet, box_plot_summary
 from .portfolio import BacktestResult
 from .returns import FREQUENCIES, aggregate, simple_returns
-
-logger = logging.getLogger(__name__)
 
 BOX_STATS = ("min", "q1", "median", "q3", "max")
 ROW_BLOCK = 128  # most lines of a plot file written, or re-read, at a time
@@ -81,7 +78,6 @@ def export_tear_sheets(sheets, path) -> Path:
             for s in sheets
         ]
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    logger.debug("wrote %d tear sheets to %s", len(sheets), path)
     return path
 
 
@@ -347,6 +343,4 @@ def emit_plot_data(
         for stat, value in zip(BOX_STATS, box_plot_summary(series)):
             rows.append((frequency, stat, value + 0.0))
     _write_table(manifest["distributions"], ["frequency", "stat", "value"], rows)
-
-    logger.debug("emitted plot data for %d days into %s", len(result.calendar), out_dir)
     return manifest

@@ -6,7 +6,6 @@ import dataclasses
 import errno
 import io
 import json
-import logging
 import math
 import os
 import re
@@ -91,16 +90,6 @@ def small_universe(tmp_path):
     return tmp_path, data_dir, manifests
 
 
-@pytest.fixture
-def rebal_logger():
-    """The "rebal" logger, which main sets up, put back as it was after the test."""
-    log = logging.getLogger("rebal")
-    handlers, propagate, level = log.handlers, log.propagate, log.level
-    yield
-    log.handlers, log.propagate = handlers, propagate
-    log.setLevel(level)
-
-
 class TestBacktestCommand:
     def test_smoke_run_writes_all_artifacts(self, small_universe, capsys):
         root, data_dir, manifests = small_universe
@@ -164,29 +153,25 @@ class TestBacktestCommand:
         monkeypatch.setattr(rebal.cli, "ctypes", types.SimpleNamespace(pythonapi=object()))
         assert main(["backtest", "--config", str(config)]) == 0
 
-    @pytest.mark.parametrize("level, err", [
-        ("error", ""),
-        ("info", ""),  # nothing logs at info yet
-        ("debug", None),
-        ("loud", "warning: unknown REBAL_LOG='loud', using error\n"),
-    ])
-    def test_rebal_log_level(self, small_universe, capsys, monkeypatch, rebal_logger, level,
-                             err):
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    @pytest.mark.parametrize("level", ["error", "info", "debug", "loud", "INFO"])
+    def test_rebal_log_level(self, small_universe, capsys, monkeypatch, command, level):
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
         monkeypatch.setenv("REBAL_LOG", level)
-        assert main(["backtest", "--config", str(config)]) == 0
-        stderr = capsys.readouterr().err
-        if err is not None:
-            assert stderr == err
-        else:  # a line per series loaded, the alignment, the backtest and each emit
-            assert [line.split(":")[0] for line in stderr.splitlines()] == (
-                ["DEBUG rebal.market_data"] * 4 + ["DEBUG rebal.portfolio"]
-                + ["DEBUG rebal.report"] * 2)
+        assert main([command, "--config", str(config)]) == 0
+        loaded = [f"DEBUG rebal: auto: loaded {ticker}: 40 observations from "
+                  f"{data_dir / ticker}.csv" for ticker in ("AUTO01", "AUTO02", "INDEX50")]
+        info = ["INFO rebal: auto: aligned 2 tickers onto 40 days (2021-01-04..2021-02-26)"]
+        if command == "backtest":
+            info += ["INFO rebal: auto: backtest over 40 days, 1 rebalances (monthly)",
+                     "INFO rebal: auto: wrote and verified 5 files"]
+        expected = {"error": [], "info": info, "INFO": info, "debug": loaded + info,
+                    "loud": ["warning: unknown REBAL_LOG='loud', using error"]}[level]
+        assert capsys.readouterr().err == "".join(line + "\n" for line in expected)
 
-    @pytest.mark.parametrize("levels", [("error", "debug"), ("debug", "error")])
-    def test_rebal_log_is_read_at_each_call(self, small_universe, monkeypatch, rebal_logger,
-                                            levels):
+    @pytest.mark.parametrize("levels", [("error", "debug"), ("debug", "info", "error")])
+    def test_rebal_log_is_read_at_each_call(self, small_universe, monkeypatch, levels):
         # each main() in one process takes REBAL_LOG and sys.stderr as they are then
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
@@ -195,8 +180,10 @@ class TestBacktestCommand:
             monkeypatch.setattr(sys, "stderr", stderr := io.StringIO())
             assert main(["backtest", "--config", str(config)]) == 0
             lines = stderr.getvalue().splitlines()
-            assert len(lines) == (7 if level == "debug" else 0)
-            assert all(line.startswith("DEBUG rebal.") for line in lines)
+            assert len(lines) == {"error": 0, "info": 3, "debug": 6}[level]
+            assert all(line.startswith(("INFO rebal: auto: ", "DEBUG rebal: auto: "))
+                       for line in lines)
+            assert sum(line.startswith("DEBUG ") for line in lines) == 3 * (level == "debug")
 
     def test_readme_quick_start(self, tmp_path, capsys):
         root = tmp_path / "demo_universe"
@@ -623,6 +610,19 @@ class TestFileSystemFailures:
     directory that cannot be used exits 2 before any sector runs; a price
     file, write or final rename that fails fails its sector alone, rc 1."""
 
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_manifest_in_a_symlink_loop_exits_2(self, small_universe, capsys, command):
+        root, data_dir, manifests = small_universe
+        (root / "loop.json").symlink_to(root / "pool.json")
+        (root / "pool.json").symlink_to(root / "loop.json")
+        config = write_config(root, data_dir, [*manifests, root / "loop.json"])
+        assert main([command, "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: [Errno {errno.ELOOP}] ") and "loop.json" in err
+        assert err.count("\n") == 1
+        assert not (root / "out").exists()
+
     @pytest.mark.parametrize("command, fault", [
         ("backtest", "config is missing"),
         ("validate", "config is missing"),
@@ -977,13 +977,13 @@ def test_runs_do_not_import_numpy_ma(tmp_path):
             "for config in sys.argv[1:]:\n"
             "    for command in ('backtest', 'validate'):\n"
             "        assert main([command, '--config', config]) == 0\n"
-            "print('numpy.ma' in sys.modules)")
+            "print('numpy.ma' in sys.modules, 'logging' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code, *configs], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("planned rebalances (yearly): 1") == 4  # two sectors, twice
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 class TestValidateCommand:
@@ -1147,6 +1147,19 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert match in err
         assert "Traceback" not in err
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("field", ["data_dir", "out_dir", "manifests"])
+    @pytest.mark.parametrize("command", ["backtest", "validate"])
+    def test_nul_in_a_path_exits_2(self, small_universe, capsys, command, field):
+        root, data_dir, manifests = small_universe
+        config = write_config(root, data_dir, manifests)
+        payload = json.loads(config.read_text())
+        bad = f"{root}/x\0y"
+        payload[field] = [*payload[field], bad] if field == "manifests" else bad
+        config.write_text(json.dumps(payload))
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: path {bad!r} holds a NUL byte\n")
         assert not (root / "out").exists()
 
     @pytest.mark.parametrize("flag, value, match", [
