@@ -13,11 +13,11 @@ date is exactly YYYY-MM-DD in ASCII digits and names a real day; a price
 is a positive, finite ASCII decimal as float() reads it, without "_".
 UTF-8 with LF, CRLF or CR line ends; bytes that are not UTF-8 make a bad
 date or price, or in a ticker cell stop the file like a ragged row, as a
-NUL character does.  Manifest tickers must be plain file names.
-np.loadtxt reads a clean file (ASCII, unquoted, every row good): in one
-call up to 128 KiB, else in one call per 64 KiB block, of which each row
-leaves only a (ticker, day) key and a price.  Any other file is read again,
-a csv row at a time, to the same result.  A run's PriceCache keeps the last
+NUL character does.  Manifest names are printable, tickers plain file names.
+np.loadtxt reads a clean file (ASCII, unquoted, every row good): in one call
+up to 128 KiB, else one call per 64 KiB block read to a line end, whose rows
+leave only a (ticker, day) key and a price.  Any other file is read again, a
+csv row at a time, to the same result.  A run's PriceCache keeps the last
 calendar built, by either reader: a series on those days shares that array,
 and a clean file whose date cells match its cells row for row is not decoded.
 
@@ -123,6 +123,8 @@ class SectorManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        if not self.sector.isprintable():  # no line break or control character in a log line
+            raise ValidationError(f"sector {self.sector!r} is not a printable name")
         if not self.tickers:
             raise ValidationError(f"sector {self.sector!r}: empty ticker list")
         if len(set(self.tickers)) != len(self.tickers):
@@ -132,7 +134,7 @@ class SectorManifest:
                 f"sector {self.sector!r}: benchmark {self.benchmark!r} is also a constituent"
             )
         names = [t for t in (*self.tickers, self.benchmark)
-                 if t in ("", ".", "..") or "/" in t or "\\" in t]
+                 if t in ("", ".", "..") or "/" in t or "\\" in t or not t.isprintable()]
         if names:
             raise ValidationError(f"sector {self.sector!r}: {names[0]!r} is not a plain file name")
 
@@ -275,20 +277,13 @@ def _rows_equal(words: np.ndarray, like: np.ndarray) -> bool:
 def _blocks(fh):
     """The body left in ``fh`` as texts of whole lines: all of it in one read
     if the file is at most ``_WHOLE`` bytes long, else a ``_BLOCK`` at a time,
-    each cut after its last line break.  ValueError for a block with none."""
-    if os.fstat(fh.fileno()).st_size <= _WHOLE:
-        yield fh.read()
-        return
-    text = ""
-    while block := fh.read(_BLOCK):
-        text += block
-        cut = text.rfind("\n") + 1  # the text before ``block`` holds no line break
-        if not cut:
-            raise ValueError("a block with no line break")
-        yield text[:cut]
-        text = text[cut:]
-    if text:
-        yield text
+    each read completed to the end of its line by ``readline``, which ends a
+    line at LF, CRLF or a lone CR.  ValueError if the completion fills a block."""
+    size = -1 if os.fstat(fh.fileno()).st_size <= _WHOLE else _BLOCK
+    while text := fh.read(size):
+        if len(line := fh.readline(_BLOCK)) == _BLOCK:
+            raise ValueError("a line longer than a block")
+        yield text + line
 
 
 def _clean_cells(text: str) -> np.ndarray:
@@ -324,10 +319,6 @@ def _ticker_ids(cells: np.ndarray, ids: dict[str, int]) -> np.ndarray:
                      for c in cells["ticker"][first]])[group]
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     """Each ticker's series from the clean body in ``fh``, read by one
     np.loadtxt call per ``_blocks`` block.
@@ -355,9 +346,9 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
         prices.append(cells["price"].copy())
         done += len(cells)
         del cells, words, seen, day  # before the next block is read
-    key = _joined(keys)
+    key = np.concatenate(keys)  # ValueError for a body of no lines
     del keys  # before the prices are joined
-    prices = _joined(prices)
+    prices = np.concatenate(prices)
     order = np.argsort(key, kind="stable")
     key = key[order]
     if not (key[1:] > key[:-1]).all():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rebal.cli
@@ -184,6 +184,28 @@ class TestBacktestCommand:
             assert all(line.startswith(("INFO rebal: auto: ", "DEBUG rebal: auto: "))
                        for line in lines)
             assert sum(line.startswith("DEBUG ") for line in lines) == 3 * (level == "debug")
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sector=st.lists(st.text(st.characters(exclude_categories=("C", "Z")), max_size=5)
+                           | st.sampled_from(" \n\r\t\0\x85\u2028"), max_size=3).map("".join))
+    @example(sector="Auto\nINFO rebal: fake: wrote and verified 5 files")
+    @example(sector="Auto")
+    def test_each_outcome_is_whole_lines(self, small_universe, capsys, monkeypatch, sector):
+        # a sector name cannot add, split or forge an ok:, error: or INFO line
+        root, data_dir, manifests = small_universe
+        payload = json.loads(manifests[0].read_text())
+        manifests[0].write_text(json.dumps(dict(payload, sector=sector)))
+        monkeypatch.setenv("REBAL_LOG", "info")
+        rc = main(["backtest", "--config", str(write_config(root, data_dir, manifests))])
+        out, err = (text.splitlines() for text in capsys.readouterr())
+        assert rc in (0, 1)
+        assert all(line.startswith("ok: ") for line in out)
+        assert all(line.startswith(("error: ", "INFO rebal: ")) for line in err)
+        if sector.isprintable():
+            assert (rc, len(out), len(err)) == (0, 1, 3)
+        else:
+            assert (rc, out, len(err)) == (1, [], 1) and "failed at stage manifest" in err[0]
 
     def test_readme_quick_start(self, tmp_path, capsys):
         root = tmp_path / "demo_universe"

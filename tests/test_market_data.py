@@ -484,8 +484,9 @@ class TestMatchesRowParser:
 
     @pytest.mark.parametrize("layout", ["long cell", "lone CR"])
     def test_first_block_without_a_line_break(self, tmp_path, monkeypatch, layout):
-        # the read stops at the first block, so the text carried over never
-        # grows past one block, and the row loop reads the file
+        # readline ends the first block at the end of its line, a lone CR
+        # too, so no text parsed as cells holds more than two blocks; the row
+        # loop then reads the file
         rows = self.long_rows()
         if layout == "long cell":
             rows[0] = f"2000-01-01,T0,{'1' * (1 << 16)}.5"
@@ -497,11 +498,11 @@ class TestMatchesRowParser:
         monkeypatch.setattr(rebal.market_data, "_clean_cells",
                             lambda text: cleaned.append(text) or real(text))
         self.assert_same(path, [f"T{k}" for k in range(7)] + ["MISSING"])
-        assert cleaned == []
+        assert cleaned and max(map(len, cleaned)) <= 2 * rebal.market_data._BLOCK
 
     @pytest.mark.parametrize("tickers", [1, 2])
     def test_long_file_whose_last_row_has_no_line_break(self, tmp_path, monkeypatch, tickers):
-        # the text after the last block's last line break is a block of its own
+        # the unterminated row ends the last block, and every other block ends a line
         path, rows = tmp_path / "prices.csv", self.long_rows(tickers)
         write_csv(path, rows)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
@@ -510,7 +511,47 @@ class TestMatchesRowParser:
         monkeypatch.setattr(rebal.market_data, "_clean_cells",
                             lambda text: cleaned.append(text) or real(text))
         self.assert_same(path, [f"T{k}" for k in range(tickers)] + ["MISSING"])
-        assert {text for text in cleaned if not text.endswith("\n")} == {rows[-1]}
+        cleaned.clear()  # the blocks of one parse
+        rebal.market_data._parse_price_file(path, PriceCache())
+        assert cleaned[-1].endswith("\n" + rows[-1])
+        assert all(text.endswith("\n") for text in cleaned[:-1])
+
+    @staticmethod
+    def small_body(layout):
+        """150 rows of AAA, BBB and CCC in lines of 21 characters and an end."""
+        day0 = date(2021, 1, 4).toordinal()
+        rows = [f"{date.fromordinal(day0 + k // 3)},{'ABC'[k % 3] * 3},{100 + k}.25"
+                for k in range(150)]
+        if layout == "long line":  # a price of over 1500 characters
+            rows[75] = rows[75].replace(",1", "," + "0" * 1500 + "1")
+        if layout == "quoted break":
+            rows[75] = rows[75].replace(",BBB,", ',"B\nB",')
+        end = {"CRLF": "\r\n", "lone CR": "\r"}.get(layout, "\n")
+        body = end.join(rows) + end
+        return body[:-1] if layout == "no final break" else body
+
+    @pytest.mark.parametrize("block", [24, 25, 45, 64, 68, 100, 250, 333, 1000])
+    @pytest.mark.parametrize("layout", ["LF", "CRLF", "lone CR", "no final break",
+                                        "long line", "quoted break"])
+    def test_blocks_of_any_size(self, tmp_path, monkeypatch, layout, block):
+        # every read starts a line; one of 45 or 68 characters ends between
+        # the CR and LF of 23-character CRLF lines
+        monkeypatch.setattr(rebal.market_data, "_WHOLE", 0)
+        monkeypatch.setattr(rebal.market_data, "_BLOCK", block)
+        if layout in ("LF", "CRLF", "no final break"):
+            def row_loop(rows, path, cache):
+                raise AssertionError(f"{path} went to the row loop")
+
+            monkeypatch.setattr(rebal.market_data, "_read_rows", row_loop)
+        cleaned, real = [], rebal.market_data._clean_cells
+        monkeypatch.setattr(rebal.market_data, "_clean_cells",
+                            lambda text: cleaned.append(text) or real(text))
+        path, body = tmp_path / "prices.csv", self.small_body(layout)
+        path.write_bytes(b"date,ticker,adj_close\n" + body.encode())
+        self.assert_same(path, ["AAA", "BBB", "CCC", "MISSING"])
+        # each block is whole lines, of at most two reads
+        assert all(text.endswith(("\n", "\r")) or body.endswith(text) for text in cleaned)
+        assert max(map(len, cleaned), default=0) <= 2 * block
 
     @pytest.mark.parametrize("body", [
         b"2021-01-04,AAA,1\n2021-01-05,AAA,2\n",                    # clean
@@ -791,6 +832,13 @@ class TestSectorManifest:
         ('{"sector": "x", "tickers": [""], "benchmark": "IX"}', "plain file name"),
         ('{"sector": "x", "tickers": ["A"], "benchmark": "."}', "plain file name"),
         ('{"sector": "x", "tickers": ["A"], "benchmark": ".."}', "plain file name"),
+        # a name that is not printable, shown as its repr
+        ('{"sector": "A\\nB", "tickers": ["A"], "benchmark": "IX"}',
+         r"^sector 'A\\nB' is not a printable name$"),
+        ('{"sector": "A\\u2028", "tickers": ["A"], "benchmark": "IX"}', "printable name"),
+        ('{"sector": "x", "tickers": ["A\\tB"], "benchmark": "IX"}', r"'A\\tB' is not a plain"),
+        ('{"sector": "x", "tickers": ["A\\u0000"], "benchmark": "IX"}', "plain file name"),
+        ('{"sector": "x", "tickers": ["A"], "benchmark": "I\\u0085X"}', "plain file name"),
     ])
     def test_invariant_violations(self, tmp_path, payload, match):
         path = tmp_path / "m.json"
