@@ -84,8 +84,8 @@ class RunConfig:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "manifests", tuple(Path(p) for p in self.manifests))
         for path in (self.data_dir, self.out_dir, *self.manifests):
-            if "\0" in str(path):
-                raise ConfigError(f"path {describe(str(path))} holds a NUL byte")
+            if not str(path).isprintable():  # no NUL, and no line break to forge a line
+                raise ConfigError(f"path {describe(str(path))} is not printable")
         for name in _CONFIG_DATES:
             value = getattr(self, name)
             if not isinstance(value, (date, np.datetime64)):

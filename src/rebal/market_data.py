@@ -18,8 +18,8 @@ np.loadtxt reads a clean file (ASCII, unquoted, every row good): in one call
 up to 128 KiB, else one call per 64 KiB block read to a line end, whose rows
 leave only a (ticker, day) key and a price.  Any other file is read again, a
 csv row at a time, to the same result.  A run's PriceCache keeps the last
-calendar built, by either reader: a series on those days shares that array,
-and a clean file whose date cells match its cells row for row is not decoded.
+calendar built, which a series on those days shares, and the last clean
+file's first-block date cells, whose days a first block of those cells takes.
 
 Sector manifest schema (JSON):
 
@@ -181,11 +181,12 @@ class PricePanel(_ArrayRecord):
 
 class PriceCache(dict):
     """A run's price-file cache: ``load_price_series``'s parsed multi-ticker
-    files by path, and in ``dates`` the last calendar a series was built on,
-    from any file: its YYYY-MM-DD cells as uint64 words, in ascending order,
-    and its read-only days.  ``_build`` alone replaces the pair, whole."""
+    files by path.  ``calendar``, set by ``_build`` alone, is the read-only
+    days of the last series built; ``cells``, set by ``_read_cells`` alone, is
+    the last clean file's first-block date cells, as bytes, and their days."""
 
-    dates: tuple[np.ndarray, np.ndarray] | None = None
+    calendar: np.ndarray | None = None
+    cells: tuple[bytes, np.ndarray | None] = (b"", None)
 
 
 class _PriceFile(NamedTuple):
@@ -251,10 +252,10 @@ def iso_day(text) -> np.datetime64:
 
 def _build(groups, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     """Each ``(ticker, days, prices)`` of ``groups`` as its series, or why it has none.
-    A series on the last one's days, the first on the cache's, takes that array;
-    the last calendar built, if new, replaces ``cache.dates`` with its cells."""
+    A series on the last one's days, the first on ``cache.calendar`` or, with none
+    yet, on ``cache.cells``' days, takes that array; the last becomes the calendar."""
     built: dict[str, PriceSeries | RebalError] = {}
-    cached = calendar = cache.dates and cache.dates[1]
+    calendar = cache.calendar if cache.calendar is not None else cache.cells[1]
     for ticker, days, prices in groups:
         days = np.asarray(days, DAY)
         days = calendar if np.array_equal(days, calendar) else days
@@ -263,15 +264,8 @@ def _build(groups, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
             calendar = built[ticker].dates
         except ValidationError as exc:  # too few observations
             built[ticker] = exc
-    if calendar is not cached:  # once per new calendar
-        cache.dates = (_frozen(calendar.astype("S16").view("2u8"), np.uint64), calendar)
+    cache.calendar = calendar
     return built
-
-
-def _rows_equal(words: np.ndarray, like: np.ndarray) -> bool:
-    """Whether (rows x 2) uint64 ``words`` equal ``like``, one row or as many
-    rows, compared a column at a time, which numpy does faster than a block."""
-    return all((words[:, k] == like[..., k]).all() for k in (0, 1))
 
 
 def _blocks(fh):
@@ -306,7 +300,8 @@ def _ticker_ids(cells: np.ndarray, ids: dict[str, int]) -> np.ndarray:
     """Each row's ticker id in ``ids``, which gives a new name the next id.
     Rows are told apart by their ticker cell's two uint64 words."""
     pairs = cells.view(np.uint64).reshape(len(cells), -1)[:, 2:4]
-    if _rows_equal(pairs, pairs[0]):  # the usual layout
+    # one ticker, the usual layout; numpy compares a column at a time faster than a block
+    if all((pairs[:, k] == pairs[0, k]).all() for k in (0, 1)):
         first, group = [0], np.zeros(len(pairs), dtype=np.intp)
     else:
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
@@ -327,25 +322,23 @@ def _read_cells(fh, cache: PriceCache) -> dict[str, PriceSeries | RebalError]:
     date and a (ticker, day) of its own on each row, so no row has an error
     to report.  Raises ValueError for any other body.  Of a block only a
     (ticker, day) key and a price per row outlive it.  A block whose date
-    cells are the cache's calendar cells at its rows takes those days
-    undecoded; ``_build`` then shares the cached array.
+    cells are the bytes of ``cache.cells`` takes its days undecoded; any
+    other is decoded, and if first, its cells and days become ``cache.cells``.
     """
-    known, decoded = cache.dates or (np.empty((0, 2), np.uint64), None)  # replaced whole
     ids: dict[str, int] = {}
     keys, prices = [], []  # per block
-    done = 0  # rows read
     for cells in map(_clean_cells, _blocks(fh)):
-        words = cells.view(np.uint64).reshape(len(cells), -1)[:, :2]  # the date cells
-        seen = known[done:done + len(cells)]
-        if len(seen) == len(cells) and _rows_equal(words, seen):
-            day = decoded[done:done + len(cells)]
+        dates = cells["date"].tobytes()  # compared faster than as an array
+        if dates == cache.cells[0]:
+            day = cache.cells[1]
         else:
             day = _iso_days(cells["date"])  # a bad date raises ValueError
+            if not keys:
+                cache.cells = (dates, _frozen(day, DAY))
         # rows by ticker and day, as a day ordinal: from 1 to below 2**22
         keys.append((_ticker_ids(cells, ids) << 22) + (day.view(np.int64) + _EPOCH.toordinal()))
         prices.append(cells["price"].copy())
-        done += len(cells)
-        del cells, words, seen, day  # before the next block is read
+        del cells, day  # before the next block is read
     key = np.concatenate(keys)  # ValueError for a body of no lines
     del keys  # before the prices are joined
     prices = np.concatenate(prices)

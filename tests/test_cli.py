@@ -1174,15 +1174,18 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("field", ["data_dir", "out_dir", "manifests"])
     @pytest.mark.parametrize("command", ["backtest", "validate"])
     def test_nul_in_a_path_exits_2(self, small_universe, capsys, command, field):
+        # and any other character that is not printable, such as a line break
+        # that would forge an ok: line
         root, data_dir, manifests = small_universe
         config = write_config(root, data_dir, manifests)
-        payload = json.loads(config.read_text())
-        bad = f"{root}/x\0y"
-        payload[field] = [*payload[field], bad] if field == "manifests" else bad
-        config.write_text(json.dumps(payload))
-        assert main([command, "--config", str(config)]) == 2
-        assert capsys.readouterr() == ("", f"error: path {bad!r} holds a NUL byte\n")
-        assert not (root / "out").exists()
+        good, names = json.loads(config.read_text()), sorted(os.listdir(root))
+        for char in "\0\n\r\t\x85\u2028":
+            bad = f"{root}/x{char}ok: fake -> y"
+            payload = {**good, field: [*good[field], bad] if field == "manifests" else bad}
+            config.write_text(json.dumps(payload))
+            assert main([command, "--config", str(config)]) == 2
+            assert capsys.readouterr() == ("", f"error: path {bad!r} is not printable\n")
+            assert sorted(os.listdir(root)) == names  # nothing written
 
     @pytest.mark.parametrize("flag, value, match", [
         ("--capital", "nan", "per_asset_capital must be a finite number"),

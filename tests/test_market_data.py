@@ -685,9 +685,10 @@ class TestSharedCalendar:
         cache = PriceCache()
         a = load_price_series(long_file, "AAA", parsed=cache)
         assert decodes == [2 * len(self.DAYS)]
+        # its cells are not the long file's, so it decodes them, and still shares
         c = load_price_series(write_csv(tmp_path / "CCC.csv", self.rows("CCC")), "CCC",
                               parsed=cache)
-        assert c.dates is a.dates and decodes == [2 * len(self.DAYS)]
+        assert c.dates is a.dates and decodes == [2 * len(self.DAYS), len(self.DAYS)]
 
     def test_newest_first_file_shares_but_is_decoded(self, tmp_path, decodes):
         cache = PriceCache()
@@ -696,13 +697,14 @@ class TestSharedCalendar:
         a, b, b_again = (load_price_series(path, path.stem, parsed=cache)
                          for path in (oldest_first, newest_first, newest_first))
         assert b.dates is a.dates and b_again.dates is a.dates
-        # the cache holds the calendar's cells oldest first, so those rows never match them
-        assert decodes == [len(self.DAYS)] * 3
+        # the cache holds the last clean file's cells in its row order, so a
+        # newest-first file read again is not decoded again
+        assert decodes == [len(self.DAYS)] * 2
 
 
 class TestDateColumnReuse:
-    """A clean file whose date cells are the cells of the run's last calendar
-    built takes its days from the PriceCache; any other file is decoded anew."""
+    """A clean file whose first block's date cells are the last clean file's
+    takes their days from the PriceCache; any other block is decoded anew."""
 
     @staticmethod
     def rows(ticker, days):
@@ -720,6 +722,8 @@ class TestDateColumnReuse:
             assert load_price_series(path, ticker, parsed=cache).dates.tolist() == [
                 date.fromisoformat(day) for day in days]
         assert decodes == [len(days)] and cache == {}
+        # the first file's decoded days are the calendar every series shares
+        assert cache.calendar is cache.cells[1]
 
     def test_alternating_calendars_decode_at_each_change(self, tmp_path, decodes):
         one = self.days(date(2013, 1, 1), date(2013, 3, 29))
@@ -750,15 +754,17 @@ class TestDateColumnReuse:
 
     def test_one_ticker_file_of_several_blocks(self, tmp_path, decodes):
         # each cell is decoded once, a block at a time; a file on those days
-        # then shares them and decodes nothing
+        # then takes its first block's days undecoded, decodes every later
+        # block, and shares the first file's array
         days = self.days(date(1990, 1, 1), date(2021, 12, 31))
         cache = PriceCache()
         first, second = (write_csv(tmp_path / f"{t}.csv", self.rows(t, days)) for t in "AB")
         assert first.stat().st_size > rebal.market_data._WHOLE
         a = load_price_series(first, "A", parsed=cache)
         assert len(decodes) > 2 and sum(decodes) == len(days)
+        blocks = len(decodes)
         b = load_price_series(second, "B", parsed=cache)
-        assert b.dates is a.dates and sum(decodes) == len(days) and cache == {}
+        assert b.dates is a.dates and decodes[blocks:] == decodes[1:blocks] and cache == {}
         assert b.dates.tolist() == [date.fromisoformat(day) for day in days]
         for path, ticker in ((first, "A"), (second, "B")):
             assert (_outcome(load_price_series, path, ticker, PriceCache())
@@ -770,6 +776,52 @@ class TestDateColumnReuse:
             path = write_csv(tmp_path / "AAA.csv", self.rows("AAA", days))
             load_price_series(path, "AAA", parsed=None)
         assert decodes == [len(days)] * 3
+
+    def test_mixed_files_through_one_cache(self, tmp_path, monkeypatch, decodes):
+        # every outcome through one run's cache is what a fresh cache and the
+        # row parser give, and a file on a new calendar decodes its one block once
+        monkeypatch.setattr(rebal.market_data, "_WHOLE", 4096)  # bytes
+        monkeypatch.setattr(rebal.market_data, "_BLOCK", 1024)  # characters
+        days = self.days(date(2013, 1, 1), date(2013, 6, 28))
+        rng = random.Random(7)
+
+        def ragged(start):  # listed late, and three days missing
+            kept = days[start:]
+            for day in rng.sample(kept, 3):
+                kept.remove(day)
+            return kept
+
+        long_days = self.days(date(2012, 1, 1), date(2015, 12, 31))
+        quoted = [row.replace(",QQQ,", ',"QQQ",') for row in self.rows("QQQ", days)]
+        interleaved = sorted(self.rows("L1", days) + self.rows("L2", days[5:])
+                             + self.rows("L3", ragged(0)))
+        files = [  # (name, body, tickers, on a calendar no earlier file has)
+            ("ASC1", self.rows("ASC1", days), ["ASC1"], False),
+            ("ASC2", self.rows("ASC2", days), ["ASC2"], False),
+            ("OFF", self.rows("OFF", days[:-1] + ["2013-07-01"]), ["OFF"], True),
+            ("NEW1", self.rows("NEW1", days)[::-1], ["NEW1"], False),
+            ("NEW2", self.rows("NEW2", days)[::-1], ["NEW2"], False),
+            ("RAG1", self.rows("RAG1", ragged(0)), ["RAG1"], True),
+            ("RAG2", self.rows("RAG2", ragged(7)), ["RAG2"], True),
+            ("QQQ", quoted, ["QQQ"], False),
+            ("ASC3", self.rows("ASC3", days), ["ASC3"], False),
+            ("prices", interleaved, ["L1", "L2", "L3"], False),
+            ("BIG1", self.rows("BIG1", long_days), ["BIG1"], False),
+            ("BIG2", self.rows("BIG2", long_days), ["BIG2"], False),
+            ("RAG3", self.rows("RAG3", ragged(3)), ["RAG3"], True),
+            ("ASC4", self.rows("ASC4", days), ["ASC4"], False),
+        ]
+        cache = PriceCache()
+        for name, body, tickers, new_calendar in files:
+            path = write_csv(tmp_path / f"{name}.csv", body)
+            # the BIG files and the long-format file are read in blocks, the rest whole
+            assert (path.stat().st_size > 4096) == (name.startswith("BIG") or name == "prices")
+            for ticker in tickers:
+                before = len(decodes)
+                ours = _outcome(load_price_series, path, ticker, cache)
+                assert len(decodes) == before + 1 or not new_calendar
+                assert ours == _outcome(load_price_series, path, ticker, PriceCache())
+                assert ours == _outcome(parse_oracle.load_price_series, path, ticker, {})
 
 
 def traced_parse(path):
