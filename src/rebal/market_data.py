@@ -298,17 +298,13 @@ def _clean_cells(text: str) -> np.ndarray:
 
 def _ticker_ids(cells: np.ndarray, ids: dict[str, int]) -> np.ndarray:
     """Each row's ticker id in ``ids``, which gives a new name the next id.
-    Rows are told apart by their ticker cell's two uint64 words."""
+    A block of one ticker is told by its cells' two uint64 words, else np.unique groups it."""
     pairs = cells.view(np.uint64).reshape(len(cells), -1)[:, 2:4]
-    # one ticker, the usual layout; numpy compares a column at a time faster than a block
+    # one ticker, the usual layout; numpy compares a column at a time faster than S16 cells
     if all((pairs[:, k] == pairs[0, k]).all() for k in (0, 1)):
         first, group = [0], np.zeros(len(pairs), dtype=np.intp)
-    else:
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        ranked = pairs[order]
-        new = np.r_[True, (ranked[1:] != ranked[:-1]).any(1)]
-        first, group = order[new], np.empty(len(order), dtype=np.intp)
-        group[order] = np.cumsum(new) - 1
+    else:  # the sorting path that return_index takes, unlike the hash path, spares numpy.ma
+        _, first, group = np.unique(cells["ticker"], return_index=True, return_inverse=True)
     # cells that differ only in padding name one ticker
     return np.array([ids.setdefault(c.decode().strip(), len(ids))
                      for c in cells["ticker"][first]])[group]

@@ -38,7 +38,7 @@ from .errors import AllocationError, DomainError, InsolvencyError, describe, req
 from .market_data import DAY, PricePanel, _positive_finite
 
 REBALANCE_FREQUENCIES = ("daily", "monthly", "yearly", "never")
-BLOCK_CELLS = 8192  # most holdings marked to market at a time
+CHUNK_CELLS = 4096  # most cells marked to market, or written or re-read by report, at a time
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,8 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
     the holdings are rebalanced at that day's prices before marking to
     market.  Holdings only change on those trade dates, so each span
     between two of them is filled in one slice.  Value is then summed
-    ``BLOCK_CELLS`` holdings at a time.  Each ticker starts with
-    ``policy.per_asset_capital``.
+    ``CHUNK_CELLS`` holdings at a time, one chunk of temporaries.  Each
+    ticker starts with ``policy.per_asset_capital``.
     """
     n_days = len(panel.calendar)
     applied = rebalance_dates(panel.calendar, policy.frequency)
@@ -215,7 +215,7 @@ def run_backtest(panel: PricePanel, policy: RebalancePolicy) -> BacktestResult:
         cash[lo:hi] = balance
 
     value = np.empty(n_days)
-    step = max(1, BLOCK_CELLS // len(panel.tickers))
+    step = max(1, CHUNK_CELLS // len(panel.tickers))
     for lo in range(0, n_days, step):
         value[lo:lo + step] = _sum_left_to_right(shares[:, lo:lo + step] * prices[:, lo:lo + step])
     value += cash

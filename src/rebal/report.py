@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .metrics import METRIC_NAMES, TearSheet, box_plot_summary
-from .portfolio import BacktestResult
+from .portfolio import CHUNK_CELLS, BacktestResult
 from .returns import FREQUENCIES, aggregate, simple_returns
 
 BOX_STATS = ("min", "q1", "median", "q3", "max")
@@ -168,7 +168,6 @@ def _digit_words() -> np.ndarray:
 _WORDS = _digit_words()
 _TRAIL, _LEAD = 10_000, 20_000  # where _WORDS's second and third spellings start
 _POW10 = np.array([float(10 ** k) for k in range(17)])  # exact doubles
-CHUNK_CELLS = 4096  # most cells of shares or weights encoded, or re-read, at a time
 
 
 def _block_lines(numeric: int) -> int:  # lines of numeric numbers written or re-read at a time

@@ -976,8 +976,10 @@ def test_plot_tables_are_written_and_reread_in_blocks(tmp_path):
 
 
 def test_runs_do_not_import_numpy_ma(tmp_path):
-    # np.unique, and np.percentile through it, import all of numpy.ma, which
-    # costs each run about 10 ms and 1 MB of peak RSS for nothing
+    # a bare np.unique, which takes numpy's hash path, and np.percentile
+    # through it import all of numpy.ma, which costs each run about 10 ms and
+    # 1 MB of peak RSS for nothing; the sorting path that np.unique takes with
+    # return_index, as the long-format reader calls it, does not
     data_dir, manifests = generate_universe(
         tmp_path / "fixture", start=date(2020, 2, 28), end=date(2021, 6, 30),
         n_sectors=2, tickers_per_sector=2, seed=11,

@@ -779,9 +779,19 @@ class TestDateColumnReuse:
 
     def test_mixed_files_through_one_cache(self, tmp_path, monkeypatch, decodes):
         # every outcome through one run's cache is what a fresh cache and the
-        # row parser give, and a file on a new calendar decodes its one block once
+        # row parser give, and a file on a new calendar decodes its one block once;
+        # only the quoted file falls back to the row loop, so a fault of the array
+        # reader that raises ValueError fails here rather than only slowing the load
         monkeypatch.setattr(rebal.market_data, "_WHOLE", 4096)  # bytes
         monkeypatch.setattr(rebal.market_data, "_BLOCK", 1024)  # characters
+        row_loop = []
+        real = rebal.market_data._read_rows
+
+        def counting(rows, path, cache):
+            row_loop.append(path.stem)
+            return real(rows, path, cache)
+
+        monkeypatch.setattr(rebal.market_data, "_read_rows", counting)
         days = self.days(date(2013, 1, 1), date(2013, 6, 28))
         rng = random.Random(7)
 
@@ -793,6 +803,7 @@ class TestDateColumnReuse:
 
         long_days = self.days(date(2012, 1, 1), date(2015, 12, 31))
         quoted = [row.replace(",QQQ,", ',"QQQ",') for row in self.rows("QQQ", days)]
+        # blocks of three tickers, which np.unique groups
         interleaved = sorted(self.rows("L1", days) + self.rows("L2", days[5:])
                              + self.rows("L3", ragged(0)))
         files = [  # (name, body, tickers, on a calendar no earlier file has)
@@ -822,6 +833,7 @@ class TestDateColumnReuse:
                 assert len(decodes) == before + 1 or not new_calendar
                 assert ours == _outcome(load_price_series, path, ticker, PriceCache())
                 assert ours == _outcome(parse_oracle.load_price_series, path, ticker, {})
+        assert row_loop == ["QQQ", "QQQ"]  # through the run's cache, then a fresh one
 
 
 def traced_parse(path):

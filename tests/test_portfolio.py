@@ -454,7 +454,7 @@ class TestMatchesDictEngine:
         # blocks of `step` days leave the last of 8 * step + 1 days alone, and
         # step 1 makes every block one day: each day's 40 holdings still add
         # left to right, whatever the length of the block they are summed in
-        monkeypatch.setattr(rebal.portfolio, "BLOCK_CELLS", 40 * step)
+        monkeypatch.setattr(rebal.portfolio, "CHUNK_CELLS", 40 * step)
         rng = np.random.default_rng(11)
         for _ in range(4):
             panel = oracle_panel(rng, 40, trading_days(8 * step + 1))
