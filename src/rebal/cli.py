@@ -20,8 +20,6 @@ fields; command-line flags win over the file.  The ``REBAL_LOG``
 environment variable (error, info, debug) sets the progress lines on stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import ctypes
 import json

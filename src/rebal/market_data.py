@@ -37,8 +37,6 @@ All types but PriceCache, which one run owns, are immutable after
 construction and safe to share across threads.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 import os

@@ -24,8 +24,6 @@ All functions are pure; tear sheets for many windows may be computed
 concurrently.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from dataclasses import dataclass, fields

@@ -28,8 +28,6 @@ Calendars and schedules are ``datetime64[D]`` arrays; holdings and
 weights are (tickers x days) matrices, rows in the panel's ticker order.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

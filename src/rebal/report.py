@@ -21,8 +21,6 @@ Output schemas:
   daily, weekly, monthly, and annual returns.
 """
 
-from __future__ import annotations
-
 import csv
 import itertools
 import json

@@ -7,8 +7,6 @@ left to right.  Buckets are ISO (Monday to Sunday) weeks, calendar
 months, and calendar years, each dated at the bucket's last trading day.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

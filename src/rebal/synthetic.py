@@ -11,8 +11,6 @@ Usage:
     python -m rebal.synthetic OUT_DIR [--seed N] [--sectors K] [--tickers N]
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 from datetime import date
